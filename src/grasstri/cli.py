@@ -10,27 +10,11 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 import numpy as np
 
 from . import analysis, complexes, grassmann, persistence
-
-
-def worker_count() -> int:
-    """Worker cap from GRASSTRI_THREADS (0 or unset = one per CPU)."""
-    raw = os.environ.get("GRASSTRI_THREADS")
-    cpus = os.cpu_count() or 1
-    if raw is None:
-        return cpus
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = -1
-    if cap < 0:
-        raise ValueError(f"GRASSTRI_THREADS must be a nonnegative integer, got {raw!r}")
-    return cpus if cap == 0 else min(cap, cpus)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -189,7 +173,7 @@ def build_parser() -> _Parser:
         description="Approximate triangulations of Grassmann manifolds: sample "
                     "a manifold, build a filtered complex, compute Z/2 persistent "
                     "homology, and report parameter windows with the target "
-                    "homology. GRASSTRI_THREADS caps worker count (0 = auto).")
+                    "homology.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command",
                                 parser_class=_Parser)
 
@@ -271,7 +255,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        worker_count()
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2

@@ -34,6 +34,10 @@ class ResourceLimit(RuntimeError):
     """Simplex count exceeded the configured cap."""
 
 
+class MissingFace(ValueError):
+    """A simplex's face is absent from the filtration or listed after it."""
+
+
 class Simplex(NamedTuple):
     vertices: tuple[int, ...]
     value: float
@@ -60,7 +64,7 @@ class Filtration:
         self.verts = np.ascontiguousarray(verts, dtype=np.int32)
         self.vertex_count = int(vertex_count)
         if not presorted:
-            order = _canonical_order(self.values, self.dims, self.verts)
+            order = np.lexsort(tuple(_order_keys(self.values, self.dims, self.verts)))
             self.values = self.values[order]
             self.dims = self.dims[order]
             self.verts = self.verts[order]
@@ -68,18 +72,11 @@ class Filtration:
     @classmethod
     def from_simplices(cls, simplices, vertex_count: int) -> "Filtration":
         items = list(simplices)
-        width = max((len(s.vertices) for s in items), default=1)
-        verts = np.full((len(items), width), -1, dtype=np.int32)
-        values = np.empty(len(items))
-        dims = np.empty(len(items), dtype=np.int32)
-        for i, s in enumerate(items):
-            vs = tuple(s.vertices)
-            if any(b <= a for a, b in zip(vs, vs[1:])):
-                raise ValueError(f"simplex vertices must strictly increase: {vs}")
-            verts[i, :len(vs)] = vs
-            values[i] = s.value
-            dims[i] = len(vs) - 1
-        return cls(values, dims, verts, vertex_count)
+        filtration = _from_flat([s.value for s in items], [len(s.vertices) for s in items],
+                                [v for s in items for v in s.vertices], vertex_count,
+                                presorted=False)
+        filtration._check_order()
+        return filtration
 
     def __len__(self) -> int:
         return len(self.values)
@@ -100,82 +97,169 @@ class Filtration:
         if not isinstance(other, Filtration):
             return NotImplemented
         return (self.vertex_count == other.vertex_count
-                and np.array_equal(self.values, other.values)
-                and np.array_equal(self.dims, other.dims)
-                and self._trimmed_verts() == other._trimmed_verts())
-
-    def _trimmed_verts(self) -> list[tuple[int, ...]]:
-        return [tuple(int(v) for v in self.verts[i, :self.dims[i] + 1])
-                for i in range(len(self))]
+                and list(self.simplices()) == list(other.simplices()))
 
     def validate(self) -> None:
         """Check the canonical order and the face-before-coface property."""
-        index = {}
-        for i in range(len(self)):
-            s = self.simplex(i)
-            if i > 0:
-                p = self.simplex(i - 1)
-                if (p.value, p.dim, p.vertices) > (s.value, s.dim, s.vertices):
-                    raise ValueError(f"simplices out of order at position {i}")
-            for facet in _facets(s.vertices):
-                j = index.get(facet)
-                if j is None:
-                    raise ValueError(f"face {facet} of {s.vertices} missing")
-                if self.values[j] > s.value:
-                    raise ValueError(f"face {facet} appears later in the parameter than {s.vertices}")
-            index[s.vertices] = i
+        self._check_order()
+        index = FacetIndex(self)
+        for d in range(1, self.max_dim + 1):
+            index.facet_rows(d, np.flatnonzero(self.dims == d))
+
+    def _check_order(self) -> None:
+        """Vertices strictly increase, labels lie in [0, vertex_count), and
+        adjacent rows strictly increase by (value, dim, vertices)."""
+        width = self.verts.shape[1]
+        used = np.arange(width) <= self.dims[:, None]
+        labelled = (self.verts >= 0) & (self.verts < self.vertex_count)
+        if not (np.array_equal(labelled, used) and used[:, :1].all()):
+            raise ValueError(f"each simplex needs 1 to {width} vertex labels in "
+                             f"[0, {self.vertex_count}), padded with -1")
+        rising = (self.verts[:, 1:] > self.verts[:, :-1]) | ~used[:, 1:]
+        bad = np.flatnonzero(~rising.all(axis=1))
+        if len(bad):
+            raise ValueError(f"simplex vertices must strictly increase: "
+                             f"{self.simplex(int(bad[0])).vertices}")
+        # "row i-1 < row i" in the canonical order, folded from its last key
+        less = False
+        for key in _order_keys(self.values, self.dims, self.verts):
+            less = (key[:-1] < key[1:]) | ((key[:-1] == key[1:]) & less)
+        bad = np.flatnonzero(~less)
+        if len(bad):
+            raise ValueError(f"simplices out of order, or valued nan, at position "
+                             f"{int(bad[0]) + 1}")
 
 
-def _facets(vertices: tuple[int, ...]) -> list[tuple[int, ...]]:
-    if len(vertices) == 1:
-        return []
-    return [vertices[:i] + vertices[i + 1:] for i in range(len(vertices))]
+class FacetIndex:
+    """The simplices of a filtration below its top dimension, keyed for
+    searchsorted, to look up the facets of its simplices.
+
+    The key of a tuple (v0, ..., vk) is rank(v0..v(k-1)) * n + vk, where n
+    bounds the labels. A vertex's rank is its label; a longer tuple's rank
+    is its position among the sorted keys of its dimension. Keys follow the
+    lexicographic order and stay below (simplex count) * n, so int64 holds
+    them in any dimension. ``rows[k][rank]`` is the filtration row of the
+    k-simplex with that rank; for vertices it is -1 where the label is absent.
+    """
+
+    def __init__(self, filtration: Filtration):
+        dims, verts = filtration.dims, filtration.verts
+        self.verts = verts
+        self.n = int(verts.max()) + 1 if len(verts) else 1
+        vrows = np.flatnonzero(dims == 0)
+        table = np.full(self.n, -1, dtype=np.int64)
+        table[verts[vrows, 0]] = vrows
+        self.rows = [table]
+        self.keys = [None]  # a vertex's rank is its label, so none are searched
+        for k in range(1, filtration.max_dim):
+            rows_k = np.flatnonzero(dims == k)
+            vv = verts[rows_k, :k + 1]
+            keys = self.rank(vv, range(k)) * self.n + vv[:, k]
+            order = np.argsort(keys)
+            # a sentinel above every key keeps searchsorted positions in range
+            self.keys.append(np.append(keys[order], np.iinfo(np.int64).max))
+            self.rows.append(rows_k[order])
+
+    def facet_rows(self, d: int, cols: np.ndarray) -> np.ndarray:
+        """Filtration rows of the facets of the d-simplices at rows ``cols``, d >= 1.
+
+        Row i describes the i-th of those simplices; its column p is the row
+        of the facet without vertex p. Raises MissingFace when a face is
+        absent or listed at or after its coface.
+        """
+        vv = self.verts[cols, :d + 1]
+        rowmat = np.empty((len(cols), d + 1), dtype=np.int64)
+        prefix = None  # rank of vv[:, :p]
+        for p in range(d + 1):
+            rank = self.rank(vv, [c for c in range(d + 1) if c != p], prefix, p)
+            rowmat[:, p] = self.rows[d - 1][rank]
+            if p < d:
+                prefix = self.rank(vv, range(p + 1), prefix, p)
+        bad = np.argwhere((rowmat < 0) | (rowmat >= cols[:, None]))
+        if len(bad):
+            i, p = bad[0]
+            simplex = tuple(int(v) for v in vv[i])
+            where = "missing from" if rowmat[i, p] < 0 else "listed at or after it in"
+            raise MissingFace(f"face {simplex[:p] + simplex[p + 1:]} of {simplex} "
+                              f"is {where} the filtration")
+        return rowmat
+
+    def rank(self, vv: np.ndarray, cols, prefix=None, start: int = 0) -> np.ndarray:
+        """Rank of the tuples vv[:, cols], given the rank ``prefix`` of vv[:, cols[:start]]."""
+        cols = list(cols)
+        rank = prefix if start else vv[:, cols[0]].astype(np.int64)
+        for w in range(max(start, 1), len(cols)):
+            key = rank * self.n + vv[:, cols[w]]
+            rank = np.searchsorted(self.keys[w], key)
+            miss = np.flatnonzero(self.keys[w][rank] != key)
+            if len(miss):
+                simplex = tuple(int(v) for v in vv[int(miss[0])])
+                face = tuple(simplex[c] for c in cols[:w + 1])
+                raise MissingFace(f"face {face} of {simplex} is missing from the filtration")
+        return rank
 
 
-def _canonical_order(values, dims, verts) -> np.ndarray:
-    keys = [verts[:, c] for c in range(verts.shape[1] - 1, -1, -1)]
-    keys.extend([dims, values])
-    return np.lexsort(tuple(keys))
+def _order_keys(values, dims, verts) -> list[np.ndarray]:
+    """The canonical order's keys, least significant first, as lexsort takes them."""
+    return [verts[:, c] for c in range(verts.shape[1] - 1, -1, -1)] + [dims, values]
 
 
-def _flag_expand(vertex_count: int, edges: list[tuple[int, int]],
-                 edge_values: list[float], value_rows: list[list[float]],
-                 max_dim: int, max_simplices: int | None) -> "Filtration":
+def _from_flat(values, sizes, labels, vertex_count: int, presorted: bool) -> Filtration:
+    """Filtration from per-simplex values and vertex counts, with the vertex
+    labels of all simplices concatenated in ``labels``."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    labels = np.asarray(labels, dtype=np.int32)
+    starts = np.cumsum(sizes) - sizes
+    verts = np.full((len(sizes), int(sizes.max(initial=1))), -1, dtype=np.int32)
+    for c in range(verts.shape[1]):
+        has = np.flatnonzero(sizes > c)
+        verts[has, c] = labels[starts[has] + c]
+    return Filtration(values, sizes - 1, verts, vertex_count, presorted)
+
+
+def _flag_expand(values: np.ndarray, within: np.ndarray, max_dim: int,
+                 max_simplices: int | None) -> "Filtration":
     """Grow the flag complex of an edge-weighted graph up to max_dim.
 
-    A p-simplex is any (p+1)-clique; its value is the maximum of its edge
-    values. Cliques are enumerated with ascending vertices so each appears
-    once, and candidate sets shrink by bitmask intersection along the way.
+    ``values`` is the symmetric matrix of edge values and ``within`` the
+    boolean matrix of pairs that are edges. A p-simplex is any (p+1)-clique;
+    its value is the maximum of its edge values. Edges are taken row-major
+    with a < b; cliques are enumerated with ascending vertices so each
+    appears once, and candidate sets shrink by bitmask intersection.
     """
+    vertex_count = values.shape[0]
+    # a 0-dimensional complex has no edges
+    ii, jj = np.nonzero(np.triu(within, k=1) & (max_dim >= 1))
+    edges = list(zip(ii.tolist(), jj.tolist()))
+    edge_values = values[ii, jj].tolist()
     top = max(max_dim, 1)
     val_buf = [array("d") for _ in range(top + 1)]
     vert_buf = [array("i") for _ in range(top + 1)]
 
-    for v in range(vertex_count):
-        val_buf[0].append(0.0)
-        vert_buf[0].append(v)
+    val_buf[0].extend([0.0] * vertex_count)
+    vert_buf[0].extend(range(vertex_count))
+    val_buf[1].extend(edge_values)
     count = vertex_count + len(edges)
     if max_simplices is not None and count > max_simplices:
         raise ResourceLimit(f"simplex count exceeds cap {max_simplices}")
 
     nbr = [0] * vertex_count
-    ev_buf, evert_buf = val_buf[1], vert_buf[1]
-    for (i, j), val in zip(edges, edge_values):
-        ev_buf.append(val)
-        evert_buf.append(i)
-        evert_buf.append(j)
+    for i, j in edges:
+        vert_buf[1].extend((i, j))
         nbr[i] |= 1 << j
         nbr[j] |= 1 << i
 
     if max_dim >= 2:
-        count = _expand_cliques(edges, edge_values, nbr, value_rows, max_dim,
-                                max_simplices, val_buf, vert_buf, count)
+        _expand_cliques(edges, edge_values, nbr, values.tolist(), max_dim,
+                        max_simplices, val_buf, vert_buf, count)
 
-    return _assemble(vertex_count, val_buf, vert_buf)
+    sizes = np.repeat(np.arange(1, top + 2), [len(buf) for buf in val_buf])
+    return _from_flat(np.concatenate(val_buf), sizes, np.concatenate(vert_buf),
+                      vertex_count, presorted=False)
 
 
 def _expand_cliques(edges, edge_values, nbr, value_rows, max_dim, max_simplices,
-                    val_buf, vert_buf, count) -> int:
+                    val_buf, vert_buf, count) -> None:
     def extend(prefix: list[int], val: float, cand: int) -> None:
         nonlocal count
         d = len(prefix)
@@ -208,25 +292,6 @@ def _expand_cliques(edges, edge_values, nbr, value_rows, max_dim, max_simplices,
         cand = nbr[i] & nbr[j] & ~((1 << (j + 1)) - 1)
         if cand:
             extend([i, j], val, cand)
-    return count
-
-
-def _assemble(vertex_count: int, val_buf, vert_buf) -> Filtration:
-    present = [d for d in range(len(val_buf)) if len(val_buf[d])]
-    width = max(present) + 1
-    total = sum(len(val_buf[d]) for d in present)
-    values = np.empty(total)
-    dims = np.empty(total, dtype=np.int32)
-    verts = np.full((total, width), -1, dtype=np.int32)
-    at = 0
-    for d in present:
-        cnt = len(val_buf[d])
-        values[at:at + cnt] = np.frombuffer(val_buf[d], dtype=np.float64)
-        dims[at:at + cnt] = d
-        verts[at:at + cnt, :d + 1] = np.frombuffer(
-            vert_buf[d], dtype=np.intc).reshape(cnt, d + 1)
-        at += cnt
-    return Filtration(values, dims, verts, vertex_count)
 
 
 def vietoris_rips(cloud, r_max: float, max_dim: int,
@@ -243,17 +308,9 @@ def vietoris_rips(cloud, r_max: float, max_dim: int,
         raise ValueError("r_max must be positive")
     if max_dim < 0:
         raise ValueError("max_dim must be nonnegative")
-    n = pts.shape[0]
     dist = pairwise_distances(pts)
     np.fill_diagonal(dist, 0.0)
-
-    edges: list[tuple[int, int]] = []
-    edge_values: list[float] = []
-    if max_dim >= 1:
-        ii, jj = np.nonzero(np.triu(dist < r_max, k=1))
-        edges = list(zip(ii.tolist(), jj.tolist()))
-        edge_values = dist[ii, jj].tolist()
-    return _flag_expand(n, edges, edge_values, dist.tolist(), max_dim, max_simplices)
+    return _flag_expand(dist, dist < r_max, max_dim, max_simplices)
 
 
 @dataclass(frozen=True)
@@ -362,16 +419,7 @@ def witness_filtration(cloud, landmarks: LandmarkSet, r_max: float, max_dim: int
     if max_dim < 0:
         raise ValueError("max_dim must be nonnegative")
     values = witness_edge_values(landmarks)
-    n_l = len(landmarks)
-    edges: list[tuple[int, int]] = []
-    edge_vals: list[float] = []
-    if max_dim >= 1:
-        for a in range(n_l):
-            for b in range(a + 1, n_l):
-                if values[a, b] <= r_max:
-                    edges.append((a, b))
-                    edge_vals.append(float(values[a, b]))
-    return _flag_expand(n_l, edges, edge_vals, values.tolist(), max_dim, max_simplices)
+    return _flag_expand(values, values <= r_max, max_dim, max_simplices)
 
 
 def write_filtration(path, filtration: Filtration) -> None:
@@ -390,21 +438,19 @@ def read_filtration(path) -> Filtration:
         if len(header) != 2:
             raise ValueError(f"malformed filtration header in {path}")
         dim_max, vertex_count = int(header[0]), int(header[1])
-        simplices = []
+        values, sizes, labels = array("d"), array("i"), array("i")
         for line in fh:
             toks = line.split()
-            if not toks:
-                continue
-            simplices.append(Simplex(tuple(int(t) for t in toks[1:]), float(toks[0])))
-    width = dim_max + 1
-    verts = np.full((len(simplices), width), -1, dtype=np.int32)
-    values = np.empty(len(simplices))
-    dims = np.empty(len(simplices), dtype=np.int32)
-    for i, s in enumerate(simplices):
-        verts[i, :len(s.vertices)] = s.vertices
-        values[i] = s.value
-        dims[i] = s.dim
-    return Filtration(values, dims, verts, vertex_count, presorted=True)
+            if toks:
+                values.append(float(toks[0]))
+                sizes.append(len(toks) - 1)
+                labels.extend(map(int, toks[1:]))
+    filtration = _from_flat(values, sizes, labels, vertex_count, presorted=True)
+    filtration._check_order()
+    if filtration.max_dim != dim_max:
+        raise ValueError(f"header of {path} gives dim_max {dim_max}, "
+                         f"the simplices reach {filtration.max_dim}")
+    return filtration
 
 
 def write_landmarks(path, landmarks: LandmarkSet) -> None:

@@ -312,4 +312,8 @@ def read_cloud(path) -> np.ndarray:
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise ValueError(f"ragged point cloud in {path}")
-    return np.array(rows)
+    cloud = np.array(rows)
+    bad = np.flatnonzero(~np.isfinite(cloud).all(axis=1))
+    if len(bad):
+        raise ValueError(f"non-finite coordinate in point {int(bad[0])} of {path}")
+    return cloud

@@ -13,15 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import Filtration
+from .complexes import FacetIndex, Filtration, MissingFace  # MissingFace: raised by build_boundary
 
 INF = math.inf
+BLOCK = 1 << 15   # boundary columns looked up at once
 
 _SVG_COLORS = ("#1f6f8b", "#b55439", "#3d7a3d", "#7a4f9d", "#946b00", "#555555")
-
-
-class MissingFace(ValueError):
-    """A simplex's facet does not appear in the filtration."""
 
 
 @dataclass(frozen=True)
@@ -44,58 +41,27 @@ class BoundaryMatrix:
         return self.col_rows[self.col_ptr[j]:self.col_ptr[j + 1]]
 
 
-def _pack(verts: np.ndarray) -> np.ndarray:
-    # 16 bits per vertex slot, shifted by +1 so a padding -1 packs as 0
-    keys = np.zeros(verts.shape[0], dtype=np.uint64)
-    for c in range(verts.shape[1]):
-        keys = (keys << np.uint64(16)) | (verts[:, c] + 1).astype(np.uint64)
-    return keys
-
-
 def build_boundary(filtration: Filtration) -> BoundaryMatrix:
+    """Boundary columns from one ``FacetIndex``, each sorted ascending. The
+    matrix is allocated before the lookup, which runs BLOCK columns at a time
+    so that its temporaries stay small."""
     dims = filtration.dims
-    verts = filtration.verts
-    m = len(filtration)
     counts = np.where(dims > 0, dims.astype(np.int64) + 1, 0)
-    col_ptr = np.zeros(m + 1, dtype=np.int64)
+    col_ptr = np.zeros(len(filtration) + 1, dtype=np.int64)
     np.cumsum(counts, out=col_ptr[1:])
     col_rows = np.empty(int(col_ptr[-1]), dtype=np.int64)
-
-    packable = filtration.vertex_count < 65535
+    matrix = BoundaryMatrix(col_ptr, col_rows, dims.copy(), filtration.values.copy())
+    index = FacetIndex(filtration)
     for d in range(1, filtration.max_dim + 1):
-        cols_d = np.flatnonzero(dims == d)
-        if not len(cols_d):
-            continue
-        rows_dm1 = np.flatnonzero(dims == d - 1)
-        vv = verts[cols_d, :d + 1]
-        fv = verts[rows_dm1, :d]
-        rowmat = np.empty((len(cols_d), d + 1), dtype=np.int64)
-        if packable and d <= 4:
-            fkeys = _pack(fv)
-            order = np.argsort(fkeys)
-            skeys = fkeys[order]
+        cols = np.flatnonzero(dims == d)
+        for lo in range(0, len(cols), BLOCK):
+            block = cols[lo:lo + BLOCK]
+            rowmat = index.facet_rows(d, block)
+            rowmat.sort(axis=1)
+            starts = col_ptr[block]
             for p in range(d + 1):
-                keys = _pack(np.delete(vv, p, axis=1))
-                pos = np.searchsorted(skeys, keys)
-                if len(skeys) == 0 or np.any(pos >= len(skeys)) \
-                        or np.any(skeys[np.minimum(pos, len(skeys) - 1)] != keys):
-                    raise MissingFace(f"a {d - 1}-face of a {d}-simplex is missing")
-                rowmat[:, p] = rows_dm1[order[pos]]
-        else:
-            index = {tuple(fv[i].tolist()): int(rows_dm1[i]) for i in range(len(rows_dm1))}
-            for i in range(len(cols_d)):
-                simplex = vv[i].tolist()
-                for p in range(d + 1):
-                    facet = tuple(simplex[:p] + simplex[p + 1:])
-                    row = index.get(facet)
-                    if row is None:
-                        raise MissingFace(f"face {facet} missing from the filtration")
-                    rowmat[i, p] = row
-        rowmat.sort(axis=1)
-        slots = col_ptr[cols_d][:, None] + np.arange(d + 1, dtype=np.int64)
-        col_rows[slots.reshape(-1)] = rowmat.reshape(-1)
-
-    return BoundaryMatrix(col_ptr, col_rows, dims.copy(), filtration.values.copy())
+                col_rows[starts + p] = rowmat[:, p]
+    return matrix
 
 
 @dataclass(frozen=True)

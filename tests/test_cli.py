@@ -17,44 +17,6 @@ def circle_cloud(count=12, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# worker_count / GRASSTRI_THREADS
-
-
-def test_worker_count_unset_uses_cpu_count(monkeypatch):
-    monkeypatch.delenv("GRASSTRI_THREADS", raising=False)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-    assert cli.worker_count() == 4
-
-
-def test_worker_count_zero_means_auto(monkeypatch):
-    monkeypatch.setenv("GRASSTRI_THREADS", "0")
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-    assert cli.worker_count() == 4
-
-
-def test_worker_count_caps_at_cpu_count(monkeypatch):
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-    monkeypatch.setenv("GRASSTRI_THREADS", "2")
-    assert cli.worker_count() == 2
-    monkeypatch.setenv("GRASSTRI_THREADS", "64")
-    assert cli.worker_count() == 4
-
-
-def test_worker_count_rejects_bad_values(monkeypatch):
-    for bad in ("-1", "many", "1.5"):
-        monkeypatch.setenv("GRASSTRI_THREADS", bad)
-        with pytest.raises(ValueError):
-            cli.worker_count()
-
-
-def test_main_reports_bad_thread_env(monkeypatch, capsys, tmp_path):
-    monkeypatch.setenv("GRASSTRI_THREADS", "-2")
-    code = run(["betti", "--n", "4", "--k", "2"])
-    assert code == 2
-    assert "GRASSTRI_THREADS" in capsys.readouterr().err
-
-
-# ---------------------------------------------------------------------------
 # argument errors
 
 
@@ -160,6 +122,18 @@ def test_rips_missing_cloud_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_rips_rejects_non_finite_cloud(tmp_path, capsys, token):
+    cloud_path = tmp_path / "cloud.txt"
+    cloud_path.write_text(f"0 0\n1 0\n0 {token}\n")
+    out = tmp_path / "f.txt"
+    code = run(["rips", "--cloud", str(cloud_path), "--r-max", "2.0",
+                "--max-dim", "1", "--out", str(out)])
+    assert code == 2
+    assert "non-finite coordinate in point 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # witness
 
@@ -217,6 +191,26 @@ def test_persist_matches_library(tmp_path):
     stored = persistence.read_barcode(csv_path)
     assert stored == persistence.barcodes(filtration, 1)
     assert svg_path.read_text().startswith("<svg")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1 2\n0 0\n0 1\n1 1 0\n", "strictly increase"),
+    ("0 2\n0 0\n0 2\n", "vertex labels in [0, 2)"),
+    ("0 2\n1 0\n0 1\n", "out of order"),
+    ("0 1\n0 0\n0 0\n", "out of order"),
+    ("0 2\n0 0\n0 1\n0 0 1\n", "dim_max 0"),
+    ("1 2\n0.5 0 1\n1 0\n1 1\n", "listed at or after it"),
+    ("1 3\n0 0\n0 2\n0.5 0 1\n", "face (1,) of (0, 1) is missing"),
+    ("2 3\n0 0\n0 1\n0 2\n1 0 1\n1 0 2\n1 0 1 2\n", "face (1, 2) of (0, 1, 2)"),
+], ids=["unsorted-vertices", "label-range", "row-order", "duplicate-row", "header-dim",
+        "edge-before-vertices", "missing-vertex", "missing-edge"])
+def test_persist_rejects_malformed_filtration(tmp_path, capsys, text, message):
+    filt_path = tmp_path / "filt.txt"
+    filt_path.write_text(text)
+    code = run(["persist", "--filtration", str(filt_path),
+                "--out-csv", str(tmp_path / "barcode.csv")])
+    assert code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_persist_default_max_dim(tmp_path):

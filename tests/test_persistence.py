@@ -4,6 +4,8 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grasstri import complexes, persistence
 from grasstri.complexes import Filtration, Simplex
@@ -106,19 +108,75 @@ def test_build_boundary_missing_face():
         persistence.build_boundary(bad)
 
 
-def test_build_boundary_dict_fallback_matches_packed():
+def brute_force_facet_rows(filtration):
+    """Sorted facet rows of every column, looked up in a dict of vertex tuples."""
+    row_of = {s.vertices: i for i, s in enumerate(filtration.simplices())}
+    return [sorted(row_of[s.vertices[:p] + s.vertices[p + 1:]] for p in range(s.dim + 1))
+            if s.dim else [] for s in filtration.simplices()]
+
+
+def test_build_boundary_matches_brute_force_facets(monkeypatch):
+    # blocks of 5 columns split every dimension's lookup into several
+    monkeypatch.setattr(persistence, "BLOCK", 5)
     rng = np.random.default_rng(1)
     cloud = rng.standard_normal((8, 2))
     f = complexes.vietoris_rips(cloud, 2.5, 5)
-    # dimensions above 4 exercise the dictionary path; rebuild a dim-3
-    # truncation through both paths by slicing and compare
+    assert f.max_dim == 5
+    # the same complex with labels spread above 65535: an increasing map
+    # keeps the canonical order, so the rows must not change
+    spread = np.where(f.verts >= 0, 70_000 + 9_000 * f.verts, -1)
+    wide = Filtration(f.values, f.dims, spread, vertex_count=140_000, presorted=True)
+    wide.validate()
+    for filtration in (f, wide):
+        matrix = persistence.build_boundary(filtration)
+        columns = [matrix.column(j).tolist() for j in range(len(matrix))]
+        assert columns == brute_force_facet_rows(filtration)
+    assert np.array_equal(persistence.build_boundary(wide).col_rows,
+                          persistence.build_boundary(f).col_rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["rips", "witness"]), points=st.integers(2, 9),
+       max_dim=st.integers(1, 4), r_max=st.floats(0.3, 3.0),
+       seed=st.integers(0, 2**32 - 1), pick=st.integers(0, 10**6))
+def test_facet_index_property(kind, points, max_dim, r_max, seed, pick):
+    rng = np.random.default_rng(seed)
+    if kind == "rips":
+        f = complexes.vietoris_rips(rng.standard_normal((points, 3)), r_max, max_dim)
+    else:
+        cloud = rng.standard_normal((4 * points, 3))
+        landmarks = complexes.maxmin_landmarks(cloud, points, rng)
+        f = complexes.witness_filtration(cloud, landmarks, r_max, max_dim)
+    f.validate()
     matrix = persistence.build_boundary(f)
-    for j in range(len(matrix)):
-        s = f.simplex(j)
-        faces = {f.simplex(int(r)).vertices for r in matrix.column(j)}
-        expected = {s.vertices[:p] + s.vertices[p + 1:]
-                    for p in range(len(s.vertices))} if s.dim else set()
-        assert faces == expected
+    columns = [matrix.column(j).tolist() for j in range(len(matrix))]
+    assert columns == brute_force_facet_rows(f)
+
+    cofaces = np.flatnonzero(f.dims > 0)
+    if not len(cofaces):
+        return
+    j = int(cofaces[pick % len(cofaces)])
+    face = int(matrix.column(j)[pick % (int(f.dims[j]) + 1)])
+    # the face enters after its coface: the canonical order lists it later
+    values = f.values.copy()
+    values[face] = f.values[j] + 1.0
+    late = Filtration(values, f.dims, f.verts, f.vertex_count)
+    with pytest.raises(persistence.MissingFace, match="listed at or after"):
+        late.validate()
+    with pytest.raises(persistence.MissingFace):
+        persistence.build_boundary(late)
+    keep = np.arange(len(f)) != face
+    gone = Filtration(f.values[keep], f.dims[keep], f.verts[keep], f.vertex_count,
+                      presorted=True)
+    with pytest.raises(persistence.MissingFace, match="missing from"):
+        gone.validate()
+    with pytest.raises(persistence.MissingFace):
+        persistence.build_boundary(gone)
+
+
+def test_missing_face_is_one_class():
+    assert persistence.MissingFace is complexes.MissingFace
+    assert issubclass(complexes.MissingFace, ValueError)
 
 
 def test_tetrahedron_barcode_exact():
