@@ -180,19 +180,17 @@ def sample_space(space: str, count: int, rng: np.random.Generator,
                  proportions=None) -> np.ndarray:
     family, args = parse_space(space)
     if family == "rp2-r4":
-        sphere = grassmann.sample_sphere(count, rng)
-        return np.vstack([grassmann.rp2_embed_r4(p) for p in sphere])
+        return grassmann.rp2_embed_r4(grassmann.sample_sphere(count, rng))
     if family == "rp2-r5":
-        sphere = grassmann.sample_sphere(count, rng)
-        return np.vstack([grassmann.rp2_embed_r5(p) for p in sphere])
+        return grassmann.rp2_embed_r5(grassmann.sample_sphere(count, rng))
     if family == "rp3":
-        return np.vstack(grassmann.sample_so3(count, rng))
+        return grassmann.sample_so3(count, rng)
     params = grassmann.GrassmannParams(*args)
     if proportions is not None:
         points = grassmann.sample_biased(params, count, proportions, rng)
     else:
         points = grassmann.sample_uniform(params, count, rng)
-    return np.vstack([p.vector for p in points])
+    return points.reshape(count, -1)
 
 
 @dataclass(frozen=True)

@@ -72,9 +72,10 @@ class Filtration:
     @classmethod
     def from_simplices(cls, simplices, vertex_count: int) -> "Filtration":
         items = list(simplices)
+        labels = [v for s in items for v in s.vertices]
+        _check_labels(labels, vertex_count)
         filtration = _from_flat([s.value for s in items], [len(s.vertices) for s in items],
-                                [v for s in items for v in s.vertices], vertex_count,
-                                presorted=False)
+                                labels, vertex_count, presorted=False)
         filtration._check_order()
         return filtration
 
@@ -202,6 +203,15 @@ class FacetIndex:
 def _order_keys(values, dims, verts) -> list[np.ndarray]:
     """The canonical order's keys, least significant first, as lexsort takes them."""
     return [verts[:, c] for c in range(verts.shape[1] - 1, -1, -1)] + [dims, values]
+
+
+def _check_labels(labels, vertex_count: int) -> None:
+    """Reject labels outside [0, vertex_count) before they are narrowed to
+    int32, where an out-of-range label could wrap into range."""
+    bound = min(vertex_count, 2**31)
+    for v in labels:
+        if not 0 <= v < bound:
+            raise ValueError(f"vertex label {v} outside [0, {bound})")
 
 
 def _from_flat(values, sizes, labels, vertex_count: int, presorted: bool) -> Filtration:
@@ -444,7 +454,11 @@ def read_filtration(path) -> Filtration:
             if toks:
                 values.append(float(toks[0]))
                 sizes.append(len(toks) - 1)
-                labels.extend(map(int, toks[1:]))
+                try:
+                    labels.extend(map(int, toks[1:]))
+                except OverflowError:
+                    _check_labels(map(int, toks[1:]), vertex_count)
+                    raise
     filtration = _from_flat(values, sizes, labels, vertex_count, presorted=True)
     filtration._check_order()
     if filtration.max_dim != dim_max:

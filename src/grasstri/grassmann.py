@@ -15,14 +15,13 @@ import numpy as np
 
 from .linalg import (
     PROJECTION_TOL,
-    Frame,
     LinearDependence,
+    _dot,
+    _raise_at,
     gram_schmidt,
     projection_matrix,
     random_orthogonal,
 )
-
-SAMPLE_RETRIES = 100
 
 
 class InvalidProportions(ValueError):
@@ -49,29 +48,23 @@ class GrassmannParams:
         return self.k * (self.n - self.k)
 
 
-@dataclass(frozen=True)
-class ProjectionPoint:
-    """A sampled k-plane, stored as its projection matrix."""
+def check_projections(params: GrassmannParams, matrices) -> np.ndarray:
+    """Check a stack of (..., n, n) matrices as projections onto k-planes.
 
-    params: GrassmannParams
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        p = self.matrix
-        n, k = self.params.n, self.params.k
-        if p.shape != (n, n):
-            raise ValueError(f"expected a {n}x{n} matrix, got {p.shape}")
-        if not np.array_equal(p, p.T):
-            raise ValueError("projection matrix must be exactly symmetric")
-        if np.max(np.abs(p @ p - p)) >= PROJECTION_TOL:
-            raise ValueError("matrix is not idempotent")
-        if abs(np.trace(p) - k) >= PROJECTION_TOL:
-            raise ValueError(f"trace must equal {k}")
-
-    @property
-    def vector(self) -> np.ndarray:
-        """The point in R^(n^2): the matrix flattened row-major."""
-        return self.matrix.reshape(-1)
+    Each must be exactly symmetric, idempotent and of trace k, the last two
+    to PROJECTION_TOL. Returns the stack as a float array.
+    """
+    p = np.asarray(matrices, dtype=float)
+    n, k = params.n, params.k
+    if p.shape[-2:] != (n, n):
+        raise ValueError(f"expected {n}x{n} matrices, got shape {p.shape}")
+    _raise_at(~np.all(p == np.swapaxes(p, -1, -2), axis=(-2, -1)), ValueError,
+              "projection matrix must be exactly symmetric")
+    _raise_at(np.max(np.abs(p @ p - p), axis=(-2, -1)) >= PROJECTION_TOL, ValueError,
+              "matrix is not idempotent")
+    _raise_at(np.abs(np.trace(p, axis1=-2, axis2=-1) - k) >= PROJECTION_TOL, ValueError,
+              f"trace must equal {k}")
+    return p
 
 
 def schubert_symbols(params: GrassmannParams) -> list[tuple[int, ...]]:
@@ -120,28 +113,17 @@ def betti_mod2(params: GrassmannParams, top_dim: int | None = None) -> tuple[int
 
 
 def sample_uniform(params: GrassmannParams, count: int,
-                   rng: np.random.Generator) -> list[ProjectionPoint]:
+                   rng: np.random.Generator) -> np.ndarray:
     """Sample k-planes by orthonormalizing k standard normal vectors.
 
-    The resulting distribution is the invariant one on G_k(R^n); with
-    probability one every draw lands in the top-dimensional Schubert cell.
+    Returns the (count, n, n) stack of projection matrices. The resulting
+    distribution is the invariant one on G_k(R^n); with probability one
+    every draw lands in the top-dimensional Schubert cell.
     """
     if count < 1:
         raise ValueError("count must be positive")
-    points = []
-    for _ in range(count):
-        frame = _random_frame(params, rng)
-        points.append(ProjectionPoint(params, projection_matrix(frame)))
-    return points
-
-
-def _random_frame(params: GrassmannParams, rng: np.random.Generator) -> Frame:
-    for _ in range(SAMPLE_RETRIES):
-        try:
-            return gram_schmidt(rng.standard_normal((params.k, params.n)))
-        except LinearDependence:
-            continue
-    raise LinearDependence(f"no independent draw in {SAMPLE_RETRIES} attempts")
+    frames = gram_schmidt(rng.standard_normal((count, params.k, params.n)))
+    return check_projections(params, projection_matrix(frames))
 
 
 def cell_matrix(params: GrassmannParams, sigma: tuple[int, ...],
@@ -162,25 +144,8 @@ def cell_matrix(params: GrassmannParams, sigma: tuple[int, ...],
     return b
 
 
-def sample_cell(params: GrassmannParams, sigma: tuple[int, ...],
-                rng: np.random.Generator) -> ProjectionPoint:
-    """One point of e(sigma), conjugated by a Haar-random orthogonal matrix.
-
-    The echelon representative B is orthonormalized column by column (which
-    keeps the echelon zero pattern, hence the cell membership) and the plane
-    is then rotated by a fresh orthogonal X so the cloud is spread over the
-    whole manifold rather than pinned to coordinate hyperplanes.
-    """
-    b = cell_matrix(params, sigma, rng)
-    frame = gram_schmidt(b.T)
-    x = random_orthogonal(params.n, rng)
-    rotated = x @ frame.matrix
-    p = rotated @ rotated.T
-    return ProjectionPoint(params, (p + p.T) / 2.0)
-
-
 def sample_biased(params: GrassmannParams, count: int, proportions,
-                  rng: np.random.Generator) -> list[ProjectionPoint]:
+                  rng: np.random.Generator) -> np.ndarray:
     """Sample with prescribed fractions of points per Schubert-cell dimension.
 
     proportions is either a mapping from cell dimension to fraction or a
@@ -188,6 +153,13 @@ def sample_biased(params: GrassmannParams, count: int, proportions,
     largest-remainder rounding of count * fraction, so they always sum to
     ``count`` exactly. Within a dimension each point picks one of that
     dimension's cells uniformly.
+
+    A point of cell e(sigma) starts from the echelon matrix B of
+    ``cell_matrix``. B is orthonormalized column by column (which keeps the
+    echelon zero pattern, hence the cell membership) and the plane is then
+    rotated by a fresh Haar-random orthogonal X, so the cloud is spread over
+    the whole manifold rather than pinned to coordinate hyperplanes. Returns
+    the (count, n, n) stack of projection matrices.
     """
     if count < 1:
         raise ValueError("count must be positive")
@@ -207,13 +179,18 @@ def sample_biased(params: GrassmannParams, count: int, proportions,
         raise InvalidProportions(f"fractions sum to {total}, expected 1")
 
     counts = _largest_remainder(count, proportions)
-    points = []
-    for dim in sorted(counts):
-        cells = cells_by_dim[dim]
-        for _ in range(counts[dim]):
-            sigma = cells[rng.integers(len(cells))] if len(cells) > 1 else cells[0]
-            points.append(sample_cell(params, sigma, rng))
-    return points
+    n, k = params.n, params.k
+    cells, normals = np.empty((count, n, k)), np.empty((count, n, n))
+    # per point: the cell index, the echelon entries, then the rotation's normals
+    dims = (dim for dim in sorted(counts) for _ in range(counts[dim]))
+    for i, dim in enumerate(dims):
+        symbols = cells_by_dim[dim]
+        sigma = symbols[rng.integers(len(symbols))] if len(symbols) > 1 else symbols[0]
+        cells[i] = cell_matrix(params, sigma, rng)
+        normals[i] = rng.standard_normal((n, n))
+    frames = gram_schmidt(np.swapaxes(cells, 1, 2))
+    rotated = np.matmul(random_orthogonal(normals), frames)
+    return check_projections(params, projection_matrix(rotated))
 
 
 def _largest_remainder(count: int, proportions: dict[int, float]) -> dict[int, int]:
@@ -225,78 +202,69 @@ def _largest_remainder(count: int, proportions: dict[int, float]) -> dict[int, i
     return counts
 
 
-def _check_unit(p: np.ndarray) -> np.ndarray:
-    v = np.asarray(p, dtype=float).ravel()
-    if v.shape != (3,):
-        raise ValueError(f"expected a vector in R^3, got shape {v.shape}")
-    if abs(np.linalg.norm(v) - 1.0) >= 1e-10:
-        raise NotUnit("input must be a unit vector")
+def _check_unit(p) -> np.ndarray:
+    v = np.asarray(p, dtype=float)
+    if v.shape[-1:] != (3,):
+        raise ValueError(f"expected vectors in R^3, got shape {v.shape}")
+    _raise_at(np.abs(np.sqrt(_dot(v, v)) - 1.0) >= 1e-10, NotUnit,
+              "input must be a unit vector")
     return v
 
 
 def rp2_embed_r4(p) -> np.ndarray:
-    """Image of a unit vector under (x,y,z) -> (xy, xz, y^2 - z^2, 2yz).
+    """Image of unit vectors (..., 3) under (x,y,z) -> (xy, xz, y^2 - z^2, 2yz).
 
     Antipodal points map to the same image, so this descends to an embedding
     of the projective plane into R^4.
     """
-    x, y, z = _check_unit(p)
-    return np.array([x * y, x * z, y * y - z * z, 2.0 * y * z])
+    x, y, z = np.moveaxis(_check_unit(p), -1, 0)
+    return np.stack([x * y, x * z, y * y - z * z, 2.0 * y * z], axis=-1)
 
 
 def rp2_embed_r5(p) -> np.ndarray:
-    """Isometric embedding of the projective plane into R^5.
+    """Isometric embedding of the projective plane into R^5, on (..., 3) unit vectors.
 
     (x,y,z) -> (yz, xz, xy, (x^2 - y^2)/2, (x^2 + y^2 - 2z^2)/(2*sqrt(3))).
     The image lies on a sphere of radius 1/sqrt(3).
     """
-    x, y, z = _check_unit(p)
-    return np.array([
+    x, y, z = np.moveaxis(_check_unit(p), -1, 0)
+    return np.stack([
         y * z,
         x * z,
         x * y,
         0.5 * (x * x - y * y),
         (x * x + y * y - 2.0 * z * z) / (2.0 * np.sqrt(3.0)),
-    ])
+    ], axis=-1)
 
 
-def sample_sphere(count: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """Uniform unit vectors in R^3 (normalized standard normal draws)."""
+def sample_sphere(count: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform unit vectors in R^3 (normalized standard normal draws), (count, 3)."""
     if count < 1:
         raise ValueError("count must be positive")
-    out = []
-    while len(out) < count:
-        v = rng.standard_normal(3)
-        norm = np.linalg.norm(v)
-        if norm > 1e-12:
-            out.append(v / norm)
-    return out
+    v = rng.standard_normal((count, 3))
+    norm = np.sqrt(_dot(v, v))
+    # a draw this short has probability zero
+    _raise_at(norm <= 1e-12, LinearDependence, "normal draw too close to zero")
+    return v / norm
 
 
-def sample_so3(count: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """Random rotation matrices, flattened row-major into R^9.
+def sample_so3(count: int, rng: np.random.Generator) -> np.ndarray:
+    """Random rotation matrices, flattened row-major into R^9, (count, 9).
 
     Haar-orthogonal draws with the last column negated whenever the
     determinant comes out -1, which lands every point in SO(3).
     """
     if count < 1:
         raise ValueError("count must be positive")
-    points = []
-    for _ in range(count):
-        q = random_orthogonal(3, rng)
-        if np.linalg.det(q) < 0:
-            q = q.copy()
-            q[:, 2] = -q[:, 2]
-        points.append(q.reshape(-1))
-    return points
+    q = random_orthogonal(rng.standard_normal((count, 3, 3)))
+    flip = np.linalg.det(q) < 0
+    q[flip, :, 2] = -q[flip, :, 2]
+    return q.reshape(count, 9)
 
 
 def write_cloud(path, points) -> None:
     """Write one point per line, coordinates as 17-significant-digit floats."""
-    arr = np.asarray(points, dtype=float)
-    with open(path, "w") as fh:
-        for row in arr:
-            fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
+    np.savetxt(path, np.asarray(points, dtype=float), fmt="%.17g")
 
 
 def read_cloud(path) -> np.ndarray:

@@ -1,12 +1,11 @@
 """Dense real linear algebra for the manifold samplers.
 
-Everything here is deterministic given its inputs; random draws come from an
-explicitly passed ``numpy.random.Generator``.
+Every function takes stacks of vectors or matrices with leading batch axes
+and is deterministic given its inputs; the samplers in ``grassmann`` make the
+random draws.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,103 +17,88 @@ PROJECTION_TOL = 1e-9
 
 
 class LinearDependence(ValueError):
-    """Input vectors are (numerically) linearly dependent; resample."""
+    """Input vectors are (numerically) linearly dependent."""
 
 
 class DimensionMismatch(ValueError):
     """Operands do not have matching dimensions."""
 
 
-@dataclass(frozen=True)
-class Frame:
-    """An orthonormal k-frame in R^n, stored as the n-by-k column matrix."""
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (..., n) stacks, shape (..., 1).
 
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] < m.shape[1] or m.shape[1] < 1:
-            raise DimensionMismatch(f"frame matrix must be n x k with k <= n, got {m.shape}")
-        gram = m.T @ m
-        if np.max(np.abs(gram - np.eye(m.shape[1]))) >= ORTHONORMAL_TOL:
-            raise LinearDependence("frame columns are not orthonormal")
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def count(self) -> int:
-        return self.matrix.shape[1]
+    Each item goes through the same vector-vector product as ``a_i @ b_i``
+    with the items' own strides, so batched and one-at-a-time results agree
+    bit for bit.
+    """
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0]
 
 
-def gram_schmidt(vectors, tolerance: float = 1e-12) -> Frame:
-    """Orthonormalize k vectors in R^n into a Frame.
+def _raise_at(bad: np.ndarray, error: type, message: str) -> None:
+    """Raise ``error`` naming the first flat index where ``bad`` holds."""
+    hits = np.flatnonzero(bad)
+    if len(hits):
+        raise error(f"{message} (item {int(hits[0])})")
+
+
+def gram_schmidt(vectors, tolerance: float = 1e-12) -> np.ndarray:
+    """Orthonormalize stacks of k vectors in R^n: (..., k, n) -> (..., n, k).
 
     Uses the modified Gram-Schmidt recursion with one re-orthogonalization
     pass per vector, which keeps the result orthonormal to ORTHONORMAL_TOL
-    even for nearly dependent inputs. Raises LinearDependence when a
-    residual's norm falls below ``tolerance`` times the vector's norm.
+    even for nearly dependent inputs; the whole batch is checked against
+    that tolerance once. Raises LinearDependence when a residual's norm
+    falls below ``tolerance`` times the vector's norm.
     """
     vecs = np.asarray(vectors, dtype=float)
-    if vecs.ndim != 2:
-        raise DimensionMismatch("expected a sequence of equal-length vectors")
-    k, n = vecs.shape
-    if k > n:
-        raise DimensionMismatch(f"cannot orthonormalize {k} vectors in R^{n}")
-    cols = np.zeros((n, k))
+    if vecs.ndim < 2 or not 1 <= vecs.shape[-2] <= vecs.shape[-1]:
+        raise DimensionMismatch(f"expected stacks of 1 to n vectors in R^n, got {vecs.shape}")
+    *batch, k, n = vecs.shape
+    cols = np.zeros((*batch, n, k))
     for i in range(k):
-        v = vecs[i].copy()
-        scale = np.linalg.norm(v)
-        if scale == 0.0:
-            raise LinearDependence(f"input vector {i} is zero")
+        v = vecs[..., i, :].copy()
+        scale = np.sqrt(_dot(v, v))
         # two projection sweeps: the second mops up rounding left by the first
         for _ in range(2):
             for j in range(i):
-                v -= (cols[:, j] @ v) * cols[:, j]
-        norm = np.linalg.norm(v)
-        if norm <= tolerance * scale:
-            raise LinearDependence(f"vector {i} is dependent on its predecessors")
-        cols[:, i] = v / norm
-    return Frame(cols)
+                v -= _dot(cols[..., j], v) * cols[..., j]
+        norm = np.sqrt(_dot(v, v))
+        _raise_at(norm <= tolerance * scale, LinearDependence,
+                  f"vector {i} is zero or dependent on its predecessors")
+        cols[..., i] = v / norm
+    gram = np.matmul(np.swapaxes(cols, -1, -2), cols)
+    _raise_at(np.max(np.abs(gram - np.eye(k)), axis=(-2, -1)) >= ORTHONORMAL_TOL,
+              LinearDependence, "frame columns are not orthonormal")
+    return cols
 
 
-def random_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw an n-by-n orthogonal matrix from the Haar distribution.
+def random_orthogonal(normals) -> np.ndarray:
+    """Haar-distributed orthogonal matrices from standard normal draws (..., n, n).
 
-    QR of a standard normal matrix, with column signs fixed so that the
-    triangular factor has positive diagonal; this removes the sign ambiguity
-    that would otherwise bias the draw.
+    QR of each normal matrix, with column signs fixed so that the triangular
+    factor has positive diagonal; this removes the sign ambiguity that would
+    otherwise bias the draw. The caller draws ``normals``, so it decides the
+    draw order.
     """
-    if n < 1:
-        raise DimensionMismatch("n must be positive")
-    while True:
-        q, r = np.linalg.qr(rng.standard_normal((n, n)))
-        diag = np.diag(r)
-        if np.any(diag == 0.0):
-            continue  # measure-zero degenerate draw
-        return q * np.sign(diag)
+    a = np.asarray(normals, dtype=float)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
+        raise DimensionMismatch(f"expected a stack of square matrices, got {a.shape}")
+    q, r = np.linalg.qr(a)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    # a zero pivot has probability zero for Gaussian draws
+    _raise_at(np.any(diag == 0.0, axis=-1), LinearDependence, "singular normal draw")
+    return q * np.sign(diag)[..., None, :]
 
 
-def projection_matrix(frame: Frame) -> np.ndarray:
-    """Orthogonal projection onto the span of the frame, as an n-by-n matrix.
+def projection_matrix(frames) -> np.ndarray:
+    """Orthogonal projections onto the spans of (..., n, k) frames, as (..., n, n).
 
     The result is symmetric by construction, idempotent, and has trace equal
     to the frame's column count.
     """
-    m = frame.matrix
-    p = m @ m.T
-    return (p + p.T) / 2.0
-
-
-def euclidean_distance(p, q) -> float:
-    """Euclidean norm of p - q."""
-    a = np.asarray(p, dtype=float).ravel()
-    b = np.asarray(q, dtype=float).ravel()
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
+    m = np.asarray(frames, dtype=float)
+    p = np.matmul(m, np.swapaxes(m, -1, -2))
+    return (p + np.swapaxes(p, -1, -2)) / 2.0
 
 
 def pairwise_distances(points: np.ndarray, others: np.ndarray | None = None,

@@ -228,8 +228,7 @@ def test_sampler_invariants():
     uniform = grassmann.sample_uniform(params, 1000, rng)
     biased = grassmann.sample_biased(params, 1000,
                                      (0.0, 0.05, 0.30, 0.25, 0.40), rng)
-    for point in uniform + biased:
-        p = point.matrix
+    for p in np.concatenate([uniform, biased]):
         assert np.array_equal(p, p.T)
         assert np.max(np.abs(p @ p - p)) < 1e-9
         assert abs(np.trace(p) - 2.0) < 1e-9
@@ -240,7 +239,7 @@ def test_sampler_invariants():
     for sigma in grassmann.schubert_symbols(params):
         for _ in range(40):
             b = grassmann.cell_matrix(params, sigma, rng)
-            frame = linalg.gram_schmidt(b.T).matrix
+            frame = linalg.gram_schmidt(b.T)
             for i, s in enumerate(sigma, start=1):
                 for j, expected in ((s, i), (s - 1, i - 1)):
                     if j == 0:

@@ -236,7 +236,7 @@ def test_sample_space_biased_uses_proportions():
     direct = grassmann.sample_biased(grassmann.GrassmannParams(4, 2), 8,
                                      (0, 0, 1, 0, 0),
                                      np.random.default_rng(9))
-    assert np.array_equal(cloud, np.vstack([p.vector for p in direct]))
+    assert np.array_equal(cloud, direct.reshape(8, -1))
 
 
 # ---------------------------------------------------------------------------

@@ -202,8 +202,12 @@ def test_persist_matches_library(tmp_path):
     ("1 2\n0.5 0 1\n1 0\n1 1\n", "listed at or after it"),
     ("1 3\n0 0\n0 2\n0.5 0 1\n", "face (1,) of (0, 1) is missing"),
     ("2 3\n0 0\n0 1\n0 2\n1 0 1\n1 0 2\n1 0 1 2\n", "face (1, 2) of (0, 1, 2)"),
+    ("0 1\n0 99999999999\n", "vertex label 99999999999 outside [0, 1)"),
+    ("0 1\n0 4294967296\n", "vertex label 4294967296 outside [0, 1)"),
+    (f"0 1\n0 {10**30}\n", f"vertex label {10**30} outside [0, 1)"),
 ], ids=["unsorted-vertices", "label-range", "row-order", "duplicate-row", "header-dim",
-        "edge-before-vertices", "missing-vertex", "missing-edge"])
+        "edge-before-vertices", "missing-vertex", "missing-edge", "label-above-int32",
+        "label-wraps-to-zero", "label-above-int64"])
 def test_persist_rejects_malformed_filtration(tmp_path, capsys, text, message):
     filt_path = tmp_path / "filt.txt"
     filt_path.write_text(text)

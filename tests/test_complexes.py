@@ -119,6 +119,10 @@ def test_filtration_from_simplices_sorts_canonically():
     f.validate()
     with pytest.raises(ValueError):
         Filtration.from_simplices([Simplex((1, 0), 1.0)], vertex_count=2)
+    # labels beyond int32, also ones that would wrap to 0 when narrowed
+    for label in (99999999999, 2**32, np.int64(2**32), 10**30):
+        with pytest.raises(ValueError, match=r"outside \[0, 1\)"):
+            Filtration.from_simplices([Simplex((label,), 0.0)], vertex_count=1)
 
 
 def test_filtration_validate_catches_violations():

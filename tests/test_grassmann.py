@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from grasstri import grassmann
+from grasstri import grassmann, linalg
 from grasstri.grassmann import GrassmannParams
 
 
@@ -116,8 +116,7 @@ def test_betti_mod2_top_dim_argument():
         grassmann.betti_mod2(params, -1)
 
 
-def check_projection(point, params):
-    p = point.matrix
+def check_projection(p, params):
     assert np.array_equal(p, p.T)
     assert np.max(np.abs(p @ p - p)) < 1e-9
     assert abs(np.trace(p) - params.k) < 1e-9
@@ -126,33 +125,31 @@ def check_projection(point, params):
 def test_sample_uniform_invariants():
     params = GrassmannParams(4, 2)
     points = grassmann.sample_uniform(params, 40, np.random.default_rng(0))
-    assert len(points) == 40
-    for point in points:
-        check_projection(point, params)
-        assert point.vector.shape == (16,)
-        assert np.array_equal(point.vector, point.matrix.reshape(-1))
+    assert points.shape == (40, 4, 4)
+    for p in points:
+        check_projection(p, params)
 
 
 def test_sample_uniform_determinism():
     params = GrassmannParams(3, 1)
     a = grassmann.sample_uniform(params, 5, np.random.default_rng(3))
     b = grassmann.sample_uniform(params, 5, np.random.default_rng(3))
-    for pa, pb in zip(a, b):
-        assert np.array_equal(pa.matrix, pb.matrix)
+    assert np.array_equal(a, b)
 
 
 def test_projection_point_validation():
     params = GrassmannParams(2, 1)
     good = np.array([[1.0, 0.0], [0.0, 0.0]])
-    grassmann.ProjectionPoint(params, good)
-    with pytest.raises(ValueError):
-        grassmann.ProjectionPoint(params, np.array([[1.0, 0.1], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        grassmann.ProjectionPoint(params, np.eye(2))
-    with pytest.raises(ValueError):
-        grassmann.ProjectionPoint(params, np.array([[0.5, 0.5], [0.5, 0.5]]) * 2)
-    with pytest.raises(ValueError):
-        grassmann.ProjectionPoint(params, np.zeros((3, 3)))
+    grassmann.check_projections(params, good)
+    grassmann.check_projections(params, [good, good[::-1, ::-1]])
+    for bad in (np.array([[1.0, 0.1], [0.0, 0.0]]), np.eye(2),
+                np.array([[0.5, 0.5], [0.5, 0.5]]) * 2, np.zeros((3, 3))):
+        with pytest.raises(ValueError):
+            grassmann.check_projections(params, bad)
+        if bad.shape == good.shape:
+            # one bad matrix fails the whole stack, and is named by its index
+            with pytest.raises(ValueError, match="item 1"):
+                grassmann.check_projections(params, [good, bad])
 
 
 def intersection_dim(basis, j, n):
@@ -196,9 +193,9 @@ def test_cell_matrix_rejects_bad_symbols():
 def test_sample_cell_is_valid_projection():
     params = GrassmannParams(4, 2)
     rng = np.random.default_rng(3)
-    for sigma in grassmann.schubert_symbols(params):
-        point = grassmann.sample_cell(params, sigma, rng)
-        check_projection(point, params)
+    for dim in range(params.dimension + 1):
+        for p in grassmann.sample_biased(params, 6, {dim: 1.0}, rng):
+            check_projection(p, params)
 
 
 def test_largest_remainder_rounding():
@@ -215,14 +212,13 @@ def test_sample_biased_counts_and_validity():
     params = GrassmannParams(4, 2)
     rng = np.random.default_rng(4)
     points = grassmann.sample_biased(params, 60, (0.0, 0.05, 0.30, 0.25, 0.40), rng)
-    assert len(points) == 60
-    for point in points:
-        check_projection(point, params)
+    assert points.shape == (60, 4, 4)
+    for p in points:
+        check_projection(p, params)
     # mapping form selects the same cells as the positional form
     again = grassmann.sample_biased(
         params, 60, {1: 0.05, 2: 0.30, 3: 0.25, 4: 0.40}, np.random.default_rng(4))
-    for pa, pb in zip(points, again):
-        assert np.array_equal(pa.matrix, pb.matrix)
+    assert np.array_equal(points, again)
 
 
 def test_sample_biased_rejects_bad_proportions():
@@ -239,30 +235,30 @@ def test_sample_biased_rejects_bad_proportions():
 
 def test_rp2_embed_r4_formula_and_antipodal():
     rng = np.random.default_rng(6)
-    for trial in range(20):
-        p = rng.standard_normal(3)
-        p /= np.linalg.norm(p)
-        x, y, z = p
-        image = grassmann.rp2_embed_r4(p)
-        assert np.allclose(image, [x * y, x * z, y * y - z * z, 2 * y * z])
-        assert np.allclose(image, grassmann.rp2_embed_r4(-p))
+    p = rng.standard_normal((20, 3))
+    p /= np.linalg.norm(p, axis=1, keepdims=True)
+    x, y, z = p.T
+    image = grassmann.rp2_embed_r4(p)
+    assert np.allclose(image, np.stack([x * y, x * z, y * y - z * z, 2 * y * z], axis=1))
+    assert np.allclose(image, grassmann.rp2_embed_r4(-p))
+    assert np.array_equal(grassmann.rp2_embed_r4(p[3]), image[3])
 
 
 def test_rp2_embed_r5_sphere_and_chordal_metric():
     rng = np.random.default_rng(7)
     inv_sqrt3 = 1.0 / np.sqrt(3.0)
-    for trial in range(20):
-        p = rng.standard_normal(3)
-        p /= np.linalg.norm(p)
-        q = rng.standard_normal(3)
-        q /= np.linalg.norm(q)
-        fp = grassmann.rp2_embed_r5(p)
-        fq = grassmann.rp2_embed_r5(q)
-        assert np.linalg.norm(fp) == pytest.approx(inv_sqrt3, abs=1e-12)
-        assert np.allclose(fp, grassmann.rp2_embed_r5(-p))
-        # squared chordal distance depends only on the angle between lines
-        expected = 1.0 - float(p @ q) ** 2
-        assert np.sum((fp - fq) ** 2) == pytest.approx(expected, abs=1e-10)
+    p = rng.standard_normal((20, 3))
+    p /= np.linalg.norm(p, axis=1, keepdims=True)
+    q = rng.standard_normal((20, 3))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    fp = grassmann.rp2_embed_r5(p)
+    fq = grassmann.rp2_embed_r5(q)
+    assert np.allclose(np.linalg.norm(fp, axis=1), inv_sqrt3, rtol=0, atol=1e-12)
+    assert np.allclose(fp, grassmann.rp2_embed_r5(-p))
+    assert np.array_equal(grassmann.rp2_embed_r5(p[3]), fp[3])
+    # squared chordal distance depends only on the angle between lines
+    expected = 1.0 - np.sum(p * q, axis=1) ** 2
+    assert np.allclose(np.sum((fp - fq) ** 2, axis=1), expected, rtol=0, atol=1e-10)
 
 
 def test_embeddings_reject_bad_input():
@@ -272,29 +268,50 @@ def test_embeddings_reject_bad_input():
         grassmann.rp2_embed_r5([0.5, 0.0, 0.0])
     with pytest.raises(ValueError):
         grassmann.rp2_embed_r4([1.0, 0.0])
+    with pytest.raises(grassmann.NotUnit, match="item 1"):
+        grassmann.rp2_embed_r4([[0.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
 
 
 def test_sample_sphere_unit_norms():
     points = grassmann.sample_sphere(50, np.random.default_rng(8))
-    assert len(points) == 50
-    for p in points:
-        assert np.linalg.norm(p) == pytest.approx(1.0, abs=1e-12)
+    assert points.shape == (50, 3)
+    assert np.allclose(np.linalg.norm(points, axis=1), 1.0, rtol=0, atol=1e-12)
     again = grassmann.sample_sphere(50, np.random.default_rng(8))
-    assert all(np.array_equal(a, b) for a, b in zip(points, again))
+    assert np.array_equal(points, again)
 
 
 def test_sample_so3_rotations():
     points = grassmann.sample_so3(40, np.random.default_rng(9))
-    assert len(points) == 40
+    assert points.shape == (40, 9)
     for v in points:
         q = v.reshape(3, 3)
         assert np.max(np.abs(q.T @ q - np.eye(3))) < 1e-12
         assert np.linalg.det(q) == pytest.approx(1.0, abs=1e-12)
     # the diameter of SO(3) in this metric is 2*sqrt(2)
-    arr = np.array(points)
     for i in range(0, 40, 7):
-        dists = np.linalg.norm(arr - arr[i], axis=1)
+        dists = np.linalg.norm(points - points[i], axis=1)
         assert np.max(dists) <= 2.0 * np.sqrt(2.0) + 1e-9
+
+
+def test_batches_equal_single_draws():
+    # one batched call gives, bit for bit, what N calls of size 1 give:
+    # the draw order and the per-item arithmetic do not depend on the batch
+    params = GrassmannParams(5, 2)
+    samplers = (lambda c, rng: grassmann.sample_uniform(params, c, rng),
+                grassmann.sample_sphere, grassmann.sample_so3)
+    for sample in samplers:
+        batch = sample(30, np.random.default_rng(12))
+        rng = np.random.default_rng(12)
+        assert np.array_equal(batch, np.concatenate([sample(1, rng) for _ in range(30)]))
+    rng = np.random.default_rng(13)
+    vectors = rng.standard_normal((30, 2, 5))
+    normals = rng.standard_normal((30, 5, 5))
+    frames = linalg.gram_schmidt(vectors)
+    assert np.array_equal(frames, [linalg.gram_schmidt(v) for v in vectors])
+    assert np.array_equal(linalg.random_orthogonal(normals),
+                          [linalg.random_orthogonal(a) for a in normals])
+    assert np.array_equal(linalg.projection_matrix(frames),
+                          [linalg.projection_matrix(f) for f in frames])
 
 
 def test_samplers_reject_nonpositive_count():

@@ -139,7 +139,7 @@ def test_build_boundary_matches_brute_force_facets(monkeypatch):
 @given(kind=st.sampled_from(["rips", "witness"]), points=st.integers(2, 9),
        max_dim=st.integers(1, 4), r_max=st.floats(0.3, 3.0),
        seed=st.integers(0, 2**32 - 1), pick=st.integers(0, 10**6))
-def test_facet_index_property(kind, points, max_dim, r_max, seed, pick):
+def test_facet_index_property(tmp_path_factory, kind, points, max_dim, r_max, seed, pick):
     rng = np.random.default_rng(seed)
     if kind == "rips":
         f = complexes.vietoris_rips(rng.standard_normal((points, 3)), r_max, max_dim)
@@ -151,6 +151,26 @@ def test_facet_index_property(kind, points, max_dim, r_max, seed, pick):
     matrix = persistence.build_boundary(f)
     columns = [matrix.column(j).tolist() for j in range(len(matrix))]
     assert columns == brute_force_facet_rows(f)
+
+    optimized = persistence.reduce_boundary(matrix)
+    naive = persistence.reduce_boundary(matrix, optimized=False)
+    assert optimized.pairs == naive.pairs
+    assert optimized.essential == naive.essential
+    # Euler identity: the alternating sums of simplex counts and of Betti
+    # numbers agree at every value of the filtration
+    barcode = persistence.pairing_to_barcode(optimized, f)
+    signs = (-1) ** f.dims
+    for r in np.unique(f.values):
+        betti = persistence.betti_at(barcode, r, f.max_dim)
+        assert sum((-1) ** d * b for d, b in enumerate(betti)) == signs[f.values <= r].sum()
+
+    first = tmp_path_factory.getbasetemp() / "facet_property_1.txt"
+    second = tmp_path_factory.getbasetemp() / "facet_property_2.txt"
+    complexes.write_filtration(first, f)
+    back = complexes.read_filtration(first)
+    assert back == f
+    complexes.write_filtration(second, back)
+    assert first.read_bytes() == second.read_bytes()
 
     cofaces = np.flatnonzero(f.dims > 0)
     if not len(cofaces):
