@@ -1,9 +1,14 @@
-"""Persistent homology over Z/2 by sparse boundary-matrix reduction.
+"""Persistent homology over Z/2 by sparse matrix reduction.
 
 The boundary matrix is stored column-compressed: one sorted row-index array
-per simplex, concatenated. Reduction works dimension by dimension from the
-top, clearing columns already identified as killers; the resulting pairing
-is identical to the naive left-to-right reduction.
+per simplex, concatenated. The pairing is computed by cohomology: degree 0
+by union-find, then for each d from 1 up the coboundary columns of the
+d-simplices (the boundary matrix transposed, one dimension at a time) are
+reduced youngest first. Apparent pairs are registered before any column
+addition, and d-simplices that killed a class in degree d-1 are skipped
+(clearing), so the top dimension is never reduced. The pairing is identical
+to the naive left-to-right reduction of the boundary matrix, which stays as
+the reference (``reduce_boundary(matrix, optimized=False)``).
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import numpy as np
 from .complexes import FacetIndex, Filtration, MissingFace  # MissingFace: raised by build_boundary
 
 INF = math.inf
-BLOCK = 1 << 15   # boundary columns looked up at once
+BLOCK = 1 << 15   # columns looked up at once by build_boundary and _coboundary
 
 _SVG_COLORS = ("#1f6f8b", "#b55439", "#3d7a3d", "#7a4f9d", "#946b00", "#555555")
 
@@ -64,94 +69,206 @@ def build_boundary(filtration: Filtration) -> BoundaryMatrix:
     return matrix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pairing:
-    """Reduction outcome: (birth, death) column pairs plus essential births."""
+    """Reduction outcome over the filtration's rows.
 
-    pairs: tuple[tuple[int, int], ...]
-    essential: tuple[int, ...]
+    ``pairs`` is a (k, 2) int64 array of (birth, death) rows sorted by birth,
+    ``essential`` the ascending int64 rows that are in no pair, and ``size``
+    the number of simplices. Compare pairings field by field with
+    ``np.array_equal``.
+    """
+
+    pairs: np.ndarray
+    essential: np.ndarray
     size: int
 
 
 def reduce_boundary(matrix: BoundaryMatrix, optimized: bool = True) -> Pairing:
-    """Column reduction over Z/2.
+    """The persistence pairing of a boundary matrix over Z/2.
 
-    Repeatedly adds earlier columns sharing the same lowest nonzero row until
-    lows are distinct or the column vanishes. The optimized path processes
-    dimensions from the top, skips columns whose row was already paired (they
-    are guaranteed to reduce to zero), and replaces the degree-0 pass with
-    union-find, which yields the same merge pairing; both paths produce the
-    one canonical pairing.
+    The naive path (``optimized=False``) reduces the boundary columns left to
+    right, adding earlier columns that share the lowest nonzero row until the
+    lows are distinct or the column vanishes. It is the reference.
+
+    The optimized path gives the same pairing (de Silva, Morozov &
+    Vejdemo-Johansson 2011) from the coboundary: degree 0 by union-find over
+    the edges, then for d = 1 .. top-1 the coboundary columns of the
+    d-simplices, youngest first, each pivoting on its oldest cofacet
+    (``_pair_degree``). Apparent pairs are registered in one vectorized pass
+    before any column addition, and a d-simplex that killed a class in
+    degree d-1 is skipped (clearing), so top-dimension simplices are only
+    read as cofacets.
     """
+    if not optimized:
+        return _reduce_columns(matrix)
     m = len(matrix)
-    col_ptr, col_rows, dims = matrix.col_ptr, matrix.col_rows, matrix.dims
+    dims = matrix.dims
+    top = int(dims.max()) if m else 0
+    rank = np.empty(m, dtype=np.int32)  # a simplex's position within its dimension
+    for d in range(top + 1):
+        rows = np.flatnonzero(dims == d)
+        rank[rows] = np.arange(len(rows), dtype=np.int32)
+    killed = np.zeros(m, dtype=bool)
+    parts = [_pair_vertices(matrix, rank, killed)]
+    for d in range(1, top):
+        parts.append(_pair_degree(matrix, d, rank, killed))
+    pairs = np.concatenate(parts)
+    pairs = pairs[np.argsort(pairs[:, 0])]
+    return Pairing(pairs, np.flatnonzero(~killed), m)
+
+
+def _pair_vertices(matrix: BoundaryMatrix, rank: np.ndarray, killed: np.ndarray) -> np.ndarray:
+    """Degree-0 pairs by union-find over vertex ranks: an edge joining two
+    components kills the younger component's root, as the reduced pivot does."""
+    vrows = np.flatnonzero(matrix.dims == 0)
+    erows = np.flatnonzero(matrix.dims == 1)
+    ends = rank[matrix.col_rows[matrix.col_ptr[erows, None] + np.arange(2)]].tolist()
+    parent = list(range(len(vrows)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    births, deaths = [], []
+    for j, (a, b) in zip(erows.tolist(), ends):
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            continue
+        if ra > rb:
+            ra, rb = rb, ra
+        parent[rb] = ra
+        births.append(rb)
+        deaths.append(j)
+    return _mark(vrows[births], np.array(deaths, dtype=np.int64), killed)
+
+
+def _mark(births: np.ndarray, deaths: np.ndarray, killed: np.ndarray) -> np.ndarray:
+    killed[births] = True
+    killed[deaths] = True
+    return np.column_stack([births, deaths]).astype(np.int64, copy=False)
+
+
+def _pair_degree(matrix: BoundaryMatrix, d: int, rank: np.ndarray,
+                 killed: np.ndarray) -> np.ndarray:
+    """Pairs of d-simplices with (d+1)-simplices by coboundary reduction.
+
+    Columns are the d-simplices not yet killed, youngest first; a column's
+    pivot is its oldest cofacet. Apparent pairs (sigma's oldest cofacet tau
+    has sigma as its youngest facet) are registered in one pass before any
+    column addition. That is safe: no column younger than sigma has an entry
+    in row tau, so no sum of them reaches pivot tau. The working column is a
+    sorted int array, so its pivot is its first entry.
+    """
+    sig_rows = np.flatnonzero(matrix.dims == d)
+    tau_rows = np.flatnonzero(matrix.dims == d + 1)
+    ptr, cob = _coboundary(matrix, d, len(sig_rows), tau_rows, rank)
+    col_ptr, col_rows = matrix.col_ptr, matrix.col_rows
+
+    has = np.flatnonzero(ptr[1:] > ptr[:-1])
+    oldest = cob[ptr[has]]
+    youngest = rank[col_rows[col_ptr[tau_rows[oldest] + 1] - 1]]
+    apparent = youngest == has
+    owner = np.full(len(tau_rows), -1, dtype=np.int32)  # pivot -> column rank
+    owner[oldest[apparent]] = has[apparent]
+    # cleared columns (killed in degree d-1) would reduce to zero
+    todo = has[~apparent & ~killed[sig_rows[has]]]
+
+    reduced: dict[int, np.ndarray] = {}  # the columns that took an addition
+    found_b, found_d = [], []
+    for s in todo[::-1].tolist():
+        work = cob[ptr[s]:ptr[s + 1]]
+        added = False
+        while len(work):
+            pivot = int(work[0])
+            o = int(owner[pivot])
+            if o < 0:
+                owner[pivot] = s
+                if added:
+                    reduced[s] = work
+                found_b.append(s)
+                found_d.append(pivot)
+                break
+            other = reduced.get(o)
+            if other is None:
+                other = cob[ptr[o]:ptr[o + 1]]
+            work = np.setxor1d(work, other, assume_unique=True)
+            added = True
+    births = np.concatenate([has[apparent], np.array(found_b, dtype=np.int64)])
+    deaths = np.concatenate([oldest[apparent], np.array(found_d, dtype=np.int64)])
+    return _mark(sig_rows[births], tau_rows[deaths], killed)
+
+
+def _coboundary(matrix: BoundaryMatrix, d: int, count: int, tau_rows: np.ndarray,
+                rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cofacets of the d-simplices, by rank within their dimensions.
+
+    Returns (ptr, cob): the cofacet ranks of the d-simplex of rank s are
+    ``cob[ptr[s]:ptr[s+1]]``, ascending. A counting sort over BLOCK cofacet
+    columns at a time keeps the temporaries small; ranks are int32.
+    """
+    col_ptr, col_rows = matrix.col_ptr, matrix.col_rows
+    slots = np.arange(d + 2)
+
+    def facets(lo: int) -> np.ndarray:
+        return rank[col_rows[col_ptr[tau_rows[lo:lo + BLOCK], None] + slots]].ravel()
+
+    blocks = range(0, len(tau_rows), BLOCK)
+    counts = np.zeros(count, dtype=np.int64)
+    for lo in blocks:
+        counts += np.bincount(facets(lo), minlength=count)
+    ptr = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(counts, out=ptr[1:])
+    cob = np.empty(int(ptr[-1]), dtype=np.int32)
+    fill = ptr[:-1].copy()
+    for lo in blocks:
+        sig = facets(lo)
+        order = np.argsort(sig, kind="stable")
+        sig = sig[order]
+        # an entry's place among this block's entries of the same simplex
+        place = np.arange(len(sig)) - np.searchsorted(sig, sig)
+        cob[fill[sig] + place] = (order // (d + 2) + lo).astype(np.int32)
+        fill += np.bincount(sig, minlength=count)
+    return ptr, cob
+
+
+def _reduce_columns(matrix: BoundaryMatrix) -> Pairing:
+    """Left-to-right reduction of every boundary column: the reference."""
+    m = len(matrix)
+    col_ptr, col_rows = matrix.col_ptr, matrix.col_rows
     pairs: list[tuple[int, int]] = []
     killed = bytearray(m)
-
-    def run_columns(columns) -> None:
-        low_inv: dict[int, tuple[int, ...]] = {}
-        for j in columns:
-            if killed[j]:
-                continue
-            p0, p1 = col_ptr[j], col_ptr[j + 1]
-            if p1 == p0:
-                continue
-            rows = col_rows[p0:p1].tolist()
-            other = low_inv.get(rows[-1])
-            if other is None:
-                low_inv[rows[-1]] = tuple(rows)
-                pairs.append((rows[-1], j))
-                killed[rows[-1]] = 1
-                killed[j] = 1
-                continue
-            work = set(rows)
-            while True:
-                work.symmetric_difference_update(other)
-                if not work:
-                    break
-                low = max(work)
-                other = low_inv.get(low)
-                if other is None:
-                    low_inv[low] = tuple(sorted(work))
-                    pairs.append((low, j))
-                    killed[low] = 1
-                    killed[j] = 1
-                    break
-
-    def run_edges(columns) -> None:
-        # merge pairing by union-find: an edge joining two components kills
-        # the younger component's root, matching the reduced pivot exactly
-        parent = list(range(m))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for j in columns:
-            a, b = col_rows[col_ptr[j]:col_ptr[j + 1]]
-            ra, rb = find(int(a)), find(int(b))
-            if ra == rb:
-                continue
-            if ra > rb:
-                ra, rb = rb, ra
-            parent[rb] = ra
-            pairs.append((rb, j))
-            killed[rb] = 1
+    low_inv: dict[int, tuple[int, ...]] = {}
+    for j in range(m):
+        p0, p1 = col_ptr[j], col_ptr[j + 1]
+        if p1 == p0:
+            continue
+        rows = col_rows[p0:p1].tolist()
+        other = low_inv.get(rows[-1])
+        if other is None:
+            low_inv[rows[-1]] = tuple(rows)
+            pairs.append((rows[-1], j))
+            killed[rows[-1]] = 1
             killed[j] = 1
-
-    if optimized:
-        top = int(dims.max()) if m else 0
-        for d in range(top, 1, -1):
-            run_columns(np.flatnonzero(dims == d).tolist())
-        run_edges(np.flatnonzero(dims == 1).tolist())
-    else:
-        run_columns(range(m))
-
-    essential = tuple(j for j in range(m) if not killed[j])
+            continue
+        work = set(rows)
+        while True:
+            work.symmetric_difference_update(other)
+            if not work:
+                break
+            low = max(work)
+            other = low_inv.get(low)
+            if other is None:
+                low_inv[low] = tuple(sorted(work))
+                pairs.append((low, j))
+                killed[low] = 1
+                killed[j] = 1
+                break
     pairs.sort()
-    return Pairing(tuple(pairs), essential, m)
+    return Pairing(np.array(pairs, dtype=np.int64).reshape(-1, 2),
+                   np.array([j for j in range(m) if not killed[j]], dtype=np.int64), m)
 
 
 class Barcode:
@@ -189,24 +306,22 @@ class Barcode:
 
 def pairing_to_barcode(pairing: Pairing, filtration: Filtration,
                        max_dim: int | None = None) -> Barcode:
+    """Intervals of the pairs of positive length and of the essential rows,
+    in degrees 0..max_dim."""
     if max_dim is None:
         max_dim = filtration.max_dim
     values, dims = filtration.values, filtration.dims
-    intervals: dict[int, list[tuple[float, float]]] = {}
-    for i, j in pairing.pairs:
-        deg = int(dims[i])
-        if deg > max_dim:
-            continue
-        birth, death = float(values[i]), float(values[j])
-        if birth == death:
-            continue
-        intervals.setdefault(deg, []).append((birth, death))
-    for i in pairing.essential:
-        deg = int(dims[i])
-        if deg > max_dim:
-            continue
-        intervals.setdefault(deg, []).append((float(values[i]), INF))
-    return Barcode(intervals)
+    births, deaths = pairing.pairs[:, 0], pairing.pairs[:, 1]
+    finite = values[births] != values[deaths]
+    starts = np.concatenate([births[finite], pairing.essential])
+    ends = np.concatenate([values[deaths[finite]], np.full(len(pairing.essential), INF)])
+    keep = dims[starts] <= max_dim
+    starts, ends = starts[keep], ends[keep]
+    degrees = dims[starts]
+    return Barcode({
+        d: list(zip(values[starts[degrees == d]].tolist(), ends[degrees == d].tolist()))
+        for d in np.unique(degrees).tolist()
+    })
 
 
 def barcodes(filtration: Filtration, max_dim: int | None = None) -> Barcode:

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grasstri import complexes, persistence
+from grasstri import analysis, complexes, persistence
 from grasstri.complexes import Filtration, Simplex
 from grasstri.persistence import INF
+from test_acceptance import gf2_rank_profile
 
 
 def tetrahedron_filtration():
@@ -152,10 +153,13 @@ def test_facet_index_property(tmp_path_factory, kind, points, max_dim, r_max, se
     columns = [matrix.column(j).tolist() for j in range(len(matrix))]
     assert columns == brute_force_facet_rows(f)
 
-    optimized = persistence.reduce_boundary(matrix)
+    with pytest.MonkeyPatch.context() as mp:
+        # blocks of 3 cofacet columns build each coboundary in several blocks
+        mp.setattr(persistence, "BLOCK", 3)
+        optimized = persistence.reduce_boundary(matrix)
     naive = persistence.reduce_boundary(matrix, optimized=False)
-    assert optimized.pairs == naive.pairs
-    assert optimized.essential == naive.essential
+    assert np.array_equal(optimized.pairs, naive.pairs)
+    assert np.array_equal(optimized.essential, naive.essential)
     # Euler identity: the alternating sums of simplex counts and of Betti
     # numbers agree at every value of the filtration
     barcode = persistence.pairing_to_barcode(optimized, f)
@@ -163,6 +167,19 @@ def test_facet_index_property(tmp_path_factory, kind, points, max_dim, r_max, se
     for r in np.unique(f.values):
         betti = persistence.betti_at(barcode, r, f.max_dim)
         assert sum((-1) ** d * b for d, b in enumerate(betti)) == signs[f.values <= r].sum()
+    for r, expected in gf2_rank_profile(f, f.max_dim):
+        assert persistence.betti_at(barcode, r, f.max_dim) == expected
+    # the windows of a profile the filtration attains hold exactly where the
+    # pointwise Betti numbers equal it
+    distinct = np.unique(f.values)
+    target = persistence.betti_at(barcode, float(distinct[pick % len(distinct)]), f.max_dim)
+    report = analysis.matching_windows(barcode, target, f.max_dim)
+    assert report.windows
+    points = [0.0, *report.critical_values]
+    probes = points + [(a + b) / 2 for a, b in zip(points, points[1:])] + [points[-1] + 1.0]
+    for r in probes:
+        inside = any(a <= r < b for a, b in report.windows)
+        assert inside == (persistence.betti_at(barcode, r, f.max_dim) == target)
 
     first = tmp_path_factory.getbasetemp() / "facet_property_1.txt"
     second = tmp_path_factory.getbasetemp() / "facet_property_2.txt"
@@ -194,6 +211,67 @@ def test_facet_index_property(tmp_path_factory, kind, points, max_dim, r_max, se
         persistence.build_boundary(gone)
 
 
+def flag_closure_differs(f):
+    """Whether some clique of the 1-skeleton, up to f.max_dim, is no simplex of f."""
+    present = {s.vertices for s in f.simplices()}
+    edges = {v for v in present if len(v) == 2}
+    labels = sorted({v[0] for v in present if len(v) == 1})
+    return any(all(e in edges for e in itertools.combinations(c, 2)) and c not in present
+               for k in range(3, f.max_dim + 2) for c in itertools.combinations(labels, k))
+
+
+def non_flag_complexes():
+    """Filtrations that are not flag complexes, plus edge cases of the reducer."""
+    def tri(a, b, c):
+        return [(a, b), (a, c), (b, c)]
+
+    simplices = [Simplex((v,), 0.0) for v in range(4)]
+    simplices += [Simplex(e, 1.0 + i) for i, e in enumerate(itertools.combinations(range(4), 2))]
+    simplices += [Simplex(t, 7.0 + i) for i, t in enumerate(itertools.combinations(range(4), 3))]
+    yield "hollow tetrahedron", Filtration.from_simplices(simplices, vertex_count=4)
+
+    # a filled triangle, a hollow square whose edges have no cofacets, a lone vertex
+    simplices = [Simplex((v,), 0.1 * v) for v in range(8)]
+    simplices += [Simplex(e, 1.0) for e in tri(0, 1, 2)] + [Simplex((0, 1, 2), 2.0)]
+    simplices += [Simplex(e, 1.5) for e in ((3, 4), (4, 5), (5, 6), (3, 6))]
+    yield "no cofacets", Filtration.from_simplices(simplices, vertex_count=8)
+
+    yield "edges only", Filtration.from_simplices(
+        [Simplex((v,), 0.0) for v in range(4)] + [Simplex(e, 1.0) for e in tri(0, 1, 2)],
+        vertex_count=4)
+    yield "vertices only", Filtration.from_simplices(
+        [Simplex((v,), 0.5) for v in range(3)], vertex_count=3)
+
+    rng = np.random.default_rng(7)
+    for trial in range(40):
+        n = int(rng.integers(4, 9))
+        f = complexes.vietoris_rips(rng.standard_normal((n, 2)), float(rng.uniform(1.5, 3.0)),
+                                    int(rng.integers(2, 5)))
+        keep = ~((f.dims == f.max_dim) & (rng.random(len(f)) < 0.5))
+        values = f.values
+        if trial % 2:
+            values = np.floor(values * 2.0) / 2.0  # ties between dimensions and faces
+        yield f"rips {trial}", Filtration.from_simplices(
+            [s._replace(value=float(v)) for s, v, k in zip(f.simplices(), values, keep) if k],
+            vertex_count=n)
+
+
+def test_optimized_equals_naive_on_non_flag_complexes(monkeypatch):
+    # blocks of 2 cofacet columns build each coboundary in several blocks
+    monkeypatch.setattr(persistence, "BLOCK", 2)
+    non_flag = 0
+    for name, f in non_flag_complexes():
+        matrix = persistence.build_boundary(f)
+        fast = persistence.reduce_boundary(matrix)
+        slow = persistence.reduce_boundary(matrix, optimized=False)
+        assert np.array_equal(fast.pairs, slow.pairs), name
+        assert np.array_equal(fast.essential, slow.essential), name
+        non_flag += flag_closure_differs(f)
+    # most inputs have a clique that is no simplex, which a reducer taking
+    # every sigma + {v} for a cofacet would pair
+    assert non_flag >= 20
+
+
 def test_missing_face_is_one_class():
     assert persistence.MissingFace is complexes.MissingFace
     assert issubclass(complexes.MissingFace, ValueError)
@@ -223,8 +301,8 @@ def test_vertices_only_all_essential():
     f = Filtration.from_simplices(
         [Simplex((v,), float(v)) for v in range(5)], vertex_count=5)
     pairing = persistence.reduce_boundary(persistence.build_boundary(f))
-    assert pairing.pairs == ()
-    assert pairing.essential == (0, 1, 2, 3, 4)
+    assert len(pairing.pairs) == 0
+    assert np.array_equal(pairing.essential, (0, 1, 2, 3, 4))
     bc = persistence.barcodes(f)
     assert bc.intervals(0) == [(float(v), INF) for v in range(5)]
 
@@ -253,8 +331,8 @@ def test_optimized_equals_naive_pairing():
         matrix = persistence.build_boundary(f)
         fast = persistence.reduce_boundary(matrix, optimized=True)
         slow = persistence.reduce_boundary(matrix, optimized=False)
-        assert fast.pairs == slow.pairs
-        assert fast.essential == slow.essential
+        assert np.array_equal(fast.pairs, slow.pairs)
+        assert np.array_equal(fast.essential, slow.essential)
 
 
 def test_pairing_structure():
