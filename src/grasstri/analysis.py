@@ -127,7 +127,7 @@ class ExperimentConfig:
             if self.landmark_count is None or self.landmark_count < 2:
                 raise ValueError("witness experiments need landmark_count >= 2")
             method = self.landmark_method or "maxmin"
-            if method not in ("maxmin", "random"):
+            if method not in complexes.LANDMARKS:
                 raise ValueError(f"unknown landmark method {method!r}")
             object.__setattr__(self, "landmark_method", method)
         else:
@@ -226,11 +226,8 @@ def run_pipeline(config: ExperimentConfig) -> PipelineResult:
     landmarks = None
     if config.kind == "witness":
         paths["landmarks"] = str(out / "landmarks.txt")
-        lrng = np.random.default_rng(config.seed + 1)
-        if config.landmark_method == "random":
-            landmarks = complexes.random_landmarks(cloud, config.landmark_count, lrng)
-        else:
-            landmarks = complexes.maxmin_landmarks(cloud, config.landmark_count, lrng)
+        choose = complexes.LANDMARKS[config.landmark_method]
+        landmarks = choose(cloud, config.landmark_count, np.random.default_rng(config.seed + 1))
         complexes.write_landmarks(paths["landmarks"], landmarks)
         filtration = complexes.witness_filtration(
             cloud, landmarks, config.r_max, simplex_dim, config.max_simplices)

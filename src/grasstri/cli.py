@@ -57,10 +57,7 @@ def _cmd_rips(args) -> int:
 def _cmd_witness(args) -> int:
     cloud = grassmann.read_cloud(args.cloud)
     rng = np.random.default_rng(args.seed)
-    if args.landmark_method == "random":
-        landmarks = complexes.random_landmarks(cloud, args.landmark_count, rng)
-    else:
-        landmarks = complexes.maxmin_landmarks(cloud, args.landmark_count, rng)
+    landmarks = complexes.LANDMARKS[args.landmark_method](cloud, args.landmark_count, rng)
     if args.landmarks_out:
         complexes.write_landmarks(args.landmarks_out, landmarks)
     filtration = complexes.witness_filtration(cloud, landmarks, args.r_max,

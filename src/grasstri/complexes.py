@@ -227,81 +227,71 @@ def _from_flat(values, sizes, labels, vertex_count: int, presorted: bool) -> Fil
     return Filtration(values, sizes - 1, verts, vertex_count, presorted)
 
 
+# candidate-matrix bytes per block of _flag_expand: rows = EXPAND_BYTES // n
+EXPAND_BYTES = 2**22
+
+
 def _flag_expand(values: np.ndarray, within: np.ndarray, max_dim: int,
                  max_simplices: int | None) -> "Filtration":
     """Grow the flag complex of an edge-weighted graph up to max_dim.
 
     ``values`` is the symmetric matrix of edge values and ``within`` the
     boolean matrix of pairs that are edges. A p-simplex is any (p+1)-clique;
-    its value is the maximum of its edge values. Edges are taken row-major
-    with a < b; cliques are enumerated with ascending vertices so each
-    appears once, and candidate sets shrink by bitmask intersection.
+    its value is the maximum of its edge values. The (d+1)-simplices grow
+    from the d-simplices, starting at the vertices, one block of rows at a
+    time: a simplex's new vertices are the columns where the ``within`` rows
+    of all its vertices hold, above its last vertex. Taken row-major, they
+    come out in lexicographic order within each dimension.
     """
-    vertex_count = values.shape[0]
-    # a 0-dimensional complex has no edges
-    ii, jj = np.nonzero(np.triu(within, k=1) & (max_dim >= 1))
-    edges = list(zip(ii.tolist(), jj.tolist()))
-    edge_values = values[ii, jj].tolist()
-    top = max(max_dim, 1)
-    val_buf = [array("d") for _ in range(top + 1)]
-    vert_buf = [array("i") for _ in range(top + 1)]
-
-    val_buf[0].extend([0.0] * vertex_count)
-    vert_buf[0].extend(range(vertex_count))
-    val_buf[1].extend(edge_values)
-    count = vertex_count + len(edges)
-    if max_simplices is not None and count > max_simplices:
+    n = values.shape[0]
+    if max_dim < 0:
+        raise ValueError("max_dim must be nonnegative")
+    if max_simplices is not None and n > max_simplices:
         raise ResourceLimit(f"simplex count exceeds cap {max_simplices}")
+    above = np.triu(within, k=1)
+    pieces = [(np.arange(n, dtype=np.int32)[:, None], np.zeros(n))]
+    count = n
+    rows = max(1, EXPAND_BYTES // n)
+    done = 0  # pieces[done:] hold the top dimension so far
+    for _ in range(max_dim):
+        frontier, done = pieces[done:], len(pieces)
+        for verts, vals in frontier:
+            for lo in range(0, len(verts), rows):
+                block = verts[lo:lo + rows]
+                cand = above[block[:, -1]]
+                for c in range(block.shape[1] - 1):
+                    cand &= within[block[:, c]]
+                count += np.count_nonzero(cand)
+                if max_simplices is not None and count > max_simplices:
+                    raise ResourceLimit(f"simplex count exceeds cap {max_simplices}")
+                i, v = np.nonzero(cand)
+                val = vals[lo + i]
+                for c in range(block.shape[1]):
+                    np.maximum(val, values[block[i, c], v], out=val)
+                if len(i):
+                    pieces.append((np.column_stack((block[i], v.astype(np.int32))), val))
 
-    nbr = [0] * vertex_count
-    for i, j in edges:
-        vert_buf[1].extend((i, j))
-        nbr[i] |= 1 << j
-        nbr[j] |= 1 << i
-
-    if max_dim >= 2:
-        _expand_cliques(edges, edge_values, nbr, values.tolist(), max_dim,
-                        max_simplices, val_buf, vert_buf, count)
-
-    sizes = np.repeat(np.arange(1, top + 2), [len(buf) for buf in val_buf])
-    return _from_flat(np.concatenate(val_buf), sizes, np.concatenate(vert_buf),
-                      vertex_count, presorted=False)
+    padded = np.full((count, pieces[-1][0].shape[1]), -1, dtype=np.int32)
+    start = 0
+    for verts, _ in pieces:
+        padded[start:start + len(verts), :verts.shape[1]] = verts
+        start += len(verts)
+    vals = np.concatenate([val for _, val in pieces])
+    pieces.clear()  # free the blocks before the sort
+    return Filtration(vals, np.count_nonzero(padded >= 0, axis=1) - 1, padded, n)
 
 
-def _expand_cliques(edges, edge_values, nbr, value_rows, max_dim, max_simplices,
-                    val_buf, vert_buf, count) -> None:
-    def extend(prefix: list[int], val: float, cand: int) -> None:
-        nonlocal count
-        d = len(prefix)
-        vals_d = val_buf[d]
-        verts_d = vert_buf[d]
-        deeper = d < max_dim
-        c = cand
-        while c:
-            low = c & -c
-            v = low.bit_length() - 1
-            c ^= low
-            nv = val
-            for u in prefix:
-                t = value_rows[u][v]
-                if t > nv:
-                    nv = t
-            vals_d.append(nv)
-            for u in prefix:
-                verts_d.append(u)
-            verts_d.append(v)
-            count += 1
-            if max_simplices is not None and count > max_simplices:
-                raise ResourceLimit(f"simplex count exceeds cap {max_simplices}")
-            if deeper:
-                nc = c & nbr[v]
-                if nc:
-                    extend(prefix + [v], nv, nc)
-
-    for (i, j), val in zip(edges, edge_values):
-        cand = nbr[i] & nbr[j] & ~((1 << (j + 1)) - 1)
-        if cand:
-            extend([i, j], val, cand)
+def _points(cloud, count: int = 1) -> np.ndarray:
+    """The cloud as a float matrix: nonempty, 2-d, finite, with at least
+    ``count`` points to choose."""
+    pts = np.asarray(cloud, dtype=float)
+    if pts.ndim != 2 or pts.shape[0] == 0:
+        raise EmptyCloud("need a nonempty 2-d point cloud")
+    if not np.isfinite(pts).all():
+        raise ValueError("point coordinates must be finite")
+    if not 1 <= count <= len(pts):
+        raise CountTooLarge(f"need 1 <= count <= {len(pts)}, got {count}")
+    return pts
 
 
 def vietoris_rips(cloud, r_max: float, max_dim: int,
@@ -311,13 +301,9 @@ def vietoris_rips(cloud, r_max: float, max_dim: int,
     Vertices enter at 0 and every other simplex at the largest pairwise
     distance among its vertices, so the complexes at growing parameters nest.
     """
-    pts = np.asarray(cloud, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise EmptyCloud("need a nonempty 2-d point cloud")
-    if r_max <= 0:
+    pts = _points(cloud)
+    if not r_max > 0:  # also rejects nan
         raise ValueError("r_max must be positive")
-    if max_dim < 0:
-        raise ValueError("max_dim must be nonnegative")
     dist = pairwise_distances(pts)
     np.fill_diagonal(dist, 0.0)
     return _flag_expand(dist, dist < r_max, max_dim, max_simplices)
@@ -354,12 +340,9 @@ def maxmin_landmarks(cloud, count: int, rng: np.random.Generator,
     one is the cloud point farthest from all landmarks so far, ties going to
     the smallest index.
     """
-    pts = np.asarray(cloud, dtype=float)
-    n = pts.shape[0]
-    if not 1 <= count <= n:
-        raise CountTooLarge(f"need 1 <= count <= {n}, got {count}")
+    pts = _points(cloud, count)
     if first is None:
-        first = int(rng.integers(n))
+        first = int(rng.integers(len(pts)))
     chosen = [first]
     rows = [_distance_rows(pts, [first])[0]]
     masked = rows[0].copy()
@@ -376,12 +359,12 @@ def maxmin_landmarks(cloud, count: int, rng: np.random.Generator,
 
 def random_landmarks(cloud, count: int, rng: np.random.Generator) -> LandmarkSet:
     """Landmarks drawn uniformly without replacement."""
-    pts = np.asarray(cloud, dtype=float)
-    n = pts.shape[0]
-    if not 1 <= count <= n:
-        raise CountTooLarge(f"need 1 <= count <= {n}, got {count}")
-    idx = rng.choice(n, size=count, replace=False)
+    pts = _points(cloud, count)
+    idx = rng.choice(len(pts), size=count, replace=False)
     return LandmarkSet(idx, _distance_rows(pts, idx))
+
+
+LANDMARKS = {"maxmin": maxmin_landmarks, "random": random_landmarks}
 
 
 def witness_edge_values(landmarks: LandmarkSet) -> np.ndarray:
@@ -424,10 +407,8 @@ def witness_filtration(cloud, landmarks: LandmarkSet, r_max: float, max_dim: int
     when their value is at most r_max; higher simplices are filled by the
     flag rule with the maximum of their edge values.
     """
-    if r_max < 0:
+    if not r_max >= 0:  # also rejects nan
         raise ValueError("r_max must be nonnegative")
-    if max_dim < 0:
-        raise ValueError("max_dim must be nonnegative")
     values = witness_edge_values(landmarks)
     return _flag_expand(values, values <= r_max, max_dim, max_simplices)
 

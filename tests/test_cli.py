@@ -134,6 +134,28 @@ def test_rips_rejects_non_finite_cloud(tmp_path, capsys, token):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["rips", "witness", "pipeline", "pipeline-witness"])
+def test_nan_r_max_exits_2(tmp_path, capsys, command):
+    cloud_path = tmp_path / "cloud.txt"
+    grassmann.write_cloud(cloud_path, analysis.sample_space(
+        "rp2-r4", 30, np.random.default_rng(0)))
+    out = tmp_path / "f.txt"
+    argv = {
+        "rips": ["rips", "--cloud", str(cloud_path), "--max-dim", "2", "--out", str(out)],
+        "witness": ["witness", "--cloud", str(cloud_path), "--landmark-count", "8",
+                    "--seed", "1", "--max-dim", "2", "--out", str(out)],
+        "pipeline": ["pipeline", "--space", "rp2-r4", "--points", "30",
+                     "--outdir", str(tmp_path / "run")],
+        "pipeline-witness": ["pipeline", "--space", "rp2-r4", "--points", "30",
+                             "--complex", "witness", "--landmark-count", "8",
+                             "--outdir", str(tmp_path / "run")],
+    }[command]
+    assert run(argv + ["--r-max", "nan"]) == 2
+    assert "r_max" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "run" / "filtration.txt").exists()
+
+
 # ---------------------------------------------------------------------------
 # witness
 

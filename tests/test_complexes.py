@@ -27,6 +27,39 @@ def filtration_as_dict(filtration):
     return {s.vertices: s.value for s in filtration.simplices()}
 
 
+def brute_force_cliques(values, within, max_dim):
+    """Every clique of at most max_dim + 1 vertices, valued by its largest edge."""
+    out = {}
+    for size in range(1, max_dim + 2):
+        for combo in itertools.combinations(range(len(values)), size):
+            pairs = list(itertools.combinations(combo, 2))
+            if all(within[a, b] for a, b in pairs):
+                out[combo] = max((float(values[a, b]) for a, b in pairs), default=0.0)
+    return out
+
+
+@pytest.mark.parametrize("max_dim", range(5))
+def test_flag_expand_matches_brute_force_cliques(monkeypatch, max_dim):
+    rng = np.random.default_rng(40 + max_dim)
+    for trial in range(15):
+        n = int(rng.integers(1, 11))
+        # a coarse grid of values, so that ties and zeros are common
+        values = rng.integers(0, 4, (n, n)) / 2.0
+        values = np.maximum(values, values.T)
+        np.fill_diagonal(values, 0.0)
+        upper = np.triu(rng.random((n, n)) < rng.uniform(0.3, 1.0), k=1)
+        within = upper | upper.T
+        np.fill_diagonal(within, trial % 2 == 0)
+        # two rows per block, so every dimension with 3 or more simplices
+        # is grown in several blocks
+        monkeypatch.setattr(complexes, "EXPAND_BYTES", 2 * n)
+        f = complexes._flag_expand(values, within, max_dim, None)
+        f.validate()
+        expected = brute_force_cliques(values, within, max_dim)
+        assert filtration_as_dict(f) == expected
+        assert f.verts.shape[1] == max(len(c) for c in expected)
+
+
 def test_two_points_single_edge():
     f = complexes.vietoris_rips(np.array([[0.0], [1.0]]), 2.0, 1)
     assert filtration_as_dict(f) == {(0,): 0.0, (1,): 0.0, (0, 1): 1.0}
@@ -97,6 +130,22 @@ def test_rips_rejects_bad_input():
         complexes.vietoris_rips(np.ones((2, 2)), 0.0, 1)
     with pytest.raises(ValueError):
         complexes.vietoris_rips(np.ones((2, 2)), 1.0, -1)
+    with pytest.raises(ValueError, match="r_max"):
+        complexes.vietoris_rips(np.ones((2, 2)), math.nan, 1)
+    assert len(complexes.vietoris_rips(np.ones((2, 2)), math.inf, 1)) == 3
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("build", [
+    lambda cloud: complexes.vietoris_rips(cloud, 1.0, 1),
+    lambda cloud: complexes.maxmin_landmarks(cloud, 3, np.random.default_rng(0)),
+    lambda cloud: complexes.random_landmarks(cloud, 3, np.random.default_rng(0)),
+], ids=["vietoris_rips", "maxmin_landmarks", "random_landmarks"])
+def test_non_finite_cloud_rejected(build, bad):
+    cloud = np.random.default_rng(0).standard_normal((6, 3))
+    cloud[2, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        build(cloud)
 
 
 def test_rips_simplex_cap():
@@ -104,8 +153,12 @@ def test_rips_simplex_cap():
     cloud = rng.standard_normal((10, 2)) * 0.01
     with pytest.raises(complexes.ResourceLimit):
         complexes.vietoris_rips(cloud, 1.0, 3, max_simplices=50)
-    # cap equal to the true count passes
+    with pytest.raises(complexes.ResourceLimit):
+        complexes.vietoris_rips(cloud, 1.0, 0, max_simplices=9)
+    # the cap is exceeded by the last simplex; a cap equal to the count passes
     full = complexes.vietoris_rips(cloud, 1.0, 3)
+    with pytest.raises(complexes.ResourceLimit):
+        complexes.vietoris_rips(cloud, 1.0, 3, max_simplices=len(full) - 1)
     again = complexes.vietoris_rips(cloud, 1.0, 3, max_simplices=len(full))
     assert again == full
 
@@ -323,6 +376,21 @@ def test_witness_rejects_bad_input():
     two = LandmarkSet(np.array([0, 1]), np.abs(cloud - cloud.T))
     with pytest.raises(ValueError):
         complexes.witness_filtration(cloud, two, -1.0, 1)
+    with pytest.raises(ValueError, match="r_max"):
+        complexes.witness_filtration(cloud, two, math.nan, 1)
+    assert len(complexes.witness_filtration(cloud, two, math.inf, 1)) == 3
+
+
+def test_witness_simplex_cap():
+    rng = np.random.default_rng(13)
+    cloud = rng.standard_normal((30, 2))
+    lm = complexes.maxmin_landmarks(cloud, 8, rng)
+    full = complexes.witness_filtration(cloud, lm, 1.0, 3)
+    assert full.max_dim == 3
+    with pytest.raises(complexes.ResourceLimit):
+        complexes.witness_filtration(cloud, lm, 1.0, 3, max_simplices=len(full) - 1)
+    again = complexes.witness_filtration(cloud, lm, 1.0, 3, max_simplices=len(full))
+    assert again == full
 
 
 def test_witness_filtration_nesting():
