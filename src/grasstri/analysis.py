@@ -123,7 +123,10 @@ class ExperimentConfig:
             raise ValueError("sample_size must be positive")
         if self.kind not in ("rips", "witness"):
             raise ValueError(f"unknown complex kind {self.kind!r}")
+        # the builders' own checks, made here before any file is written
         if self.kind == "witness":
+            if not self.r_max >= 0:  # also rejects nan
+                raise ValueError("r_max must be nonnegative")
             if self.landmark_count is None or self.landmark_count < 2:
                 raise ValueError("witness experiments need landmark_count >= 2")
             method = self.landmark_method or "maxmin"
@@ -131,6 +134,8 @@ class ExperimentConfig:
                 raise ValueError(f"unknown landmark method {method!r}")
             object.__setattr__(self, "landmark_method", method)
         else:
+            if not self.r_max > 0:  # also rejects nan
+                raise ValueError("r_max must be positive")
             if self.landmark_count is not None or self.landmark_method is not None:
                 raise ValueError("landmark options only apply to witness experiments")
         if self.proportions is not None and parse_space(self.space)[0] != "grassmann":

@@ -413,14 +413,31 @@ def witness_filtration(cloud, landmarks: LandmarkSet, r_max: float, max_dim: int
     return _flag_expand(values, values <= r_max, max_dim, max_simplices)
 
 
+# rows formatted and written per block by write_filtration
+WRITE_ROWS = 32_768
+
+
 def write_filtration(path, filtration: Filtration) -> None:
-    """Text format: header ``dim_max vertex_count``, then ``value v0 ... vk`` lines."""
+    """Text format: header ``dim_max vertex_count``, then ``value v0 ... vk`` lines.
+
+    Values are written with ``%.17g``, so they read back exactly. The rows
+    are formatted ``WRITE_ROWS`` at a time, in filtration order: within a
+    block, each dimension's lines come from one ``%`` format over its
+    columns and are scattered back to their rows, so the text held in
+    memory stays bounded by the block, not the file.
+    """
+    values, dims, verts = filtration.values, filtration.dims, filtration.verts
+    top = filtration.max_dim
     with open(path, "w") as fh:
-        fh.write(f"{filtration.max_dim} {filtration.vertex_count}\n")
-        for i in range(len(filtration)):
-            d = int(filtration.dims[i])
-            vs = " ".join(str(int(v)) for v in filtration.verts[i, :d + 1])
-            fh.write(f"{filtration.values[i]:.17g} {vs}\n")
+        fh.write(f"{top} {filtration.vertex_count}\n")
+        for lo in range(0, len(filtration), WRITE_ROWS):
+            block = dims[lo:lo + WRITE_ROWS]
+            lines = np.empty(len(block), dtype=object)
+            for d in range(top + 1):
+                rows = np.flatnonzero(block == d)
+                cols = [values[lo + rows].tolist(), *verts[lo + rows, :d + 1].T.tolist()]
+                lines[rows] = list(map(("%.17g" + " %d" * (d + 1)).__mod__, zip(*cols)))
+            fh.write("\n".join(lines.tolist()) + "\n")
 
 
 def read_filtration(path) -> Filtration:

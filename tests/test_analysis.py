@@ -280,6 +280,15 @@ def test_config_rejections():
         base_config(landmark_method="maxmin")
     with pytest.raises(ValueError):
         base_config(proportions=(1.0, 1.0, 1.0))
+    # the r_max each builder rejects: rips needs r_max > 0, witness r_max >= 0
+    for r_max in (math.nan, -1.0, 0.0):
+        with pytest.raises(ValueError, match="r_max"):
+            base_config(r_max=r_max)
+    for r_max in (math.nan, -1.0):
+        with pytest.raises(ValueError, match="r_max"):
+            base_config(kind="witness", landmark_count=5, r_max=r_max)
+    assert base_config(kind="witness", landmark_count=5, r_max=0.0).r_max == 0.0
+    assert base_config(r_max=math.inf).r_max == math.inf
 
 
 def test_config_proportions_allowed_for_grassmann():

@@ -156,6 +156,19 @@ def test_nan_r_max_exits_2(tmp_path, capsys, command):
     assert not (tmp_path / "run" / "filtration.txt").exists()
 
 
+@pytest.mark.parametrize("complex_kind, r_max", [
+    ("rips", "nan"), ("rips", "-1"), ("rips", "0"), ("witness", "nan"), ("witness", "-1")])
+def test_pipeline_bad_r_max_writes_nothing(tmp_path, capsys, complex_kind, r_max):
+    outdir = tmp_path / "run"
+    argv = ["pipeline", "--space", "rp2-r4", "--points", "30", "--complex", complex_kind,
+            "--r-max", r_max, "--outdir", str(outdir)]
+    if complex_kind == "witness":
+        argv += ["--landmark-count", "8"]
+    assert run(argv) == 2
+    assert "r_max" in capsys.readouterr().err
+    assert not outdir.exists() or not any(outdir.iterdir())
+
+
 # ---------------------------------------------------------------------------
 # witness
 

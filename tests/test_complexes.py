@@ -1,8 +1,11 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grasstri import complexes
 from grasstri.complexes import Filtration, LandmarkSet, Simplex
@@ -430,6 +433,81 @@ def test_filtration_file_format(tmp_path):
     bad.write_text("1\n")
     with pytest.raises(ValueError):
         complexes.read_filtration(bad)
+
+
+def reference_write_filtration(path, filtration):
+    """One f-string per row: the file write_filtration must reproduce byte for byte."""
+    with open(path, "w") as fh:
+        fh.write(f"{filtration.max_dim} {filtration.vertex_count}\n")
+        for i in range(len(filtration)):
+            d = int(filtration.dims[i])
+            vs = " ".join(str(int(v)) for v in filtration.verts[i, :d + 1])
+            fh.write(f"{filtration.values[i]:.17g} {vs}\n")
+
+
+def assert_writes_reference(filtration, directory):
+    """write_filtration with 3-row blocks, which split dimensions and mix
+    them, gives the reference writer's bytes."""
+    ours, ref = directory / "block.txt", directory / "reference.txt"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(complexes, "WRITE_ROWS", 3)
+        complexes.write_filtration(ours, filtration)
+    reference_write_filtration(ref, filtration)
+    assert ours.read_bytes() == ref.read_bytes()
+    return ours
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["rips", "witness"]), points=st.integers(1, 9),
+       max_dim=st.integers(0, 4), r_max=st.floats(0.3, 3.0), seed=st.integers(0, 2**32 - 1))
+def test_write_filtration_matches_reference(tmp_path_factory, kind, points, max_dim,
+                                            r_max, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "rips":
+        f = complexes.vietoris_rips(rng.standard_normal((points, 3)), r_max, max_dim)
+    else:
+        cloud = rng.standard_normal((4 * points + 4, 3))
+        landmarks = complexes.maxmin_landmarks(cloud, points + 1, rng)
+        f = complexes.witness_filtration(cloud, landmarks, r_max, max_dim)
+    assert_writes_reference(f, tmp_path_factory.mktemp("write"))
+
+
+def test_write_filtration_edge_cases(tmp_path):
+    top = 2**31 - 1
+    f = Filtration.from_simplices(
+        [Simplex((v,), 0.0) for v in (0, 7, top - 1, top)]
+        + [Simplex((0, 7), 5e-324), Simplex((0, top), 1e-300), Simplex((7, top), 0.1),
+           Simplex((0, 7, top), 1 / 3), Simplex((top - 1, top), 1.0),
+           Simplex((0, top - 1), 1e300)],
+        vertex_count=2**31)
+    path = assert_writes_reference(f, tmp_path)
+    assert complexes.read_filtration(path) == f
+    assert path.read_text().splitlines()[5:] == [
+        "4.9406564584124654e-324 0 7", "1e-300 0 2147483647",
+        "0.10000000000000001 7 2147483647", "0.33333333333333331 0 7 2147483647",
+        "1 2147483646 2147483647", "1.0000000000000001e+300 0 2147483646"]
+
+    empty = assert_writes_reference(Filtration.from_simplices([], vertex_count=3), tmp_path)
+    assert empty.read_text() == "0 3\n"
+    vertices = Filtration.from_simplices([Simplex((v,), 0.0) for v in range(7)], vertex_count=9)
+    path = assert_writes_reference(vertices, tmp_path)
+    assert path.read_text() == "0 9\n" + "".join(f"0 {v}\n" for v in range(7))
+
+
+def test_write_filtration_memory_is_bounded(tmp_path, monkeypatch):
+    f = complexes.vietoris_rips(np.random.default_rng(3).standard_normal((40, 3)), 2.2, 4)
+    assert 15_000 < len(f) < 30_000
+    monkeypatch.setattr(complexes, "WRITE_ROWS", 64)
+    path = tmp_path / "filtration.txt"
+    complexes.write_filtration(path, f)  # keeps one-time imports and caches out of the trace
+    tracemalloc.start()
+    try:
+        complexes.write_filtration(path, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a whole-file join would hold at least the file's text at once
+    assert peak < path.stat().st_size / 4
 
 
 def test_landmarks_round_trip(tmp_path):
