@@ -341,20 +341,17 @@ def maxmin_landmarks(cloud, count: int, rng: np.random.Generator,
     the smallest index.
     """
     pts = _points(cloud, count)
-    if first is None:
-        first = int(rng.integers(len(pts)))
-    chosen = [first]
-    rows = [_distance_rows(pts, [first])[0]]
-    masked = rows[0].copy()
-    masked[first] = -1.0
-    while len(chosen) < count:
-        nxt = int(np.argmax(masked))
-        chosen.append(nxt)
-        row = _distance_rows(pts, [nxt])[0]
-        rows.append(row)
-        np.minimum(masked, row, out=masked)
+    nxt = int(rng.integers(len(pts))) if first is None else first
+    chosen = np.empty(count, dtype=np.int64)
+    table = np.empty((count, len(pts)))
+    masked = np.full(len(pts), np.inf)
+    for i in range(count):
+        chosen[i] = nxt
+        table[i] = _distance_rows(pts, [nxt])[0]
+        np.minimum(masked, table[i], out=masked)
         masked[nxt] = -1.0
-    return LandmarkSet(np.array(chosen), np.vstack(rows))
+        nxt = int(np.argmax(masked))
+    return LandmarkSet(chosen, table)
 
 
 def random_landmarks(cloud, count: int, rng: np.random.Generator) -> LandmarkSet:
@@ -365,6 +362,8 @@ def random_landmarks(cloud, count: int, rng: np.random.Generator) -> LandmarkSet
 
 
 LANDMARKS = {"maxmin": maxmin_landmarks, "random": random_landmarks}
+# distance-table bytes per column block of witness_edge_values
+WITNESS_BYTES = 2**22
 
 
 def witness_edge_values(landmarks: LandmarkSet) -> np.ndarray:
@@ -376,27 +375,35 @@ def witness_edge_values(landmarks: LandmarkSet) -> np.ndarray:
     max(d(x,a), d(x,b)) minus that excluded minimum, clamped at zero. With
     only two landmarks the excluded minimum is vacuous and the edge value
     is zero.
+
+    With s1 <= s2 the two least landmark distances of x and r1 its nearest,
+    the value is the least of (i) max(d_a - s1, d_b - s1) over all x,
+    (ii) d_b - s2 over x with r1 = a and (iii) d_a - s2 over x with r1 = b,
+    clamped at zero; ties do not matter. Where r1 is not a or b, x's excluded
+    minimum is s1 and rounding is monotone, so (i) is max(d_a, d_b) - s1
+    exactly. Where r1 = a it is s2, or s3 if b is x's second nearest, where
+    x gives s2 - s3 <= 0 and (ii) 0, equal once clamped; (i) is never less.
     """
     dist = landmarks.distances
     n_l = dist.shape[0]
     if n_l < 2:
         raise TooFewLandmarks("witness complex needs at least 2 landmarks")
-    values = np.zeros((n_l, n_l))
-    if n_l == 2:
-        return values
-    order = np.argsort(dist, axis=0, kind="stable")
-    r1, r2 = order[0], order[1]
-    cols = np.arange(dist.shape[1])
-    s1, s2, s3 = dist[r1, cols], dist[r2, cols], dist[order[2], cols]
-    for a in range(n_l):
-        da = dist[a]
-        for b in range(a + 1, n_l):
-            reach = np.maximum(da, dist[b])
-            excl = np.where((r1 != a) & (r1 != b), s1,
-                            np.where((r2 != a) & (r2 != b), s2, s3))
-            val = max(0.0, float(np.min(reach - excl)))
-            values[a, b] = values[b, a] = val
-    return values
+    best = np.full((n_l, n_l), np.inf)  # best[a, b]: (i) for a < b, (ii) for r1 = a
+    width = max(1, WITNESS_BYTES // (8 * n_l))
+    for lo in range(0, dist.shape[1], width):
+        block = dist[:, lo:lo + width]
+        near = np.argpartition(block, 1, axis=0)[:2]
+        s1, s2 = np.take_along_axis(block, near, axis=0)
+        shifted = block - s1
+        for a in range(n_l - 1):
+            np.minimum(best[a, a + 1:], np.maximum(shifted[a + 1:], shifted[a]).min(axis=1),
+                       out=best[a, a + 1:])
+        order = np.argsort(near[0])
+        starts = np.flatnonzero(np.diff(near[0, order], prepend=-1))
+        cells = np.minimum.reduceat(block[:, order] - s2[order], starts, axis=1)
+        np.minimum.at(best, near[0, order[starts]], cells.T)
+    np.fill_diagonal(best, 0.0)
+    return np.maximum(np.minimum(best, best.T), 0.0)
 
 
 def witness_filtration(cloud, landmarks: LandmarkSet, r_max: float, max_dim: int,
@@ -442,21 +449,23 @@ def write_filtration(path, filtration: Filtration) -> None:
 
 def read_filtration(path) -> Filtration:
     with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"malformed filtration header in {path}")
-        dim_max, vertex_count = int(header[0]), int(header[1])
+        try:
+            dim_max, vertex_count = map(int, fh.readline().split())
+        except ValueError:
+            raise ValueError(f"malformed filtration header in {path}") from None
         values, sizes, labels = array("d"), array("i"), array("i")
-        for line in fh:
+        for lineno, line in enumerate(fh, 2):
             toks = line.split()
             if toks:
-                values.append(float(toks[0]))
-                sizes.append(len(toks) - 1)
                 try:
+                    values.append(float(toks[0]))
+                    sizes.append(len(toks) - 1)
                     labels.extend(map(int, toks[1:]))
                 except OverflowError:
                     _check_labels(map(int, toks[1:]), vertex_count)
                     raise
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
     filtration = _from_flat(values, sizes, labels, vertex_count, presorted=True)
     filtration._check_order()
     if filtration.max_dim != dim_max:

@@ -240,9 +240,14 @@ def test_persist_matches_library(tmp_path):
     ("0 1\n0 99999999999\n", "vertex label 99999999999 outside [0, 1)"),
     ("0 1\n0 4294967296\n", "vertex label 4294967296 outside [0, 1)"),
     (f"0 1\n0 {10**30}\n", f"vertex label {10**30} outside [0, 1)"),
+    ("1 2\n0 0\n0 x\n", "filt.txt:3: invalid literal for int()"),
+    ("1 2\n0 0\n0 1\n1.5 1.5\n", "filt.txt:4: invalid literal for int()"),
+    ("1 2\nabc 1\n", "filt.txt:2: could not convert string to float"),
+    ("1 x\n0 0\n", "malformed filtration header"),
 ], ids=["unsorted-vertices", "label-range", "row-order", "duplicate-row", "header-dim",
         "edge-before-vertices", "missing-vertex", "missing-edge", "label-above-int32",
-        "label-wraps-to-zero", "label-above-int64"])
+        "label-wraps-to-zero", "label-above-int64", "label-not-int", "label-float",
+        "value-not-float", "header-not-int"])
 def test_persist_rejects_malformed_filtration(tmp_path, capsys, text, message):
     filt_path = tmp_path / "filt.txt"
     filt_path.write_text(text)

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grasstri import complexes
@@ -304,8 +304,50 @@ def test_witness_values_match_brute_force():
             assert values[a, a] == 0.0
             for b in range(a + 1, k):
                 expected = brute_force_witness_value(lm.distances, a, b)
-                assert values[a, b] == pytest.approx(expected, abs=1e-12)
+                assert values[a, b] == expected
                 assert values[b, a] == values[a, b]
+
+
+def reference_witness_edge_values(landmarks):
+    """One pass over the witnesses per landmark pair: the values that
+    witness_edge_values must reproduce exactly."""
+    dist = landmarks.distances
+    n_l = dist.shape[0]
+    values = np.zeros((n_l, n_l))
+    if n_l == 2:
+        return values
+    order = np.argsort(dist, axis=0, kind="stable")
+    r1, r2 = order[0], order[1]
+    cols = np.arange(dist.shape[1])
+    s1, s2, s3 = dist[r1, cols], dist[r2, cols], dist[order[2], cols]
+    for a in range(n_l):
+        da = dist[a]
+        for b in range(a + 1, n_l):
+            reach = np.maximum(da, dist[b])
+            excl = np.where((r1 != a) & (r1 != b), s1,
+                            np.where((r2 != a) & (r2 != b), s2, s3))
+            val = max(0.0, float(np.min(reach - excl)))
+            values[a, b] = values[b, a] = val
+    return values
+
+
+@settings(max_examples=80, deadline=None)
+@given(count=st.integers(2, 12), extra=st.integers(0, 25), dim=st.integers(1, 3),
+       decimals=st.sampled_from([None, 0, 1]), columns=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+@example(count=3, extra=6, dim=1, decimals=0, columns=2, seed=0)
+def test_witness_edge_values_match_reference(count, extra, dim, decimals, columns, seed):
+    # rounded clouds repeat distances, so the nearest three tie
+    rng = np.random.default_rng(seed)
+    cloud = rng.uniform(-2.0, 2.0, (count + extra, dim))
+    if decimals is not None:
+        cloud = np.round(cloud, decimals)
+    landmarks = complexes.random_landmarks(cloud, count, rng)
+    expected = reference_witness_edge_values(landmarks)
+    assert np.array_equal(complexes.witness_edge_values(landmarks), expected)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(complexes, "WITNESS_BYTES", 8 * count * columns)
+        assert np.array_equal(complexes.witness_edge_values(landmarks), expected)
 
 
 def test_witness_membership_grid():
