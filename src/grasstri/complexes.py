@@ -50,32 +50,29 @@ class Simplex(NamedTuple):
 class Filtration:
     """Simplices ordered by (value, dim, lexicographic vertices).
 
-    Stored as parallel arrays: ``values`` (float), ``dims`` (int), and
-    ``verts``, an (m, width) int matrix padded with -1 past each simplex's
-    vertex count. The order guarantees every face precedes its cofaces.
+    Stored as parallel arrays, given already in that order: ``values``
+    (float), ``dims`` (int), and ``verts``, an (m, width) int matrix padded
+    with -1 past each simplex's vertex count. The order guarantees every face
+    precedes its cofaces.
     """
 
     __slots__ = ("values", "dims", "verts", "vertex_count")
 
     def __init__(self, values: np.ndarray, dims: np.ndarray, verts: np.ndarray,
-                 vertex_count: int, presorted: bool = False):
+                 vertex_count: int):
         self.values = np.ascontiguousarray(values, dtype=float)
         self.dims = np.ascontiguousarray(dims, dtype=np.int32)
         self.verts = np.ascontiguousarray(verts, dtype=np.int32)
         self.vertex_count = int(vertex_count)
-        if not presorted:
-            order = np.lexsort(tuple(_order_keys(self.values, self.dims, self.verts)))
-            self.values = self.values[order]
-            self.dims = self.dims[order]
-            self.verts = self.verts[order]
 
     @classmethod
     def from_simplices(cls, simplices, vertex_count: int) -> "Filtration":
-        items = list(simplices)
+        """Filtration of Simplex items given in any order."""
+        items = sorted(simplices, key=lambda s: (s.value, len(s.vertices), s.vertices))
         labels = [v for s in items for v in s.vertices]
         _check_labels(labels, vertex_count)
         filtration = _from_flat([s.value for s in items], [len(s.vertices) for s in items],
-                                labels, vertex_count, presorted=False)
+                                labels, vertex_count)
         filtration._check_order()
         return filtration
 
@@ -97,8 +94,9 @@ class Filtration:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Filtration):
             return NotImplemented
-        return (self.vertex_count == other.vertex_count
-                and list(self.simplices()) == list(other.simplices()))
+        return self.vertex_count == other.vertex_count and all(
+            np.array_equal(getattr(self, a), getattr(other, a))
+            for a in ("values", "dims", "verts"))
 
     def validate(self) -> None:
         """Check the canonical order and the face-before-coface property."""
@@ -108,8 +106,13 @@ class Filtration:
             index.facet_rows(d, np.flatnonzero(self.dims == d))
 
     def _check_order(self) -> None:
-        """Vertices strictly increase, labels lie in [0, vertex_count), and
-        adjacent rows strictly increase by (value, dim, vertices)."""
+        """Values are finite, vertices strictly increase, labels lie in
+        [0, vertex_count), and adjacent rows strictly increase by
+        (value, dim, vertices)."""
+        bad = np.flatnonzero(~np.isfinite(self.values))
+        if len(bad):
+            raise ValueError(f"filtration value {self.values[bad[0]]} at position "
+                             f"{int(bad[0])} is not finite")
         width = self.verts.shape[1]
         used = np.arange(width) <= self.dims[:, None]
         labelled = (self.verts >= 0) & (self.verts < self.vertex_count)
@@ -123,12 +126,11 @@ class Filtration:
                              f"{self.simplex(int(bad[0])).vertices}")
         # "row i-1 < row i" in the canonical order, folded from its last key
         less = False
-        for key in _order_keys(self.values, self.dims, self.verts):
+        for key in [*self.verts.T[::-1], self.dims, self.values]:
             less = (key[:-1] < key[1:]) | ((key[:-1] == key[1:]) & less)
         bad = np.flatnonzero(~less)
         if len(bad):
-            raise ValueError(f"simplices out of order, or valued nan, at position "
-                             f"{int(bad[0]) + 1}")
+            raise ValueError(f"simplices out of order at position {int(bad[0]) + 1}")
 
 
 class FacetIndex:
@@ -200,11 +202,6 @@ class FacetIndex:
         return rank
 
 
-def _order_keys(values, dims, verts) -> list[np.ndarray]:
-    """The canonical order's keys, least significant first, as lexsort takes them."""
-    return [verts[:, c] for c in range(verts.shape[1] - 1, -1, -1)] + [dims, values]
-
-
 def _check_labels(labels, vertex_count: int) -> None:
     """Reject labels outside [0, vertex_count) before they are narrowed to
     int32, where an out-of-range label could wrap into range."""
@@ -214,9 +211,9 @@ def _check_labels(labels, vertex_count: int) -> None:
             raise ValueError(f"vertex label {v} outside [0, {bound})")
 
 
-def _from_flat(values, sizes, labels, vertex_count: int, presorted: bool) -> Filtration:
+def _from_flat(values, sizes, labels, vertex_count: int) -> Filtration:
     """Filtration from per-simplex values and vertex counts, with the vertex
-    labels of all simplices concatenated in ``labels``."""
+    labels of all simplices concatenated in ``labels``, in filtration order."""
     sizes = np.asarray(sizes, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int32)
     starts = np.cumsum(sizes) - sizes
@@ -224,7 +221,7 @@ def _from_flat(values, sizes, labels, vertex_count: int, presorted: bool) -> Fil
     for c in range(verts.shape[1]):
         has = np.flatnonzero(sizes > c)
         verts[has, c] = labels[starts[has] + c]
-    return Filtration(values, sizes - 1, verts, vertex_count, presorted)
+    return Filtration(values, sizes - 1, verts, vertex_count)
 
 
 # candidate-matrix bytes per block of _flag_expand: rows = EXPAND_BYTES // n
@@ -241,7 +238,8 @@ def _flag_expand(values: np.ndarray, within: np.ndarray, max_dim: int,
     from the d-simplices, starting at the vertices, one block of rows at a
     time: a simplex's new vertices are the columns where the ``within`` rows
     of all its vertices hold, above its last vertex. Taken row-major, they
-    come out in lexicographic order within each dimension.
+    come out in lexicographic order within each dimension, and dimension by
+    dimension, so one stable sort by value gives the canonical order.
     """
     n = values.shape[0]
     if max_dim < 0:
@@ -278,7 +276,9 @@ def _flag_expand(values: np.ndarray, within: np.ndarray, max_dim: int,
         start += len(verts)
     vals = np.concatenate([val for _, val in pieces])
     pieces.clear()  # free the blocks before the sort
-    return Filtration(vals, np.count_nonzero(padded >= 0, axis=1) - 1, padded, n)
+    order = np.argsort(vals, kind="stable")
+    padded = padded[order]
+    return Filtration(vals[order], np.count_nonzero(padded >= 0, axis=1) - 1, padded, n)
 
 
 def _points(cloud, count: int = 1) -> np.ndarray:
@@ -466,7 +466,7 @@ def read_filtration(path) -> Filtration:
                     raise
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: {exc}") from None
-    filtration = _from_flat(values, sizes, labels, vertex_count, presorted=True)
+    filtration = _from_flat(values, sizes, labels, vertex_count)
     filtration._check_order()
     if filtration.max_dim != dim_max:
         raise ValueError(f"header of {path} gives dim_max {dim_max}, "

@@ -14,6 +14,7 @@ import numpy as np
 # Chosen for float64 with ambient dimension up to ~32.
 ORTHONORMAL_TOL = 1e-10
 PROJECTION_TOL = 1e-9
+DEPENDENCE_TOL = 1e-12  # gram_schmidt's least residual norm, relative to the vector's
 
 
 class LinearDependence(ValueError):
@@ -41,14 +42,14 @@ def _raise_at(bad: np.ndarray, error: type, message: str) -> None:
         raise error(f"{message} (item {int(hits[0])})")
 
 
-def gram_schmidt(vectors, tolerance: float = 1e-12) -> np.ndarray:
+def gram_schmidt(vectors) -> np.ndarray:
     """Orthonormalize stacks of k vectors in R^n: (..., k, n) -> (..., n, k).
 
     Uses the modified Gram-Schmidt recursion with one re-orthogonalization
     pass per vector, which keeps the result orthonormal to ORTHONORMAL_TOL
     even for nearly dependent inputs; the whole batch is checked against
     that tolerance once. Raises LinearDependence when a residual's norm
-    falls below ``tolerance`` times the vector's norm.
+    falls below DEPENDENCE_TOL times the vector's norm.
     """
     vecs = np.asarray(vectors, dtype=float)
     if vecs.ndim < 2 or not 1 <= vecs.shape[-2] <= vecs.shape[-1]:
@@ -63,7 +64,7 @@ def gram_schmidt(vectors, tolerance: float = 1e-12) -> np.ndarray:
             for j in range(i):
                 v -= _dot(cols[..., j], v) * cols[..., j]
         norm = np.sqrt(_dot(v, v))
-        _raise_at(norm <= tolerance * scale, LinearDependence,
+        _raise_at(norm <= DEPENDENCE_TOL * scale, LinearDependence,
                   f"vector {i} is zero or dependent on its predecessors")
         cols[..., i] = v / norm
     gram = np.matmul(np.swapaxes(cols, -1, -2), cols)

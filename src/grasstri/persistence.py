@@ -1,14 +1,13 @@
 """Persistent homology over Z/2 by sparse matrix reduction.
 
 The boundary matrix is stored column-compressed: one sorted row-index array
-per simplex, concatenated. The pairing is computed by cohomology: degree 0
-by union-find, then for each d from 1 up the coboundary columns of the
-d-simplices (the boundary matrix transposed, one dimension at a time) are
-reduced youngest first. Apparent pairs are registered before any column
-addition, and d-simplices that killed a class in degree d-1 are skipped
-(clearing), so the top dimension is never reduced. The pairing is identical
-to the naive left-to-right reduction of the boundary matrix, which stays as
-the reference (``reduce_boundary(matrix, optimized=False)``).
+per simplex, concatenated. The pairing is computed by cohomology: for each d
+from 0 up the coboundary columns of the d-simplices (the boundary matrix
+transposed, one dimension at a time) are reduced youngest first. Apparent
+pairs are registered before any column addition, and d-simplices that killed
+a class in degree d-1 are skipped (clearing), so the top dimension is never
+reduced. The pairing is identical to the naive left-to-right reduction of
+the boundary matrix, which stays as the reference (``_reduce_columns``).
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ from .complexes import FacetIndex, Filtration, MissingFace  # MissingFace: raise
 INF = math.inf
 BLOCK = 1 << 15   # columns looked up at once by build_boundary and _coboundary
 
+SVG_WIDTH = 900   # pixels
 _SVG_COLORS = ("#1f6f8b", "#b55439", "#3d7a3d", "#7a4f9d", "#946b00", "#555555")
 
 
@@ -84,24 +84,18 @@ class Pairing:
     size: int
 
 
-def reduce_boundary(matrix: BoundaryMatrix, optimized: bool = True) -> Pairing:
+def reduce_boundary(matrix: BoundaryMatrix) -> Pairing:
     """The persistence pairing of a boundary matrix over Z/2.
 
-    The naive path (``optimized=False``) reduces the boundary columns left to
-    right, adding earlier columns that share the lowest nonzero row until the
-    lows are distinct or the column vanishes. It is the reference.
-
-    The optimized path gives the same pairing (de Silva, Morozov &
-    Vejdemo-Johansson 2011) from the coboundary: degree 0 by union-find over
-    the edges, then for d = 1 .. top-1 the coboundary columns of the
-    d-simplices, youngest first, each pivoting on its oldest cofacet
-    (``_pair_degree``). Apparent pairs are registered in one vectorized pass
-    before any column addition, and a d-simplex that killed a class in
-    degree d-1 is skipped (clearing), so top-dimension simplices are only
-    read as cofacets.
+    It is the pairing of the naive left-to-right reduction of the boundary
+    columns (``_reduce_columns``, the reference), computed from the
+    coboundary (de Silva, Morozov & Vejdemo-Johansson 2011): for
+    d = 0 .. top-1 the coboundary columns of the d-simplices, youngest
+    first, each pivoting on its oldest cofacet (``_pair_degree``). Apparent
+    pairs are registered in one vectorized pass before any column addition,
+    and a d-simplex that killed a class in degree d-1 is skipped (clearing),
+    so top-dimension simplices are only read as cofacets.
     """
-    if not optimized:
-        return _reduce_columns(matrix)
     m = len(matrix)
     dims = matrix.dims
     top = int(dims.max()) if m else 0
@@ -110,45 +104,10 @@ def reduce_boundary(matrix: BoundaryMatrix, optimized: bool = True) -> Pairing:
         rows = np.flatnonzero(dims == d)
         rank[rows] = np.arange(len(rows), dtype=np.int32)
     killed = np.zeros(m, dtype=bool)
-    parts = [_pair_vertices(matrix, rank, killed)]
-    for d in range(1, top):
-        parts.append(_pair_degree(matrix, d, rank, killed))
-    pairs = np.concatenate(parts)
+    pairs = np.concatenate([_pair_degree(matrix, d, rank, killed)
+                            for d in range(max(top, 1))])
     pairs = pairs[np.argsort(pairs[:, 0])]
     return Pairing(pairs, np.flatnonzero(~killed), m)
-
-
-def _pair_vertices(matrix: BoundaryMatrix, rank: np.ndarray, killed: np.ndarray) -> np.ndarray:
-    """Degree-0 pairs by union-find over vertex ranks: an edge joining two
-    components kills the younger component's root, as the reduced pivot does."""
-    vrows = np.flatnonzero(matrix.dims == 0)
-    erows = np.flatnonzero(matrix.dims == 1)
-    ends = rank[matrix.col_rows[matrix.col_ptr[erows, None] + np.arange(2)]].tolist()
-    parent = list(range(len(vrows)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    births, deaths = [], []
-    for j, (a, b) in zip(erows.tolist(), ends):
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            continue
-        if ra > rb:
-            ra, rb = rb, ra
-        parent[rb] = ra
-        births.append(rb)
-        deaths.append(j)
-    return _mark(vrows[births], np.array(deaths, dtype=np.int64), killed)
-
-
-def _mark(births: np.ndarray, deaths: np.ndarray, killed: np.ndarray) -> np.ndarray:
-    killed[births] = True
-    killed[deaths] = True
-    return np.column_stack([births, deaths]).astype(np.int64, copy=False)
 
 
 def _pair_degree(matrix: BoundaryMatrix, d: int, rank: np.ndarray,
@@ -196,9 +155,11 @@ def _pair_degree(matrix: BoundaryMatrix, d: int, rank: np.ndarray,
                 other = cob[ptr[o]:ptr[o + 1]]
             work = np.setxor1d(work, other, assume_unique=True)
             added = True
-    births = np.concatenate([has[apparent], np.array(found_b, dtype=np.int64)])
-    deaths = np.concatenate([oldest[apparent], np.array(found_d, dtype=np.int64)])
-    return _mark(sig_rows[births], tau_rows[deaths], killed)
+    births = sig_rows[np.concatenate([has[apparent], np.array(found_b, dtype=np.int64)])]
+    deaths = tau_rows[np.concatenate([oldest[apparent], np.array(found_d, dtype=np.int64)])]
+    killed[births] = True
+    killed[deaths] = True
+    return np.column_stack([births, deaths])
 
 
 def _coboundary(matrix: BoundaryMatrix, d: int, count: int, tau_rows: np.ndarray,
@@ -281,8 +242,9 @@ class Barcode:
         }
         for d, bars in self._intervals.items():
             for b, e in bars:
-                if not b <= e:
-                    raise ValueError(f"degree {d} interval ({b}, {e}) has birth > death")
+                if not (math.isfinite(b) and b <= e):
+                    raise ValueError(f"degree {d} interval ({b}, {e}) needs a finite "
+                                     f"birth at most its death")
 
     def degrees(self) -> list[int]:
         return sorted(self._intervals)
@@ -364,13 +326,13 @@ def read_barcode(path) -> Barcode:
     return Barcode(intervals)
 
 
-def write_barcode_svg(path, barcode: Barcode, width: int = 900) -> None:
+def write_barcode_svg(path, barcode: Barcode) -> None:
     """One panel per degree, horizontal bars along the shared r-axis."""
     degrees = barcode.degrees()
     finite = [e for d in degrees for _, e in barcode.intervals(d) if e != INF]
     births = [b for d in degrees for b, _ in barcode.intervals(d)]
     r_hi = max(finite + births + [1.0]) * 1.05 or 1.0
-    left, right, bar_h, gap, panel_pad = 60.0, width - 20.0, 6.0, 4.0, 28.0
+    left, right, bar_h, gap, panel_pad = 60.0, SVG_WIDTH - 20.0, 6.0, 4.0, 28.0
 
     def x_of(r: float) -> float:
         return left + (right - left) * (r / r_hi)
@@ -405,9 +367,9 @@ def write_barcode_svg(path, barcode: Barcode, width: int = 900) -> None:
     body = "\n".join(rows)
     with open(path, "w") as fh:
         fh.write(
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-            f'height="{height:.0f}" viewBox="0 0 {width} {height:.0f}">\n'
-            f'<rect width="{width}" height="{height:.0f}" fill="white"/>\n'
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" '
+            f'height="{height:.0f}" viewBox="0 0 {SVG_WIDTH} {height:.0f}">\n'
+            f'<rect width="{SVG_WIDTH}" height="{height:.0f}" fill="white"/>\n'
             f'<line x1="{left}" y1="{axis_y:.1f}" x2="{right}" y2="{axis_y:.1f}" '
             f'stroke="#333"/>\n{ticks}\n{body}\n</svg>\n'
         )

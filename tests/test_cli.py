@@ -244,10 +244,12 @@ def test_persist_matches_library(tmp_path):
     ("1 2\n0 0\n0 1\n1.5 1.5\n", "filt.txt:4: invalid literal for int()"),
     ("1 2\nabc 1\n", "filt.txt:2: could not convert string to float"),
     ("1 x\n0 0\n", "malformed filtration header"),
+    ("0 1\ninf 0\n", "filtration value inf at position 0 is not finite"),
+    ("0 2\n0 0\n-inf 1\n", "filtration value -inf at position 1 is not finite"),
 ], ids=["unsorted-vertices", "label-range", "row-order", "duplicate-row", "header-dim",
         "edge-before-vertices", "missing-vertex", "missing-edge", "label-above-int32",
         "label-wraps-to-zero", "label-above-int64", "label-not-int", "label-float",
-        "value-not-float", "header-not-int"])
+        "value-not-float", "header-not-int", "value-inf", "value-minus-inf"])
 def test_persist_rejects_malformed_filtration(tmp_path, capsys, text, message):
     filt_path = tmp_path / "filt.txt"
     filt_path.write_text(text)
@@ -306,6 +308,13 @@ def test_window_requires_target_or_space(tmp_path, capsys):
     code = run(["window", "--barcode", str(barcode_file(tmp_path))])
     assert code == 2
     assert "required" in capsys.readouterr().err
+
+
+def test_window_rejects_bar_born_at_infinity(tmp_path, capsys):
+    path = tmp_path / "barcode.csv"
+    path.write_text("degree,birth,death\n0,inf,inf\n")
+    assert run(["window", "--barcode", str(path), "--target", "0"]) == 2
+    assert "degree 0 interval (inf, inf) needs a finite birth" in capsys.readouterr().err
 
 
 def test_window_report_file(tmp_path):

@@ -121,9 +121,19 @@ def test_rips_complete_complex_count():
 def test_rips_canonical_order():
     rng = np.random.default_rng(2)
     cloud = rng.standard_normal((9, 3))
-    f = complexes.vietoris_rips(cloud, 2.5, 3)
-    keys = [(s.value, s.dim, s.vertices) for s in f.simplices()]
-    assert keys == sorted(keys)
+    # points repeated three times, and witness edges clamped to 0, tie
+    # vertices, edges and triangles at one value: the dimension orders them
+    tripled = np.repeat(rng.standard_normal((4, 2)), 3, axis=0)
+    witnesses = rng.standard_normal((200, 2))
+    landmarks = complexes.maxmin_landmarks(witnesses, 10, rng)
+    builds = [complexes.vietoris_rips(cloud, 2.5, 3), complexes.vietoris_rips(tripled, 1.5, 3),
+              complexes.witness_filtration(witnesses, landmarks, 0.5, 3)]
+    for f in builds:
+        keys = [(s.value, s.dim, s.vertices) for s in f.simplices()]
+        assert keys == sorted(keys)
+        f.validate()
+    for f in builds[1:]:
+        assert {0, 1, 2} <= set(f.dims[f.values == 0.0].tolist())
 
 
 def test_rips_rejects_bad_input():
@@ -189,7 +199,7 @@ def test_filtration_validate_catches_violations():
     bad.validate()
     missing = Filtration(
         np.array([0.0, 1.0]), np.array([0, 1]),
-        np.array([[0, -1], [0, 1]]), vertex_count=2, presorted=True)
+        np.array([[0, -1], [0, 1]]), vertex_count=2)
     with pytest.raises(ValueError):
         missing.validate()
 

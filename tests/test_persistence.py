@@ -126,7 +126,7 @@ def test_build_boundary_matches_brute_force_facets(monkeypatch):
     # the same complex with labels spread above 65535: an increasing map
     # keeps the canonical order, so the rows must not change
     spread = np.where(f.verts >= 0, 70_000 + 9_000 * f.verts, -1)
-    wide = Filtration(f.values, f.dims, spread, vertex_count=140_000, presorted=True)
+    wide = Filtration(f.values, f.dims, spread, vertex_count=140_000)
     wide.validate()
     for filtration in (f, wide):
         matrix = persistence.build_boundary(filtration)
@@ -157,7 +157,7 @@ def test_facet_index_property(tmp_path_factory, kind, points, max_dim, r_max, se
         # blocks of 3 cofacet columns build each coboundary in several blocks
         mp.setattr(persistence, "BLOCK", 3)
         optimized = persistence.reduce_boundary(matrix)
-    naive = persistence.reduce_boundary(matrix, optimized=False)
+    naive = persistence._reduce_columns(matrix)
     assert np.array_equal(optimized.pairs, naive.pairs)
     assert np.array_equal(optimized.essential, naive.essential)
     # Euler identity: the alternating sums of simplex counts and of Betti
@@ -197,14 +197,14 @@ def test_facet_index_property(tmp_path_factory, kind, points, max_dim, r_max, se
     # the face enters after its coface: the canonical order lists it later
     values = f.values.copy()
     values[face] = f.values[j] + 1.0
-    late = Filtration(values, f.dims, f.verts, f.vertex_count)
+    order = np.lexsort((*f.verts.T[::-1], f.dims, values))
+    late = Filtration(values[order], f.dims[order], f.verts[order], f.vertex_count)
     with pytest.raises(persistence.MissingFace, match="listed at or after"):
         late.validate()
     with pytest.raises(persistence.MissingFace):
         persistence.build_boundary(late)
     keep = np.arange(len(f)) != face
-    gone = Filtration(f.values[keep], f.dims[keep], f.verts[keep], f.vertex_count,
-                      presorted=True)
+    gone = Filtration(f.values[keep], f.dims[keep], f.verts[keep], f.vertex_count)
     with pytest.raises(persistence.MissingFace, match="missing from"):
         gone.validate()
     with pytest.raises(persistence.MissingFace):
@@ -242,6 +242,25 @@ def non_flag_complexes():
     yield "vertices only", Filtration.from_simplices(
         [Simplex((v,), 0.5) for v in range(3)], vertex_count=3)
 
+    # degree 0, where the younger of two merging components dies: vertices
+    # entering at distinct and tied nonzero values, three components joined
+    # late, edges tied with their vertices, an isolated vertex entering last
+    entry = [0.4, 0.0, 0.3, 0.1, 0.2, 0.3, 0.3, 0.9]
+    simplices = [Simplex((v,), t) for v, t in enumerate(entry)]
+    simplices += [Simplex(e, t) for e, t in (((0, 1), 0.5), ((1, 2), 0.5), ((3, 4), 0.2),
+                                             ((5, 6), 0.3), ((2, 3), 0.6), ((4, 5), 0.7),
+                                             ((0, 6), 0.8), ((0, 2), 0.5))]
+    simplices.append(Simplex((0, 1, 2), 0.5))
+    yield "components", Filtration.from_simplices(simplices, vertex_count=8)
+    graphs = np.random.default_rng(8)
+    for trial in range(30):
+        n = int(graphs.integers(2, 10))
+        entry = graphs.integers(0, 4, n) / 2.0
+        simplices = [Simplex((v,), float(t)) for v, t in enumerate(entry)]
+        simplices += [Simplex(e, float(max(entry[list(e)]) + graphs.integers(0, 3) / 2.0))
+                      for e in itertools.combinations(range(n), 2) if graphs.random() < 0.4]
+        yield f"graph {trial}", Filtration.from_simplices(simplices, vertex_count=n)
+
     rng = np.random.default_rng(7)
     for trial in range(40):
         n = int(rng.integers(4, 9))
@@ -263,7 +282,7 @@ def test_optimized_equals_naive_on_non_flag_complexes(monkeypatch):
     for name, f in non_flag_complexes():
         matrix = persistence.build_boundary(f)
         fast = persistence.reduce_boundary(matrix)
-        slow = persistence.reduce_boundary(matrix, optimized=False)
+        slow = persistence._reduce_columns(matrix)
         assert np.array_equal(fast.pairs, slow.pairs), name
         assert np.array_equal(fast.essential, slow.essential), name
         non_flag += flag_closure_differs(f)
@@ -329,8 +348,8 @@ def test_optimized_equals_naive_pairing():
     for trial in range(200):
         f = random_filtration(rng)
         matrix = persistence.build_boundary(f)
-        fast = persistence.reduce_boundary(matrix, optimized=True)
-        slow = persistence.reduce_boundary(matrix, optimized=False)
+        fast = persistence.reduce_boundary(matrix)
+        slow = persistence._reduce_columns(matrix)
         assert np.array_equal(fast.pairs, slow.pairs)
         assert np.array_equal(fast.essential, slow.essential)
 
@@ -422,8 +441,9 @@ def test_barcode_max_dim_cutoff():
 
 
 def test_barcode_class_validation():
-    with pytest.raises(ValueError):
-        persistence.Barcode({0: [(2.0, 1.0)]})
+    for bars in ([(2.0, 1.0)], [(INF, INF)], [(-INF, 1.0)], [(math.nan, 1.0)]):
+        with pytest.raises(ValueError, match="finite birth at most its death"):
+            persistence.Barcode({0: bars})
     bc = persistence.Barcode({1: [(0.5, 2.0), (0.25, 1.0)]})
     assert bc.intervals(1) == [(0.25, 1.0), (0.5, 2.0)]
     assert bc.max_degree == 1
