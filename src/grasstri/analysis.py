@@ -87,7 +87,7 @@ def simplex_count_at(filtration: complexes.Filtration, r: float) -> int:
     return int(np.count_nonzero(filtration.values <= r))
 
 
-_SPACES = ("rp2-r4", "rp2-r5", "rp3")
+_SPACES = {"rp2-r4": (3, 1), "rp2-r5": (3, 1), "rp3": (4, 1)}
 
 
 @dataclass(frozen=True)
@@ -100,17 +100,18 @@ class ExperimentConfig:
     from clique skeletons die at their birth value instead of polluting
     the profile. proportions (biased Grassmann sampling only) lists one
     weight per cell dimension 0..k(n-k). top_dim is the highest degree the
-    window detector checks and defaults to the smaller of max_dim and the
-    manifold dimension.
+    window detector checks: at most, and by default, the smaller of max_dim
+    and the manifold dimension. The pipeline command and config files take
+    their defaults from here.
     """
 
     space: str
     sample_size: int
-    kind: str  # "rips" | "witness"
-    r_max: float
-    max_dim: int
-    seed: int
-    output_dir: str
+    kind: str = "rips"  # "rips" | "witness"
+    r_max: float = INF
+    max_dim: int = 2
+    seed: int = 0
+    output_dir: str = "grasstri-out"
     landmark_count: int | None = None
     landmark_method: str | None = None
     proportions: tuple[float, ...] | None = None
@@ -121,14 +122,22 @@ class ExperimentConfig:
         parse_space(self.space)
         if self.sample_size < 1:
             raise ValueError("sample_size must be positive")
+        if self.max_dim < 0:
+            raise ValueError("max_dim must be nonnegative")
+        bound = min(self.max_dim, space_dimension(self.space))
+        if self.top_dim is None:
+            object.__setattr__(self, "top_dim", bound)
+        elif not 0 <= self.top_dim <= bound:
+            raise ValueError(f"top_dim must lie in [0, {bound}], the smaller of max_dim "
+                             f"and the dimension of {self.space}")
         if self.kind not in ("rips", "witness"):
             raise ValueError(f"unknown complex kind {self.kind!r}")
         # the builders' own checks, made here before any file is written
         if self.kind == "witness":
             if not self.r_max >= 0:  # also rejects nan
                 raise ValueError("r_max must be nonnegative")
-            if self.landmark_count is None or self.landmark_count < 2:
-                raise ValueError("witness experiments need landmark_count >= 2")
+            if self.landmark_count is None or not 2 <= self.landmark_count <= self.sample_size:
+                raise ValueError("witness experiments need 2 <= landmark_count <= sample_size")
             method = self.landmark_method or "maxmin"
             if method not in complexes.LANDMARKS:
                 raise ValueError(f"unknown landmark method {method!r}")
@@ -157,28 +166,19 @@ def parse_space(space: str) -> tuple[str, tuple[int, ...]]:
     raise ValueError(f"unknown space {space!r}")
 
 
-def space_dimension(space: str) -> int:
+def grassmannian(space: str) -> grassmann.GrassmannParams:
+    """The Grassmannian G_k(R^n) a space name stands for; RP^m is G_1(R^(m+1))."""
     family, args = parse_space(space)
-    if family == "rp2-r4" or family == "rp2-r5":
-        return 2
-    if family == "rp3":
-        return 3
-    n, k = args
-    return k * (n - k)
+    return grassmann.GrassmannParams(*(args or _SPACES[family]))
+
+
+def space_dimension(space: str) -> int:
+    return grassmannian(space).dimension
 
 
 def target_profile(space: str, top_dim: int | None = None) -> BettiProfile:
-    """Mod-2 Betti targets: Grassmann profiles directly, RP^m as lines in R^(m+1)."""
-    family, args = parse_space(space)
-    if family == "grassmann":
-        n, k = args
-    elif family == "rp3":
-        n, k = 4, 1
-    else:
-        n, k = 3, 1
-    if top_dim is None:
-        top_dim = space_dimension(space)
-    return grassmann.betti_mod2(grassmann.GrassmannParams(n, k), top_dim)
+    """Mod-2 Betti numbers of the space's Grassmannian in degrees 0..top_dim."""
+    return grassmann.betti_mod2(grassmannian(space), top_dim)
 
 
 def sample_space(space: str, count: int, rng: np.random.Generator,
@@ -245,9 +245,8 @@ def run_pipeline(config: ExperimentConfig) -> PipelineResult:
     persistence.write_barcode(paths["barcode"], barcode)
     persistence.write_barcode_svg(paths["svg"], barcode)
 
-    top_dim = config.top_dim if config.top_dim is not None else \
-        min(config.max_dim, space_dimension(config.space))
-    report = matching_windows(barcode, target_profile(config.space, top_dim), top_dim)
+    report = matching_windows(barcode, target_profile(config.space, config.top_dim),
+                              config.top_dim)
     write_window_report(paths["report"], report)
     return PipelineResult(report, barcode, filtration, landmarks, paths)
 

@@ -9,7 +9,7 @@ Exit codes: 0 success, 2 usage or input error, 3 no matching window,
 from __future__ import annotations
 
 import argparse
-import math
+import dataclasses
 import sys
 
 import numpy as np
@@ -23,17 +23,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-def _parse_proportions(raw: str) -> tuple[float, ...]:
-    return tuple(float(t) for t in raw.replace(",", " ").split())
-
-
-def _parse_target(raw: str) -> tuple[int, ...]:
-    return tuple(int(t) for t in raw.replace(",", " ").split())
+def _parse_list(raw: str, type) -> tuple:
+    """Numbers separated by commas or whitespace."""
+    return tuple(type(t) for t in raw.replace(",", " ").split())
 
 
 def _cmd_sample(args) -> int:
     rng = np.random.default_rng(args.seed)
-    proportions = _parse_proportions(args.proportions) if args.proportions else None
+    proportions = _parse_list(args.proportions, float) if args.proportions else None
     cloud = analysis.sample_space(args.space, args.count, rng, proportions)
     grassmann.write_cloud(args.out, cloud)
     return 0
@@ -78,16 +75,14 @@ def _cmd_persist(args) -> int:
 def _cmd_window(args) -> int:
     barcode = persistence.read_barcode(args.barcode)
     if args.target:
-        target = _parse_target(args.target)
-        top_dim = args.top_dim if args.top_dim is not None else len(target) - 1
+        target = _parse_list(args.target, int)
     elif args.space:
-        top_dim = args.top_dim if args.top_dim is not None else \
-            analysis.space_dimension(args.space)
-        target = analysis.target_profile(args.space, top_dim)
+        target = analysis.target_profile(args.space, args.top_dim)
     else:
         print("grasstri window: error: one of --target or --space is required",
               file=sys.stderr)
         return 2
+    top_dim = args.top_dim if args.top_dim is not None else len(target) - 1
     report = analysis.matching_windows(barcode, target, top_dim)
     if args.out:
         analysis.write_window_report(args.out, report)
@@ -98,8 +93,13 @@ def _cmd_window(args) -> int:
     return 0 if report.windows else 3
 
 
+_CONFIG_TYPES = {"sample_size": int, "r_max": float, "max_dim": int, "seed": int,
+                 "landmark_count": int, "proportions": lambda raw: _parse_list(raw, float),
+                 "top_dim": int, "max_simplices": int}
+
+
 def _config_from_file(path: str) -> analysis.ExperimentConfig:
-    """Flat key = value lines; # starts a comment; keys match ExperimentConfig."""
+    """Flat key = value lines, # comments; keys and defaults as in ExperimentConfig."""
     raw: dict[str, str] = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -110,28 +110,15 @@ def _config_from_file(path: str) -> analysis.ExperimentConfig:
             if not sep:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             raw[key.strip()] = value.strip()
-    def take(key, conv, default=None):
-        return conv(raw.pop(key)) if key in raw else default
-    try:
-        config = analysis.ExperimentConfig(
-            space=raw.pop("space"),
-            sample_size=take("sample_size", int, 0),
-            kind=take("kind", str, "rips"),
-            r_max=take("r_max", float, math.inf),
-            max_dim=take("max_dim", int, 2),
-            seed=take("seed", int, 0),
-            output_dir=take("output_dir", str, "grasstri-out"),
-            landmark_count=take("landmark_count", int),
-            landmark_method=take("landmark_method", str),
-            proportions=take("proportions", _parse_proportions),
-            top_dim=take("top_dim", int),
-            max_simplices=take("max_simplices", int, analysis.DEFAULT_MAX_SIMPLICES),
-        )
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing config key {exc.args[0]!r}") from None
-    if raw:
-        raise ValueError(f"{path}: unknown config keys: {', '.join(sorted(raw))}")
-    return config
+    fields = dataclasses.fields(analysis.ExperimentConfig)
+    unknown = sorted(set(raw) - {f.name for f in fields})
+    if unknown:
+        raise ValueError(f"{path}: unknown config keys: {', '.join(unknown)}")
+    for f in fields:
+        if f.default is dataclasses.MISSING and f.name not in raw:
+            raise ValueError(f"{path}: missing config key {f.name!r}")
+    return analysis.ExperimentConfig(
+        **{key: _CONFIG_TYPES.get(key, str)(value) for key, value in raw.items()})
 
 
 def _cmd_pipeline(args) -> int:
@@ -147,7 +134,7 @@ def _cmd_pipeline(args) -> int:
                   file=sys.stderr)
             return 2
         outdir = args.outdir or f"grasstri-{args.space}-seed{args.seed}"
-        proportions = _parse_proportions(args.proportions) if args.proportions else None
+        proportions = _parse_list(args.proportions, float) if args.proportions else None
         config = analysis.ExperimentConfig(
             space=args.space, sample_size=args.points, kind=args.complex,
             r_max=args.r_max, max_dim=args.max_dim, seed=args.seed,
@@ -192,7 +179,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("rips", help="Vietoris-Rips filtration from a cloud file")
     p.add_argument("--cloud", required=True)
-    p.add_argument("--r-max", type=float, default=math.inf)
+    p.add_argument("--r-max", type=float, default=analysis.INF)
     p.add_argument("--max-dim", type=int, required=True,
                    help="top simplex dimension (one above the degree of interest)")
     p.add_argument("--max-simplices", type=int, default=analysis.DEFAULT_MAX_SIMPLICES)
@@ -202,11 +189,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("witness", help="witness filtration from a cloud file")
     p.add_argument("--cloud", required=True)
     p.add_argument("--landmark-count", type=int, required=True)
-    p.add_argument("--landmark-method", choices=("maxmin", "random"),
+    p.add_argument("--landmark-method", choices=sorted(complexes.LANDMARKS),
                    default="maxmin")
     p.add_argument("--seed", type=int, required=True,
                    help="landmark selection seed (the pipeline uses its seed + 1)")
-    p.add_argument("--r-max", type=float, default=math.inf)
+    p.add_argument("--r-max", type=float, default=analysis.INF)
     p.add_argument("--max-dim", type=int, required=True,
                    help="top simplex dimension (one above the degree of interest)")
     p.add_argument("--max-simplices", type=int, default=analysis.DEFAULT_MAX_SIMPLICES)
@@ -233,13 +220,14 @@ def build_parser() -> _Parser:
     p.add_argument("--config", help="flat key = value config file")
     p.add_argument("--space")
     p.add_argument("--points", type=int, default=200)
-    p.add_argument("--complex", choices=("rips", "witness"), default="rips")
-    p.add_argument("--r-max", type=float, default=math.inf)
-    p.add_argument("--max-dim", type=int, default=2,
+    defaults = analysis.ExperimentConfig
+    p.add_argument("--complex", choices=("rips", "witness"), default=defaults.kind)
+    p.add_argument("--r-max", type=float, default=defaults.r_max)
+    p.add_argument("--max-dim", type=int, default=defaults.max_dim,
                    help="top homology degree; simplices go one dimension higher")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=defaults.seed)
     p.add_argument("--landmark-count", type=int, default=None)
-    p.add_argument("--landmark-method", choices=("maxmin", "random"), default=None)
+    p.add_argument("--landmark-method", choices=sorted(complexes.LANDMARKS), default=None)
     p.add_argument("--proportions")
     p.add_argument("--top-dim", type=int, default=None)
     p.add_argument("--max-simplices", type=int, default=analysis.DEFAULT_MAX_SIMPLICES)

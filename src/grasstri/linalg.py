@@ -15,6 +15,7 @@ import numpy as np
 ORTHONORMAL_TOL = 1e-10
 PROJECTION_TOL = 1e-9
 DEPENDENCE_TOL = 1e-12  # gram_schmidt's least residual norm, relative to the vector's
+DISTANCE_ROWS = 256  # rows of ``points`` per block of pairwise_distances
 
 
 class LinearDependence(ValueError):
@@ -102,8 +103,7 @@ def projection_matrix(frames) -> np.ndarray:
     return (p + np.swapaxes(p, -1, -2)) / 2.0
 
 
-def pairwise_distances(points: np.ndarray, others: np.ndarray | None = None,
-                       chunk: int = 256) -> np.ndarray:
+def pairwise_distances(points: np.ndarray, others: np.ndarray | None = None) -> np.ndarray:
     """All Euclidean distances between rows of ``points`` and rows of ``others``.
 
     Row-chunked so large clouds never materialize a cubic intermediate.
@@ -113,7 +113,7 @@ def pairwise_distances(points: np.ndarray, others: np.ndarray | None = None,
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise DimensionMismatch("point arrays must be 2-d with equal width")
     out = np.empty((a.shape[0], b.shape[0]))
-    for i in range(0, a.shape[0], chunk):
-        diff = a[i:i + chunk, None, :] - b[None, :, :]
-        out[i:i + chunk] = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    for i in range(0, a.shape[0], DISTANCE_ROWS):
+        diff = a[i:i + DISTANCE_ROWS, None, :] - b[None, :, :]
+        out[i:i + DISTANCE_ROWS] = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
     return out

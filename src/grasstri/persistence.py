@@ -32,6 +32,7 @@ class BoundaryMatrix:
 
     Column j occupies ``col_rows[col_ptr[j]:col_ptr[j+1]]``, sorted ascending;
     a d-simplex column holds its d+1 facet positions, a vertex column is empty.
+    ``dims`` and ``values`` are the filtration's own arrays; nothing mutates them.
     """
 
     col_ptr: np.ndarray
@@ -55,7 +56,7 @@ def build_boundary(filtration: Filtration) -> BoundaryMatrix:
     col_ptr = np.zeros(len(filtration) + 1, dtype=np.int64)
     np.cumsum(counts, out=col_ptr[1:])
     col_rows = np.empty(int(col_ptr[-1]), dtype=np.int64)
-    matrix = BoundaryMatrix(col_ptr, col_rows, dims.copy(), filtration.values.copy())
+    matrix = BoundaryMatrix(col_ptr, col_rows, dims, filtration.values)
     index = FacetIndex(filtration)
     for d in range(1, filtration.max_dim + 1):
         cols = np.flatnonzero(dims == d)

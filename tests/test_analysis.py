@@ -280,6 +280,15 @@ def test_config_rejections():
         base_config(landmark_method="maxmin")
     with pytest.raises(ValueError):
         base_config(proportions=(1.0, 1.0, 1.0))
+    with pytest.raises(ValueError, match="landmark_count"):
+        base_config(kind="witness", sample_size=20, landmark_count=21)
+    with pytest.raises(ValueError, match="max_dim"):
+        base_config(max_dim=-1)
+    # top_dim is bounded by both max_dim and the space dimension
+    for space, max_dim, top_dim, bound in (("rp2-r4", 1, 2, 1), ("rp2-r4", 3, 3, 2),
+                                           ("grassmann-4-2", 2, 4, 2), ("rp3", 2, -1, 2)):
+        with pytest.raises(ValueError, match=rf"top_dim must lie in \[0, {bound}\]"):
+            base_config(space=space, max_dim=max_dim, top_dim=top_dim)
     # the r_max each builder rejects: rips needs r_max > 0, witness r_max >= 0
     for r_max in (math.nan, -1.0, 0.0):
         with pytest.raises(ValueError, match="r_max"):

@@ -1,5 +1,7 @@
 """Tests for the command-line interface: every subcommand plus exit codes."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,23 @@ def test_pipeline_bad_r_max_writes_nothing(tmp_path, capsys, complex_kind, r_max
         argv += ["--landmark-count", "8"]
     assert run(argv) == 2
     assert "r_max" in capsys.readouterr().err
+    assert not outdir.exists() or not any(outdir.iterdir())
+
+
+@pytest.mark.parametrize("options, message", [
+    (["--space", "grassmann-4-2", "--points", "300", "--complex", "witness",
+      "--landmark-count", "30", "--max-dim", "2", "--top-dim", "4"],
+     r"top_dim must lie in \[0, 2\]"),
+    (["--space", "rp2-r4", "--max-dim", "-1"], "max_dim"),
+    (["--space", "rp2-r4", "--max-dim", "1", "--top-dim", "5"], r"top_dim must lie in \[0, 1\]"),
+    (["--space", "rp2-r4", "--points", "20", "--complex", "witness",
+      "--landmark-count", "50"], "landmark_count"),
+], ids=["top-dim-above-max-dim", "negative-max-dim", "top-dim-above-both",
+        "landmarks-exceed-points"])
+def test_pipeline_bad_options_write_nothing(tmp_path, capsys, options, message):
+    outdir = tmp_path / "run"
+    assert run(["pipeline", *options, "--outdir", str(outdir)]) == 2
+    assert re.search(message, capsys.readouterr().err)
     assert not outdir.exists() or not any(outdir.iterdir())
 
 
@@ -375,6 +394,25 @@ def test_pipeline_config_file(tmp_path, capsys):
     assert (outdir / "report.txt").exists()
     parsed = analysis.read_window_report(outdir / "report.txt")
     assert parsed.target == (1, 1)
+
+
+def test_pipeline_config_defaults_match_flag_defaults(tmp_path, capsys):
+    # both front ends leave kind, r_max, max_dim and seed to ExperimentConfig
+    config = tmp_path / "exp.cfg"
+    config.write_text(f"space = rp2-r4\nsample_size = 12\noutput_dir = {tmp_path / 'cfg'}\n")
+    code = run(["pipeline", "--config", str(config)])
+    assert run(["pipeline", "--space", "rp2-r4", "--points", "12",
+                "--outdir", str(tmp_path / "flags")]) == code
+    for name in ("barcode.csv", "report.txt"):
+        assert (tmp_path / "cfg" / name).read_bytes() == \
+            (tmp_path / "flags" / name).read_bytes()
+
+
+def test_pipeline_config_missing_sample_size(tmp_path, capsys):
+    config = tmp_path / "exp.cfg"
+    config.write_text("space = rp3\n")
+    assert run(["pipeline", "--config", str(config)]) == 2
+    assert "missing config key 'sample_size'" in capsys.readouterr().err
 
 
 def test_pipeline_config_and_space_conflict(tmp_path, capsys):

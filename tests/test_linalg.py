@@ -84,26 +84,30 @@ def test_projection_matrix_properties():
         assert np.max(np.abs(p @ frame - frame)) < 1e-12
 
 
-def test_pairwise_distances_against_direct_loop():
+def test_pairwise_distances_against_direct_loop(monkeypatch):
     rng = np.random.default_rng(6)
     a = rng.standard_normal((17, 4))
     b = rng.standard_normal((9, 4))
-    got = linalg.pairwise_distances(a, b, chunk=5)
+    monkeypatch.setattr(linalg, "DISTANCE_ROWS", 5)
+    got = linalg.pairwise_distances(a, b)
     for i in range(17):
         for j in range(9):
             assert got[i, j] == pytest.approx(np.linalg.norm(a[i] - b[j]), abs=1e-12)
-    square = linalg.pairwise_distances(a, chunk=4)
+    monkeypatch.setattr(linalg, "DISTANCE_ROWS", 4)
+    square = linalg.pairwise_distances(a)
     assert square.shape == (17, 17)
     assert np.allclose(square, square.T)
     assert np.all(np.diag(square) == 0.0)
 
 
-def test_pairwise_distances_chunk_boundaries():
+def test_pairwise_distances_chunk_boundaries(monkeypatch):
     rng = np.random.default_rng(7)
     a = rng.standard_normal((10, 3))
-    full = linalg.pairwise_distances(a, chunk=1000)
-    for chunk in (1, 3, 10):
-        assert np.array_equal(linalg.pairwise_distances(a, chunk=chunk), full)
+    monkeypatch.setattr(linalg, "DISTANCE_ROWS", 1000)
+    full = linalg.pairwise_distances(a)
+    for rows in (1, 3, 10):
+        monkeypatch.setattr(linalg, "DISTANCE_ROWS", rows)
+        assert np.array_equal(linalg.pairwise_distances(a), full)
 
 
 def test_pairwise_distances_rejects_mismatched_width():
