@@ -8,7 +8,6 @@ matching set is computed exactly: evaluate on each piece and merge.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -16,9 +15,10 @@ import numpy as np
 
 from . import complexes, grassmann, persistence
 
-INF = math.inf
+INF = np.inf
 
 DEFAULT_MAX_SIMPLICES = 5_000_000
+DEFAULT_LANDMARK_METHOD = "maxmin"  # witness landmarks, for pipeline and witness alike
 
 BettiProfile = tuple[int, ...]
 
@@ -46,33 +46,22 @@ def matching_windows(barcode: persistence.Barcode, target, top_dim: int) -> Wind
 
     The profile is constant on each [c_i, c_{i+1}) between consecutive
     critical values, so evaluating at every c_i (plus 0 when the first
-    critical value is positive) classifies each piece; adjacent matching
-    pieces merge into maximal windows, the last extending to +inf.
+    critical value is positive) classifies each piece; each run of matching
+    pieces is one maximal window, the last extending to +inf.
     """
     target = tuple(int(x) for x in target)
     if len(target) != top_dim + 1:
         raise ValueError(f"target needs entries for degrees 0..{top_dim}")
-    crit: set[float] = set()
-    for d in range(top_dim + 1):
-        for b, e in barcode.intervals(d):
-            crit.add(b)
-            if e != INF:
-                crit.add(e)
-    critical = tuple(sorted(crit))
-    points = list(critical)
-    if not points or points[0] > 0.0:
-        points.insert(0, 0.0)
-
-    windows: list[tuple[float, float]] = []
-    for i, r in enumerate(points):
-        if persistence.betti_at(barcode, r, top_dim) != target:
-            continue
-        hi = points[i + 1] if i + 1 < len(points) else INF
-        if windows and windows[-1][1] == r:
-            windows[-1] = (windows[-1][0], hi)
-        else:
-            windows.append((r, hi))
-    return WindowReport(target, top_dim, critical, tuple(windows))
+    keep = barcode.dims <= top_dim
+    ends = np.concatenate([barcode.births[keep], barcode.deaths[keep]])
+    critical = np.unique(ends[ends != INF])
+    points = critical if len(critical) and critical[0] <= 0.0 else np.append(0.0, critical)
+    hit = np.all(persistence.betti_profile(barcode, points, top_dim) == target, axis=1)
+    # a run of matching points starts where hit rises and ends where it falls
+    steps = np.diff(np.concatenate([[0], hit.astype(np.int8), [0]]))
+    bounds = np.append(points, INF)
+    windows = zip(bounds[steps == 1].tolist(), bounds[steps == -1].tolist())
+    return WindowReport(target, top_dim, tuple(critical.tolist()), tuple(windows))
 
 
 def export_complex(filtration: complexes.Filtration, r: float) -> list[complexes.Simplex]:
@@ -138,7 +127,7 @@ class ExperimentConfig:
                 raise ValueError("r_max must be nonnegative")
             if self.landmark_count is None or not 2 <= self.landmark_count <= self.sample_size:
                 raise ValueError("witness experiments need 2 <= landmark_count <= sample_size")
-            method = self.landmark_method or "maxmin"
+            method = self.landmark_method or DEFAULT_LANDMARK_METHOD
             if method not in complexes.LANDMARKS:
                 raise ValueError(f"unknown landmark method {method!r}")
             object.__setattr__(self, "landmark_method", method)

@@ -190,7 +190,7 @@ def build_parser() -> _Parser:
     p.add_argument("--cloud", required=True)
     p.add_argument("--landmark-count", type=int, required=True)
     p.add_argument("--landmark-method", choices=sorted(complexes.LANDMARKS),
-                   default="maxmin")
+                   default=analysis.DEFAULT_LANDMARK_METHOD)
     p.add_argument("--seed", type=int, required=True,
                    help="landmark selection seed (the pipeline uses its seed + 1)")
     p.add_argument("--r-max", type=float, default=analysis.INF)
@@ -246,7 +246,7 @@ def main(argv=None) -> int:
     except complexes.ResourceLimit as exc:
         print(f"grasstri: resource limit: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:  # overflow: an integer field too large
         print(f"grasstri: error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,7 +15,7 @@ import numpy as np
 ORTHONORMAL_TOL = 1e-10
 PROJECTION_TOL = 1e-9
 DEPENDENCE_TOL = 1e-12  # gram_schmidt's least residual norm, relative to the vector's
-DISTANCE_ROWS = 256  # rows of ``points`` per block of pairwise_distances
+DISTANCE_BYTES = 2**22  # difference-array bytes per block of pairwise_distances
 
 
 class LinearDependence(ValueError):
@@ -106,14 +106,15 @@ def projection_matrix(frames) -> np.ndarray:
 def pairwise_distances(points: np.ndarray, others: np.ndarray | None = None) -> np.ndarray:
     """All Euclidean distances between rows of ``points`` and rows of ``others``.
 
-    Row-chunked so large clouds never materialize a cubic intermediate.
+    Row-chunked so that a block's difference array stays within DISTANCE_BYTES.
     """
     a = np.asarray(points, dtype=float)
     b = a if others is None else np.asarray(others, dtype=float)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise DimensionMismatch("point arrays must be 2-d with equal width")
     out = np.empty((a.shape[0], b.shape[0]))
-    for i in range(0, a.shape[0], DISTANCE_ROWS):
-        diff = a[i:i + DISTANCE_ROWS, None, :] - b[None, :, :]
-        out[i:i + DISTANCE_ROWS] = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    rows = max(1, DISTANCE_BYTES // max(1, 8 * b.size))
+    for i in range(0, a.shape[0], rows):
+        diff = a[i:i + rows, None, :] - b[None, :, :]
+        out[i:i + rows] = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
     return out

@@ -12,14 +12,13 @@ the boundary matrix, which stays as the reference (``_reduce_columns``).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .complexes import FacetIndex, Filtration, MissingFace  # MissingFace: raised by build_boundary
 
-INF = math.inf
+INF = np.inf
 BLOCK = 1 << 15   # columns looked up at once by build_boundary and _coboundary
 
 SVG_WIDTH = 900   # pixels
@@ -234,36 +233,49 @@ def _reduce_columns(matrix: BoundaryMatrix) -> Pairing:
 
 
 class Barcode:
-    """Intervals per homological degree, sorted by (birth, death)."""
+    """Arrays ``dims`` (homology degree), ``births`` and ``deaths`` (inf if essential),
+    sorted by (degree, birth, death); from {degree: [(birth, death)]} or ``from_arrays``."""
 
     def __init__(self, intervals: dict[int, list[tuple[float, float]]]):
-        self._intervals = {
-            int(d): sorted((float(b), float(e)) for b, e in bars)
-            for d, bars in intervals.items() if bars
-        }
-        for d, bars in self._intervals.items():
-            for b, e in bars:
-                if not (math.isfinite(b) and b <= e):
-                    raise ValueError(f"degree {d} interval ({b}, {e}) needs a finite "
-                                     f"birth at most its death")
+        rows = [(int(d), b, e) for d, bars in intervals.items() for b, e in bars]
+        self._store(*np.array(rows, dtype=float).reshape(-1, 3).T)
+
+    @classmethod
+    def from_arrays(cls, dims, births, deaths) -> Barcode:
+        barcode = cls.__new__(cls)
+        barcode._store(dims, births, deaths)
+        return barcode
+
+    def _store(self, dims, births, deaths) -> None:
+        dims = np.asarray(dims, dtype=np.int64)
+        births, deaths = np.asarray(births, dtype=float), np.asarray(deaths, dtype=float)
+        order = np.lexsort((deaths, births, dims))
+        self.dims, self.births, self.deaths = dims[order], births[order], deaths[order]
+        bad = ~(np.isfinite(self.births) & (self.births <= self.deaths)) | (self.dims < 0)
+        if bad.any():
+            d, b, e = (column[bad][0] for column in (self.dims, self.births, self.deaths))
+            raise ValueError(f"degree {d} interval ({b}, {e}) needs a finite birth at most "
+                             f"its death and a degree of at least 0")
 
     def degrees(self) -> list[int]:
-        return sorted(self._intervals)
+        return np.unique(self.dims).tolist()
 
     def intervals(self, degree: int) -> list[tuple[float, float]]:
-        return list(self._intervals.get(degree, []))
+        mine = self.dims == degree
+        return list(zip(self.births[mine].tolist(), self.deaths[mine].tolist()))
 
     @property
     def max_degree(self) -> int:
-        return max(self._intervals, default=0)
+        return int(self.dims[-1]) if len(self.dims) else 0
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Barcode):
             return NotImplemented
-        return self._intervals == other._intervals
+        return (np.array_equal(self.dims, other.dims) and np.array_equal(self.births, other.births)
+                and np.array_equal(self.deaths, other.deaths))
 
     def __repr__(self) -> str:
-        parts = [f"H{d}:{len(bars)}" for d, bars in sorted(self._intervals.items())]
+        parts = [f"H{d}:{np.count_nonzero(self.dims == d)}" for d in self.degrees()]
         return f"Barcode({', '.join(parts)})"
 
 
@@ -273,66 +285,64 @@ def pairing_to_barcode(pairing: Pairing, filtration: Filtration,
     in degrees 0..max_dim."""
     if max_dim is None:
         max_dim = filtration.max_dim
+    if max_dim < 0:
+        raise ValueError(f"max_dim must be nonnegative, got {max_dim}")
     values, dims = filtration.values, filtration.dims
     births, deaths = pairing.pairs[:, 0], pairing.pairs[:, 1]
     finite = values[births] != values[deaths]
     starts = np.concatenate([births[finite], pairing.essential])
     ends = np.concatenate([values[deaths[finite]], np.full(len(pairing.essential), INF)])
     keep = dims[starts] <= max_dim
-    starts, ends = starts[keep], ends[keep]
-    degrees = dims[starts]
-    return Barcode({
-        d: list(zip(values[starts[degrees == d]].tolist(), ends[degrees == d].tolist()))
-        for d in np.unique(degrees).tolist()
-    })
+    return Barcode.from_arrays(dims[starts[keep]], values[starts[keep]], ends[keep])
 
 
 def barcodes(filtration: Filtration, max_dim: int | None = None) -> Barcode:
     """Persistent homology of the filtration in degrees 0..max_dim."""
+    if max_dim is not None and max_dim < 0:  # checked before the reduction, too
+        raise ValueError(f"max_dim must be nonnegative, got {max_dim}")
     pairing = reduce_boundary(build_boundary(filtration))
     return pairing_to_barcode(pairing, filtration, max_dim)
 
 
+def betti_profile(barcode: Barcode, points, top_dim: int) -> np.ndarray:
+    """Betti numbers in degrees 0..top_dim, one row per parameter r of ``points``.
+    A bar counts at r when birth <= r < death; every bar dead by r was born by
+    r, so a degree's number is its births <= r minus its deaths <= r."""
+    profile = np.empty((len(points), top_dim + 1), dtype=np.int64)
+    for d in range(top_dim + 1):
+        mine = barcode.dims == d  # its births stay sorted
+        profile[:, d] = (np.searchsorted(barcode.births[mine], points, side="right")
+                         - np.searchsorted(np.sort(barcode.deaths[mine]), points, side="right"))
+    return profile
+
+
 def betti_at(barcode: Barcode, r: float, top_dim: int | None = None) -> tuple[int, ...]:
     """Betti numbers at parameter r: intervals with birth <= r < death."""
-    if top_dim is None:
-        top_dim = barcode.max_degree
-    return tuple(
-        sum(1 for b, e in barcode.intervals(d) if b <= r < e)
-        for d in range(top_dim + 1)
-    )
+    top = barcode.max_degree if top_dim is None else top_dim
+    return tuple(betti_profile(barcode, [r], top)[0].tolist())
 
 
 def write_barcode(path, barcode: Barcode) -> None:
-    """CSV rows ``degree,birth,death``; death is the token inf for essential bars."""
+    """CSV rows ``degree,birth,death``; ``%.17g`` writes an essential bar's death as inf."""
+    rows = zip(barcode.dims.tolist(), barcode.births.tolist(), barcode.deaths.tolist())
     with open(path, "w") as fh:
         fh.write("degree,birth,death\n")
-        for d in barcode.degrees():
-            for b, e in barcode.intervals(d):
-                death = "inf" if e == INF else f"{e:.17g}"
-                fh.write(f"{d},{b:.17g},{death}\n")
+        fh.write("".join(map("%d,%.17g,%.17g\n".__mod__, rows)))
 
 
 def read_barcode(path) -> Barcode:
-    intervals: dict[int, list[tuple[float, float]]] = {}
     with open(path) as fh:
         header = fh.readline().strip()
         if header != "degree,birth,death":
             raise ValueError(f"unexpected barcode header: {header!r}")
-        for line in fh:
-            if not line.strip():
-                continue
-            deg, birth, death = line.strip().split(",")
-            intervals.setdefault(int(deg), []).append((float(birth), float(death)))
-    return Barcode(intervals)
+        rows = [line.strip().split(",") for line in fh if line.strip()]
+    return Barcode.from_arrays(*np.array(rows, dtype=str).reshape(len(rows), 3).T)
 
 
 def write_barcode_svg(path, barcode: Barcode) -> None:
     """One panel per degree, horizontal bars along the shared r-axis."""
-    degrees = barcode.degrees()
-    finite = [e for d in degrees for _, e in barcode.intervals(d) if e != INF]
-    births = [b for d in degrees for b, _ in barcode.intervals(d)]
-    r_hi = max(finite + births + [1.0]) * 1.05 or 1.0
+    ends = np.concatenate([barcode.births, barcode.deaths[barcode.deaths != INF]])
+    r_hi = float(np.max(ends, initial=1.0)) * 1.05
     left, right, bar_h, gap, panel_pad = 60.0, SVG_WIDTH - 20.0, 6.0, 4.0, 28.0
 
     def x_of(r: float) -> float:
@@ -340,7 +350,7 @@ def write_barcode_svg(path, barcode: Barcode) -> None:
 
     rows = []
     y = 10.0
-    for d in degrees:
+    for d in barcode.degrees():
         color = _SVG_COLORS[d % len(_SVG_COLORS)]
         bars = barcode.intervals(d)
         rows.append(f'<text x="8" y="{y + 14:.1f}" font-size="13" '

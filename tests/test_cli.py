@@ -289,6 +289,16 @@ def test_persist_default_max_dim(tmp_path):
     assert stored == persistence.barcodes(filtration)
 
 
+def test_persist_negative_max_dim_writes_nothing(tmp_path, capsys):
+    filt_path = tmp_path / "filt.txt"
+    complexes.write_filtration(filt_path, complexes.vietoris_rips(circle_cloud(6), 2.5, 2))
+    csv_path = tmp_path / "barcode.csv"
+    assert run(["persist", "--filtration", str(filt_path), "--max-dim", "-1",
+                "--out-csv", str(csv_path), "--out-svg", str(tmp_path / "b.svg")]) == 2
+    assert "max_dim must be nonnegative" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["filt.txt"]
+
+
 # ---------------------------------------------------------------------------
 # window
 
@@ -334,6 +344,15 @@ def test_window_rejects_bar_born_at_infinity(tmp_path, capsys):
     path.write_text("degree,birth,death\n0,inf,inf\n")
     assert run(["window", "--barcode", str(path), "--target", "0"]) == 2
     assert "degree 0 interval (inf, inf) needs a finite birth" in capsys.readouterr().err
+
+
+def test_window_rejects_negative_degree(tmp_path, capsys):
+    path = tmp_path / "barcode.csv"
+    path.write_text("degree,birth,death\n-1,0,1\n0,0,inf\n")
+    assert run(["window", "--barcode", str(path), "--target", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "degree -1 interval (0.0, 1.0) needs" in err
+    assert "a degree of at least 0" in err
 
 
 def test_window_report_file(tmp_path):

@@ -88,12 +88,13 @@ def test_pairwise_distances_against_direct_loop(monkeypatch):
     rng = np.random.default_rng(6)
     a = rng.standard_normal((17, 4))
     b = rng.standard_normal((9, 4))
-    monkeypatch.setattr(linalg, "DISTANCE_ROWS", 5)
+    # a row of the difference array against b is 9 * 4 * 8 bytes: 5 rows a block
+    monkeypatch.setattr(linalg, "DISTANCE_BYTES", 5 * 9 * 4 * 8)
     got = linalg.pairwise_distances(a, b)
     for i in range(17):
         for j in range(9):
             assert got[i, j] == pytest.approx(np.linalg.norm(a[i] - b[j]), abs=1e-12)
-    monkeypatch.setattr(linalg, "DISTANCE_ROWS", 4)
+    monkeypatch.setattr(linalg, "DISTANCE_BYTES", 4 * 17 * 4 * 8)
     square = linalg.pairwise_distances(a)
     assert square.shape == (17, 17)
     assert np.allclose(square, square.T)
@@ -103,10 +104,12 @@ def test_pairwise_distances_against_direct_loop(monkeypatch):
 def test_pairwise_distances_chunk_boundaries(monkeypatch):
     rng = np.random.default_rng(7)
     a = rng.standard_normal((10, 3))
-    monkeypatch.setattr(linalg, "DISTANCE_ROWS", 1000)
+    row_bytes = 10 * 3 * 8
+    monkeypatch.setattr(linalg, "DISTANCE_BYTES", 1000 * row_bytes)
     full = linalg.pairwise_distances(a)
-    for rows in (1, 3, 10):
-        monkeypatch.setattr(linalg, "DISTANCE_ROWS", rows)
+    # below one row still takes a row; then 1, 3 and all 10 rows a block
+    for budget in (1, row_bytes, 3 * row_bytes + 7, 10 * row_bytes):
+        monkeypatch.setattr(linalg, "DISTANCE_BYTES", budget)
         assert np.array_equal(linalg.pairwise_distances(a), full)
 
 

@@ -69,6 +69,30 @@ def rank_oracle_betti(filtration, r, top_dim):
     )
 
 
+def brute_betti(barcode, r, top_dim):
+    """Betti numbers at r by a loop over every bar: the reference for betti_profile."""
+    return tuple(sum(1 for b, e in barcode.intervals(d) if b <= r < e)
+                 for d in range(top_dim + 1))
+
+
+def brute_windows(barcode, target, top_dim):
+    """Maximal windows by a scan of the pieces between critical values, each
+    classified by brute_betti at its left end."""
+    ends = {x for d in range(top_dim + 1) for bar in barcode.intervals(d) for x in bar}
+    points = sorted(ends - {INF})
+    if not points or points[0] > 0.0:
+        points.insert(0, 0.0)
+    windows = []
+    for r, hi in zip(points, points[1:] + [INF]):
+        if brute_betti(barcode, r, top_dim) != tuple(target):
+            continue
+        if windows and windows[-1][1] == r:
+            windows[-1] = (windows[-1][0], hi)
+        else:
+            windows.append((r, hi))
+    return tuple(windows)
+
+
 def test_build_boundary_tetrahedron():
     f = tetrahedron_filtration()
     matrix = persistence.build_boundary(f)
@@ -172,14 +196,14 @@ def test_facet_index_property(tmp_path_factory, kind, points, max_dim, r_max, se
     # the windows of a profile the filtration attains hold exactly where the
     # pointwise Betti numbers equal it
     distinct = np.unique(f.values)
-    target = persistence.betti_at(barcode, float(distinct[pick % len(distinct)]), f.max_dim)
+    target = brute_betti(barcode, float(distinct[pick % len(distinct)]), f.max_dim)
     report = analysis.matching_windows(barcode, target, f.max_dim)
     assert report.windows
     points = [0.0, *report.critical_values]
     probes = points + [(a + b) / 2 for a, b in zip(points, points[1:])] + [points[-1] + 1.0]
     for r in probes:
         inside = any(a <= r < b for a, b in report.windows)
-        assert inside == (persistence.betti_at(barcode, r, f.max_dim) == target)
+        assert inside == (brute_betti(barcode, r, f.max_dim) == target)
 
     first = tmp_path_factory.getbasetemp() / "facet_property_1.txt"
     second = tmp_path_factory.getbasetemp() / "facet_property_2.txt"
@@ -314,6 +338,41 @@ def test_tetrahedron_betti_profiles():
     assert persistence.betti_at(bc, 5.0) == (1, 0, 1)
     assert persistence.betti_at(bc, 100.0) == (1, 0, 1)
     assert persistence.betti_at(bc, -1.0) == (0, 0, 0)
+
+
+# endpoints on a coarse grid, so that births and deaths tie within and
+# across degrees; a death is its birth plus a length, zero and inf included
+GRID = st.integers(0, 6).map(lambda k: k / 4)
+BARS = st.lists(st.tuples(st.integers(0, 3), GRID, st.one_of(GRID, st.just(INF))),
+                max_size=25)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=BARS, top_dim=st.integers(0, 4), pick=st.integers(0, 10**6),
+       attained=st.booleans())
+def test_betti_profile_and_windows_match_brute_force(rows, top_dim, pick, attained):
+    intervals = {}
+    for d, birth, length in rows:
+        intervals.setdefault(d, []).append((birth, birth + length))
+    bc = persistence.Barcode(intervals)
+    ends = sorted({x for bars in intervals.values() for bar in bars for x in bar})
+    # every endpoint, every midpoint between them, below 0, beyond them, inf
+    points = ends + [(a + b) / 2 for a, b in zip(ends, ends[1:])] + [-1.0, 0.0, 5.0, INF]
+    profile = persistence.betti_profile(bc, points, top_dim)
+    assert profile.shape == (len(points), top_dim + 1)
+    assert [tuple(row) for row in profile.tolist()] == \
+        [brute_betti(bc, r, top_dim) for r in points]
+    assert persistence.betti_at(bc, points[pick % len(points)], top_dim) == \
+        brute_betti(bc, points[pick % len(points)], top_dim)
+
+    if attained:
+        target = brute_betti(bc, points[pick % len(points)], top_dim)
+    else:
+        target = tuple(pick // 3**d % 3 for d in range(top_dim + 1))
+    report = analysis.matching_windows(bc, target, top_dim)
+    assert report.windows == brute_windows(bc, target, top_dim)
+    assert report.critical_values == tuple(sorted(
+        {x for d, bars in intervals.items() if d <= top_dim for bar in bars for x in bar} - {INF}))
 
 
 def test_vertices_only_all_essential():
