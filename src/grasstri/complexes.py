@@ -9,7 +9,6 @@ and the witness complex is the flag complex of the witnessed-edge graph.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -69,10 +68,11 @@ class Filtration:
     def from_simplices(cls, simplices, vertex_count: int) -> "Filtration":
         """Filtration of Simplex items given in any order."""
         items = sorted(simplices, key=lambda s: (s.value, len(s.vertices), s.vertices))
-        labels = [v for s in items for v in s.vertices]
-        _check_labels(labels, vertex_count)
-        filtration = _from_flat([s.value for s in items], [len(s.vertices) for s in items],
-                                labels, vertex_count)
+        _check_labels([v for s in items for v in s.vertices], vertex_count)
+        width = max([len(s.vertices) for s in items], default=1)
+        verts = [[*s.vertices, *[-1] * (width - len(s.vertices))] for s in items]
+        filtration = cls([s.value for s in items], [len(s.vertices) - 1 for s in items],
+                         np.reshape(verts, (-1, width)), vertex_count)
         filtration._check_order()
         return filtration
 
@@ -209,19 +209,6 @@ def _check_labels(labels, vertex_count: int) -> None:
     for v in labels:
         if not 0 <= v < bound:
             raise ValueError(f"vertex label {v} outside [0, {bound})")
-
-
-def _from_flat(values, sizes, labels, vertex_count: int) -> Filtration:
-    """Filtration from per-simplex values and vertex counts, with the vertex
-    labels of all simplices concatenated in ``labels``, in filtration order."""
-    sizes = np.asarray(sizes, dtype=np.int64)
-    labels = np.asarray(labels, dtype=np.int32)
-    starts = np.cumsum(sizes) - sizes
-    verts = np.full((len(sizes), int(sizes.max(initial=1))), -1, dtype=np.int32)
-    for c in range(verts.shape[1]):
-        has = np.flatnonzero(sizes > c)
-        verts[has, c] = labels[starts[has] + c]
-    return Filtration(values, sizes - 1, verts, vertex_count)
 
 
 # candidate-matrix bytes per block of _flag_expand: rows = EXPAND_BYTES // n
@@ -422,55 +409,163 @@ def witness_filtration(cloud, landmarks: LandmarkSet, r_max: float, max_dim: int
 
 # rows formatted and written per block by write_filtration
 WRITE_ROWS = 32_768
+# bytes read per chunk by read_filtration and grassmann.read_cloud
+READ_BYTES = 2**18
 
 
 def write_filtration(path, filtration: Filtration) -> None:
     """Text format: header ``dim_max vertex_count``, then ``value v0 ... vk`` lines.
 
-    Values are written with ``%.17g``, so they read back exactly. The rows
-    are formatted ``WRITE_ROWS`` at a time, in filtration order: within a
-    block, each dimension's lines come from one ``%`` format over its
-    columns and are scattered back to their rows, so the text held in
-    memory stays bounded by the block, not the file.
+    Values are written with ``%.17g``, so they read back exactly. Each block
+    of ``WRITE_ROWS`` rows formats each run of values with one bit pattern
+    once (so ``-0.0`` stays ``-0``) and each label it uses once, as
+    NUL-padded byte strings, gathers them row by row and writes the bytes
+    that are not NUL.
     """
-    values, dims, verts = filtration.values, filtration.dims, filtration.verts
-    top = filtration.max_dim
-    with open(path, "w") as fh:
-        fh.write(f"{top} {filtration.vertex_count}\n")
+    values, verts = filtration.values, filtration.verts
+    with open(path, "wb") as fh:
+        fh.write(b"%d %d\n" % (filtration.max_dim, filtration.vertex_count))
         for lo in range(0, len(filtration), WRITE_ROWS):
-            block = dims[lo:lo + WRITE_ROWS]
-            lines = np.empty(len(block), dtype=object)
-            for d in range(top + 1):
-                rows = np.flatnonzero(block == d)
-                cols = [values[lo + rows].tolist(), *verts[lo + rows, :d + 1].T.tolist()]
-                lines[rows] = list(map(("%.17g" + " %d" * (d + 1)).__mod__, zip(*cols)))
-            fh.write("\n".join(lines.tolist()) + "\n")
+            vals, block = values[lo:lo + WRITE_ROWS], verts[lo:lo + WRITE_ROWS]
+            new = np.r_[True, vals.view(np.int64)[1:] != vals.view(np.int64)[:-1]]
+            texts = np.array([b"%.17g" % v for v in vals[new].tolist()])
+            used, labels = np.unique(block, return_inverse=True)
+            names = np.array([b" %d" % v if v >= 0 else b"" for v in used.tolist()])
+            lines = np.column_stack([a.view(np.uint8).reshape(len(vals), -1) for a in (
+                texts[np.cumsum(new) - 1], names[labels], np.full(len(vals), b"\n"))])
+            fh.write(lines[lines != 0])
+
+
+def _token_chunks(fh, line: int):
+    """The lines of binary file ``fh`` from its position on, which starts
+    line number ``line``: first their count and bytes, then their tokens.
+
+    A chunk is ``READ_BYTES`` cut after its last line end (a missing final
+    one is supplied). Per chunk with tokens, yields its bytes as uint8,
+    padded with spaces by its longest token, the number of its first line,
+    its token start and end offsets, and the index of the first token of
+    each nonblank line. Whitespace is ASCII space, \\t, \\n, \\v, \\f and
+    \\r; lines end at \\n.
+    """
+    start, count, size, last = fh.tell(), 0, 0, b"\n"
+    for data in iter(lambda: fh.read(READ_BYTES), b""):
+        count, size, last = count + data.count(b"\n"), size + len(data), data[-1:]
+    fh.seek(start)
+    yield count + (last != b"\n"), size
+    rest = b""
+    while True:
+        data = fh.read(READ_BYTES)
+        buf = rest + (data or b"\n")
+        cut = buf.rfind(b"\n") + 1
+        rest, text = buf[cut:], np.frombuffer(buf, np.uint8, cut)
+        edges = np.flatnonzero(np.diff((text == 32) | ((text >= 9) & (text <= 13)),
+                                       prepend=True, append=True))
+        breaks = np.flatnonzero(text == 10)
+        first = np.r_[0, np.searchsorted(edges[::2], breaks)]  # first token after each break
+        if len(edges):
+            yield (np.concatenate((text, np.full(np.diff(edges)[::2].max(), 32, np.uint8))),
+                   line, edges[::2], edges[1::2], first[:-1][np.diff(first) > 0])
+        line += len(breaks)
+        if not data:
+            return
+
+
+def _floats(text, starts, ends):
+    """The tokens as floats, from one bytes-to-float cast of each run of
+    equal adjacent tokens; and the index of the first token the cast
+    rejects, in an array of at most one item."""
+    width = int((ends - starts).max())
+    words = np.lib.stride_tricks.sliding_window_view(text, width)[starts]
+    words[np.arange(width) >= (ends - starts)[:, None]] = 32  # the cast ignores spaces
+    new = np.flatnonzero(np.r_[True, (words[1:] != words[:-1]).any(axis=1)])
+    words = words[new].view(f"S{width}").ravel()
+    try:
+        return np.repeat(words.astype(float), np.diff(new, append=len(starts))), new[:0]
+    except ValueError:
+        lo, hi = 0, len(words)  # bisect for the first word the cast rejects
+        while hi - lo > 1:
+            try:
+                words[lo:(lo + hi) // 2].astype(float)
+                lo = (lo + hi) // 2
+            except ValueError:
+                hi = (lo + hi) // 2
+        return None, new[lo:hi]
+
+
+def _labels(text, starts, ends) -> np.ndarray:
+    """Tokens of ASCII decimal digits as labels, parsed in groups of one
+    length; -1 for a token that is not digits or is 2**31 or more."""
+    lens = ends - starts
+    labels = np.empty(len(starts), np.int64)
+    for width in np.flatnonzero(np.bincount(lens)):
+        group = np.flatnonzero(lens == width)
+        at, value, bad = starts[group], np.zeros(len(group), np.int64), np.zeros(len(group), bool)
+        for k in range(width):
+            digit = text[at + k] - 48  # above 9 for a byte that is not a digit
+            value = value * 10 + digit  # can wrap only once bad is set
+            bad |= (digit > 9) | (value >= 2**31)
+        labels[group] = np.where(bad, -1, value)
+    return labels
+
+
+def _token_error(path, chunk, index, parse=None, message: str = "") -> ValueError:
+    """An error about token ``index`` of ``chunk``, prefixed by ``PATH:LINE:``:
+    the one ``parse`` raises on the token, or else ``message``."""
+    text, line, starts, ends, _ = chunk
+    if parse:
+        token = text[starts[index]:ends[index]].tobytes().decode(errors="replace")
+        try:
+            parse(token)
+            message = f"cannot parse {token!r}"  # such as a non-ASCII digit float() reads
+        except ValueError as exc:
+            message = str(exc)
+    return ValueError(f"{path}:{line + np.count_nonzero(text[:starts[index]] == 10)}: {message}")
 
 
 def read_filtration(path) -> Filtration:
-    with open(path) as fh:
+    """Read write_filtration's format by chunks of lines (``_token_chunks``)
+    into arrays sized by the line count and the header's dim_max. A value is
+    a float token; a label is ASCII decimal digits."""
+    with open(path, "rb") as fh:
         try:
             dim_max, vertex_count = map(int, fh.readline().split())
         except ValueError:
             raise ValueError(f"malformed filtration header in {path}") from None
-        values, sizes, labels = array("d"), array("i"), array("i")
-        for lineno, line in enumerate(fh, 2):
-            toks = line.split()
-            if toks:
-                try:
-                    values.append(float(toks[0]))
-                    sizes.append(len(toks) - 1)
-                    labels.extend(map(int, toks[1:]))
-                except OverflowError:
-                    _check_labels(map(int, toks[1:]), vertex_count)
-                    raise
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: {exc}") from None
-    filtration = _from_flat(values, sizes, labels, vertex_count)
-    filtration._check_order()
-    if filtration.max_dim != dim_max:
-        raise ValueError(f"header of {path} gives dim_max {dim_max}, "
-                         f"the simplices reach {filtration.max_dim}")
+
+        def label(token):  # raises for a token _labels rejects
+            _check_labels([int(token)], vertex_count)
+            raise ValueError(f"{token!r} is not a label of ASCII decimal digits")
+
+        chunks = _token_chunks(fh, 2)
+        rows, size = next(chunks)
+        values, dims = np.empty(rows), np.empty(rows, np.int32)
+        # a row of k labels takes 2k + 1 bytes or more, so size // 2 + 1
+        # columns hold every row; a larger dim_max is wrong anyway
+        verts = np.full((rows, min(max(dim_max, 0), size // 2) + 1), -1, np.int32)
+        count = top = 0
+        for chunk in chunks:
+            text, _, starts, ends, heads = chunk
+            sizes = np.diff(heads, append=len(starts))
+            row = np.repeat(np.arange(len(heads)), sizes)
+            col = np.arange(len(starts)) - heads[row] - 1
+            lab = np.flatnonzero(col >= 0)
+            vals, bad = _floats(text, starts[heads], ends[heads])
+            labels = _labels(text, starts[lab], ends[lab])
+            wrong = np.r_[heads[bad], lab[labels < 0]]
+            if len(wrong):
+                i = wrong.min()
+                raise _token_error(path, chunk, i, float if col[i] < 0 else label)
+            fits = col[lab] < verts.shape[1]  # a wider row fails the dim_max check
+            verts[count + row[lab[fits]], col[lab[fits]]] = labels[fits]
+            values[count:count + len(heads)] = vals
+            dims[count:count + len(heads)] = sizes - 2
+            count += len(heads)
+            top = max(top, int(sizes.max()) - 2)
+    filtration = Filtration(values[:count], dims[:count], verts[:count], vertex_count)
+    if top <= dim_max:
+        filtration._check_order()
+    if top != dim_max:
+        raise ValueError(f"header of {path} gives dim_max {dim_max}, the simplices reach {top}")
     return filtration
 
 

@@ -13,6 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .complexes import _floats, _token_chunks, _token_error
 from .linalg import (
     PROJECTION_TOL,
     LinearDependence,
@@ -268,19 +269,26 @@ def write_cloud(path, points) -> None:
 
 
 def read_cloud(path) -> np.ndarray:
-    """Read a whitespace-separated point cloud; returns an (N, m) array."""
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([float(tok) for tok in line.split()])
-    if not rows:
-        return np.empty((0, 0))
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValueError(f"ragged point cloud in {path}")
-    cloud = np.array(rows)
+    """Read a point cloud, one point of whitespace-separated coordinates per
+    line, by chunks of lines (``complexes._token_chunks``); returns an (N, m)
+    array."""
+    with open(path, "rb") as fh:
+        chunks = _token_chunks(fh, 1)
+        rows, cloud, count = next(chunks)[0], np.empty((0, 0)), 0
+        for chunk in chunks:
+            text, _, starts, ends, heads = chunk
+            sizes = np.diff(heads, append=len(starts))
+            cloud = cloud if count else np.empty((rows, sizes[0]))
+            values, bad = _floats(text, starts, ends)
+            wrong = np.r_[bad, heads[sizes != cloud.shape[1]]]
+            if len(wrong) and wrong.min() in bad:
+                raise _token_error(path, chunk, wrong.min(), float)
+            if len(wrong):
+                raise _token_error(path, chunk, wrong.min(), message=(
+                    f"ragged point cloud, {cloud.shape[1]} coordinates on its first line"))
+            cloud[count:count + len(heads)] = values.reshape(len(heads), -1)
+            count += len(heads)
+    cloud = cloud[:count]
     bad = np.flatnonzero(~np.isfinite(cloud).all(axis=1))
     if len(bad):
         raise ValueError(f"non-finite coordinate in point {int(bad[0])} of {path}")

@@ -136,6 +136,19 @@ def test_rips_rejects_non_finite_cloud(tmp_path, capsys, token):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["rips", "witness"])
+def test_malformed_cloud_names_file_and_line(tmp_path, capsys, command):
+    cloud_path = tmp_path / "cloud.txt"
+    cloud_path.write_text("0.1 0.2\n\n0.3 x\n")
+    out = tmp_path / "f.txt"
+    argv = {"rips": ["rips", "--r-max", "2.0"],
+            "witness": ["witness", "--landmark-count", "2", "--seed", "0"]}
+    code = run([*argv[command], "--cloud", str(cloud_path), "--max-dim", "1", "--out", str(out)])
+    assert code == 2
+    assert f"{cloud_path}:3: could not convert string to float: 'x'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["rips", "witness", "pipeline", "pipeline-witness"])
 def test_nan_r_max_exits_2(tmp_path, capsys, command):
     cloud_path = tmp_path / "cloud.txt"
@@ -265,10 +278,15 @@ def test_persist_matches_library(tmp_path):
     ("1 x\n0 0\n", "malformed filtration header"),
     ("0 1\ninf 0\n", "filtration value inf at position 0 is not finite"),
     ("0 2\n0 0\n-inf 1\n", "filtration value -inf at position 1 is not finite"),
+    ("0 2\n0 0\n0 +1\n", "filt.txt:3: '+1' is not a label of ASCII decimal digits"),
+    ("0 2\n0 0\n0 -1\n", "filt.txt:3: vertex label -1 outside [0, 2)"),
+    ("0 11\n0 0\n0 1_0\n", "filt.txt:3: '1_0' is not a label of ASCII decimal digits"),
+    ("0 1\n0 000002147483648\n", "filt.txt:2: vertex label 2147483648 outside [0, 1)"),
 ], ids=["unsorted-vertices", "label-range", "row-order", "duplicate-row", "header-dim",
         "edge-before-vertices", "missing-vertex", "missing-edge", "label-above-int32",
         "label-wraps-to-zero", "label-above-int64", "label-not-int", "label-float",
-        "value-not-float", "header-not-int", "value-inf", "value-minus-inf"])
+        "value-not-float", "header-not-int", "value-inf", "value-minus-inf",
+        "label-plus-sign", "label-minus-sign", "label-underscore", "label-zero-padded"])
 def test_persist_rejects_malformed_filtration(tmp_path, capsys, text, message):
     filt_path = tmp_path / "filt.txt"
     filt_path.write_text(text)

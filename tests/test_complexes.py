@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -497,12 +498,12 @@ def reference_write_filtration(path, filtration):
             fh.write(f"{filtration.values[i]:.17g} {vs}\n")
 
 
-def assert_writes_reference(filtration, directory):
-    """write_filtration with 3-row blocks, which split dimensions and mix
-    them, gives the reference writer's bytes."""
+def assert_writes_reference(filtration, directory, rows=3):
+    """write_filtration with blocks of ``rows`` rows (3 by default, which
+    split dimensions and mix them) gives the reference writer's bytes."""
     ours, ref = directory / "block.txt", directory / "reference.txt"
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(complexes, "WRITE_ROWS", 3)
+        mp.setattr(complexes, "WRITE_ROWS", rows)
         complexes.write_filtration(ours, filtration)
     reference_write_filtration(ref, filtration)
     assert ours.read_bytes() == ref.read_bytes()
@@ -545,6 +546,20 @@ def test_write_filtration_edge_cases(tmp_path):
     path = assert_writes_reference(vertices, tmp_path)
     assert path.read_text() == "0 9\n" + "".join(f"0 {v}\n" for v in range(7))
 
+    # -0.0 and 0.0 compare equal, so they share a block and interleave in
+    # it; each keeps its own text
+    signed = Filtration.from_simplices(
+        [Simplex((0,), -0.0), Simplex((1,), 0.0), Simplex((2,), -0.0), Simplex((0, 1), -0.0),
+         Simplex((0, 2), 0.0), Simplex((1, 2), 0.5)], vertex_count=3)
+    path = assert_writes_reference(signed, tmp_path)
+    assert path.read_text().splitlines()[1:] == ["-0 0", "0 1", "-0 2", "-0 0 1", "0 0 2",
+                                                 "0.5 1 2"]
+    assert complexes.read_filtration(path).values.tobytes() == signed.values.tobytes()
+    # one distinct value in a block, and blocks of one and of three rows
+    for rows in (1, 3, complexes.WRITE_ROWS):
+        for f in (signed, vertices):
+            assert_writes_reference(f, tmp_path, rows)
+
 
 def test_write_filtration_memory_is_bounded(tmp_path, monkeypatch):
     f = complexes.vietoris_rips(np.random.default_rng(3).standard_normal((40, 3)), 2.2, 4)
@@ -560,6 +575,150 @@ def test_write_filtration_memory_is_bounded(tmp_path, monkeypatch):
         tracemalloc.stop()
     # a whole-file join would hold at least the file's text at once
     assert peak < path.stat().st_size / 4
+
+
+def reference_read_filtration(path):
+    """Token by token, one line at a time: the Filtration read_filtration
+    must return for every file it accepts."""
+    with open(path) as fh:
+        try:
+            dim_max, vertex_count = map(int, fh.readline().split())
+        except ValueError:
+            raise ValueError(f"malformed filtration header in {path}") from None
+        values, sizes, labels = [], [], []
+        for lineno, line in enumerate(fh, 2):
+            toks = line.split()
+            if toks:
+                try:
+                    values.append(float(toks[0]))
+                    sizes.append(len(toks) - 1)
+                    labels.extend(map(int, toks[1:]))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+    verts = np.full((len(sizes), max(sizes, default=1)), -1, dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    for i, (start, size) in enumerate(zip(starts, sizes)):
+        verts[i, :size] = labels[start:start + size]
+    filtration = Filtration(values, np.array(sizes, dtype=np.int64) - 1, verts, vertex_count)
+    filtration._check_order()
+    if filtration.max_dim != dim_max:
+        raise ValueError(f"header of {path} gives dim_max {dim_max}, "
+                         f"the simplices reach {filtration.max_dim}")
+    return filtration
+
+
+def random_filtration(kind, points, max_dim, r_max, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "rips":
+        return complexes.vietoris_rips(rng.standard_normal((points, 3)), r_max, max_dim)
+    cloud = rng.standard_normal((4 * points + 4, 3))
+    landmarks = complexes.maxmin_landmarks(cloud, points + 1, rng)
+    return complexes.witness_filtration(cloud, landmarks, r_max, max_dim)
+
+
+def respace(text: str, rng) -> bytes:
+    """The file ``text`` with other whitespace: tokens split by runs of
+    spaces, tabs, vertical tabs and form feeds, lines ended by LF or CRLF,
+    blank lines after the header, and sometimes no final line end."""
+    gaps = [" ", "  ", "\t", " \t ", "\v", "\f "]
+    out = []
+    for i, line in enumerate(text.splitlines()):
+        for _ in range(rng.choice([0, 0, 0, 1, 2]) if i else 0):  # the header comes first
+            out.append(rng.choice(["", " ", "\t"]) + rng.choice(["\n", "\r\n"]))
+        lead, trail = rng.choice(["", "", " ", "\t"]), rng.choice(["", "", " ", "\f"])
+        joined = "".join(tok + rng.choice(gaps) for tok in line.split())[:-1]
+        out.append(lead + joined.rstrip() + trail + rng.choice(["\n", "\r\n"]))
+    data = "".join(out)
+    return (data.rstrip("\r\n") if rng.random() < 0.5 else data).encode()
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["rips", "witness"]), points=st.integers(1, 9),
+       max_dim=st.integers(0, 4), r_max=st.floats(0.3, 3.0), seed=st.integers(0, 2**32 - 1),
+       read_bytes=st.sampled_from([1, 7, 64, complexes.READ_BYTES]))
+def test_read_filtration_matches_reference(tmp_path_factory, kind, points, max_dim, r_max,
+                                           seed, read_bytes):
+    f = random_filtration(kind, points, max_dim, r_max, seed)
+    directory = tmp_path_factory.mktemp("read")
+    plain, spaced = directory / "plain.txt", directory / "spaced.txt"
+    complexes.write_filtration(plain, f)
+    spaced.write_bytes(respace(plain.read_text(), random.Random(seed)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(complexes, "READ_BYTES", read_bytes)
+        for path in (plain, spaced):
+            back = complexes.read_filtration(path)
+            assert back == reference_read_filtration(path) == f
+            assert back.values.tobytes() == f.values.tobytes()
+
+
+@pytest.mark.parametrize("read_bytes", [1, 7, 64, complexes.READ_BYTES])
+@pytest.mark.parametrize("line, message", [
+    ("abc 198", "could not convert string to float: 'abc'"),
+    ("0 x", "invalid literal for int() with base 10: 'x'"),
+    ("0 +1", "'+1' is not a label of ASCII decimal digits"),
+    ("0 1_0", "'1_0' is not a label of ASCII decimal digits"),
+    ("0 -1", "vertex label -1 outside [0, 300)"),
+    ("0 00099999999999", "vertex label 99999999999 outside [0, 300)"),
+    ("0\t197 \t1.5\r", "invalid literal for int() with base 10: '1.5'"),
+], ids=["value", "label-letter", "label-plus", "label-underscore", "label-minus",
+        "label-above-int32", "label-float"])
+def test_read_filtration_locates_bad_token_after_chunk_boundary(tmp_path, read_bytes, line,
+                                                                message):
+    vertices = Filtration.from_simplices([Simplex((v,), 0.0) for v in range(300)], 300)
+    path = tmp_path / "f.txt"
+    complexes.write_filtration(path, vertices)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[199] = line + "\n"  # file line 200, past the first chunk at 64 bytes or less
+    lines[250] = "0 y\n"  # a later bad line is not the one reported
+    path.write_text("".join(lines))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(complexes, "READ_BYTES", read_bytes)
+        with pytest.raises(ValueError) as exc:
+            complexes.read_filtration(path)
+    assert str(exc.value) == f"{path}:200: {message}"
+
+
+def test_read_filtration_reports_first_bad_token_of_a_chunk(tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_text("1 3\n0 0\n0 1\n0 2\n0.5 0 z\nq 1\n")
+    with pytest.raises(ValueError, match=f"^{path}:5: invalid literal"):
+        complexes.read_filtration(path)
+    path.write_text("1 3\n0 0\n0 1\n0 2\nq 0 z\n")  # the value comes before the label
+    with pytest.raises(ValueError, match=f"^{path}:5: could not convert"):
+        complexes.read_filtration(path)
+
+
+def test_read_filtration_whitespace_and_label_syntax(tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_bytes(b"1  3\r\n\n \t0\v0\f\r\n0 0001\n\n0\t00000000002\n0.5 0 1")
+    assert complexes.read_filtration(path) == Filtration.from_simplices(
+        [Simplex((0,), 0.0), Simplex((1,), 0.0), Simplex((2,), 0.0), Simplex((0, 1), 0.5)], 3)
+    path.write_bytes(b"1 3\n0 0\n0 1\n0 2\n0.5 0 1 2\n")
+    with pytest.raises(ValueError, match="gives dim_max 1, the simplices reach 2"):
+        complexes.read_filtration(path)
+    path.write_bytes(b"100000000000 3\n0 0\n")  # verts stay bounded by the file's size
+    with pytest.raises(ValueError, match="gives dim_max 100000000000, the simplices reach 0"):
+        complexes.read_filtration(path)
+
+
+def test_read_filtration_memory_is_bounded(tmp_path, monkeypatch):
+    f = complexes.vietoris_rips(np.random.default_rng(3).standard_normal((45, 3)), 2.4, 4)
+    assert 40_000 < len(f) < 60_000
+    path = tmp_path / "filtration.txt"
+    complexes.write_filtration(path, f)
+    monkeypatch.setattr(complexes, "READ_BYTES", 2**16)
+    complexes.read_filtration(path)  # keeps one-time imports and caches out of the trace
+    tracemalloc.start()
+    try:
+        back = complexes.read_filtration(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    output = back.values.nbytes + back.dims.nbytes + back.verts.nbytes
+    # the output, the order check's masks (less than the output again) and
+    # the token arrays of a chunk; the 1.5 MB file read as one chunk peaks
+    # at about 30 MB
+    assert peak < 2 * output + 16 * complexes.READ_BYTES
 
 
 def test_landmarks_round_trip(tmp_path):

@@ -1,9 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from grasstri import grassmann, linalg
+from grasstri import complexes, grassmann, linalg
 from grasstri.grassmann import GrassmannParams
 
 
@@ -344,3 +347,48 @@ def test_read_cloud_edge_cases(tmp_path):
     ragged.write_text("1 2 3\n4 5\n")
     with pytest.raises(ValueError):
         grassmann.read_cloud(ragged)
+
+
+def test_read_cloud_locates_bad_lines(tmp_path, monkeypatch):
+    path = tmp_path / "cloud.txt"
+    path.write_bytes(b"\n 1\t2 \r\n\n3\v4\f\n5 6")
+    for read_bytes in (1, 5, complexes.READ_BYTES):
+        monkeypatch.setattr(complexes, "READ_BYTES", read_bytes)
+        assert np.array_equal(grassmann.read_cloud(path), [[1, 2], [3, 4], [5, 6]])
+        for text, message in [
+                ("1 2\n3 4\n0.3 x\n", "3: could not convert string to float: 'x'"),
+                ("1 2\n\n3 4 5\n", "3: ragged point cloud, 2 coordinates on its first line"),
+                ("1 2\n3\n4 y\n", "2: ragged point cloud"),
+                ("1 2\n3 4\n5 0x1p3\n", "3: could not convert string to float: '0x1p3'")]:
+            path.write_text(text)
+            with pytest.raises(ValueError, match=re.escape(f"{path}:{message}")):
+                grassmann.read_cloud(path)
+        path.write_bytes(b"\n 1\t2 \r\n\n3\v4\f\n5 6")
+    path.write_text("0 0\n1 nan\n")
+    with pytest.raises(ValueError, match="non-finite coordinate in point 1"):
+        grassmann.read_cloud(path)
+
+
+# bit patterns: any, positive subnormal, negative subnormal
+BIT_PATTERNS = st.one_of(st.integers(0, 2**64 - 1), st.integers(0, 2**52 - 1),
+                         st.integers(2**63, 2**63 + 2**52 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(bits=st.lists(BIT_PATTERNS, min_size=1, max_size=300),
+       read_bytes=st.sampled_from([7, 64, complexes.READ_BYTES]))
+@example(bits=[0, 2**63, 1, 2**63 + 1, 0x7FEFFFFFFFFFFFFF, 0xFFEFFFFFFFFFFFFF,
+               0x000FFFFFFFFFFFFF, 0x0010000000000000], read_bytes=64)
+def test_float_tokens_parse_as_float_does(tmp_path_factory, bits, read_bytes):
+    values = np.array(bits, dtype=np.uint64).view(float)
+    tokens = [t for v in values[np.isfinite(values)].tolist() for t in ("%.17g" % v, repr(v))]
+    assume(tokens)
+    expected = np.array([float(t) for t in tokens])
+    cast = np.array([t.encode() for t in tokens]).astype(float)
+    assert cast.view(np.int64).tolist() == expected.view(np.int64).tolist()
+    path = tmp_path_factory.mktemp("floats") / "cloud.txt"
+    path.write_text("\n".join(tokens) + "\n")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(complexes, "READ_BYTES", read_bytes)
+        cloud = grassmann.read_cloud(path)
+    assert cloud[:, 0].view(np.int64).tolist() == expected.view(np.int64).tolist()
