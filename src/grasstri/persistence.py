@@ -1,13 +1,15 @@
 """Persistent homology over Z/2 by sparse matrix reduction.
 
 The boundary matrix is stored column-compressed: one sorted row-index array
-per simplex, concatenated. The pairing is computed by cohomology: for each d
-from 0 up the coboundary columns of the d-simplices (the boundary matrix
-transposed, one dimension at a time) are reduced youngest first. Apparent
-pairs are registered before any column addition, and d-simplices that killed
-a class in degree d-1 are skipped (clearing), so the top dimension is never
-reduced. The pairing is identical to the naive left-to-right reduction of
-the boundary matrix, which stays as the reference (``_reduce_columns``).
+per simplex, concatenated. The pairing is computed by cohomology: one
+transpose gives the coboundary of every row, shared by all degrees, and for
+each d from 0 up the coboundary columns of the d-simplices are reduced
+youngest first. Apparent pairs are registered before any column addition,
+and d-simplices that killed a class in degree d-1 are skipped (clearing), so
+the top dimension is never reduced. The pairs are read off one row-indexed
+``owner`` array at the end. The pairing is identical to the naive
+left-to-right reduction of the boundary matrix, which stays as the reference
+(``_reduce_columns``).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from .complexes import FacetIndex, Filtration, MissingFace  # MissingFace: raised by build_boundary
 
 INF = np.inf
-BLOCK = 1 << 15   # columns looked up at once by build_boundary and _coboundary
+BLOCK = 1 << 15   # columns handled at once by build_boundary and _transpose
 
 SVG_WIDTH = 900   # pixels
 _SVG_COLORS = ("#1f6f8b", "#b55439", "#3d7a3d", "#7a4f9d", "#946b00", "#555555")
@@ -63,9 +65,7 @@ def build_boundary(filtration: Filtration) -> BoundaryMatrix:
             block = cols[lo:lo + BLOCK]
             rowmat = index.facet_rows(d, block)
             rowmat.sort(axis=1)
-            starts = col_ptr[block]
-            for p in range(d + 1):
-                col_rows[starts + p] = rowmat[:, p]
+            col_rows[col_ptr[block, None] + np.arange(d + 1)] = rowmat
     return matrix
 
 
@@ -89,110 +89,90 @@ def reduce_boundary(matrix: BoundaryMatrix) -> Pairing:
 
     It is the pairing of the naive left-to-right reduction of the boundary
     columns (``_reduce_columns``, the reference), computed from the
-    coboundary (de Silva, Morozov & Vejdemo-Johansson 2011): for
-    d = 0 .. top-1 the coboundary columns of the d-simplices, youngest
-    first, each pivoting on its oldest cofacet (``_pair_degree``). Apparent
-    pairs are registered in one vectorized pass before any column addition,
-    and a d-simplex that killed a class in degree d-1 is skipped (clearing),
-    so top-dimension simplices are only read as cofacets.
+    coboundary (de Silva, Morozov & Vejdemo-Johansson 2011): the matrix is
+    transposed once (``_transpose``), then ``_pair_degree`` pairs each degree
+    d = 0 .. top-1 into ``owner``, which maps a death row to its birth row.
     """
     m = len(matrix)
-    dims = matrix.dims
-    top = int(dims.max()) if m else 0
-    rank = np.empty(m, dtype=np.int32)  # a simplex's position within its dimension
-    for d in range(top + 1):
-        rows = np.flatnonzero(dims == d)
-        rank[rows] = np.arange(len(rows), dtype=np.int32)
-    killed = np.zeros(m, dtype=bool)
-    pairs = np.concatenate([_pair_degree(matrix, d, rank, killed)
-                            for d in range(max(top, 1))])
-    pairs = pairs[np.argsort(pairs[:, 0])]
-    return Pairing(pairs, np.flatnonzero(~killed), m)
+    ptr, cob = _transpose(matrix)
+    owner = np.full(m, -1, dtype=np.int32)
+    for d in range(int(matrix.dims.max()) if m else 0):
+        _pair_degree(matrix, d, ptr, cob, owner)
+    del ptr, cob  # freed before the pairs are read off
+    deaths = np.flatnonzero(owner >= 0)
+    births = owner[deaths].astype(np.int64)
+    owner[births] = deaths  # now every paired row holds its partner
+    order = np.argsort(births)
+    return Pairing(np.column_stack([births[order], deaths[order]]), np.flatnonzero(owner < 0), m)
 
 
-def _pair_degree(matrix: BoundaryMatrix, d: int, rank: np.ndarray,
-                 killed: np.ndarray) -> np.ndarray:
-    """Pairs of d-simplices with (d+1)-simplices by coboundary reduction.
+def _transpose(matrix: BoundaryMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """The coboundary: row r's cofacets are ``cob[ptr[r]:ptr[r+1]]``, ascending.
 
-    Columns are the d-simplices not yet killed, youngest first; a column's
-    pivot is its oldest cofacet. Apparent pairs (sigma's oldest cofacet tau
-    has sigma as its youngest facet) are registered in one pass before any
-    column addition. That is safe: no column younger than sigma has an entry
-    in row tau, so no sum of them reaches pivot tau. The working column is a
+    A counting sort of ``col_rows`` over BLOCK columns at a time keeps the
+    temporaries small; column indices are int32.
+    """
+    col_ptr, col_rows = matrix.col_ptr, matrix.col_rows
+    m = len(matrix)
+    # ptr[r+1] starts at row r's first slot and ends past its last one
+    ptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(col_rows, minlength=m)[:-1], out=ptr[2:])
+    cob = np.empty(len(col_rows), dtype=np.int32)
+    for lo in range(0, m, BLOCK):
+        hi = min(lo + BLOCK, m)
+        key = col_rows[col_ptr[lo]:col_ptr[hi]] * BLOCK
+        if not len(key):  # vertex columns only
+            continue
+        # one (row, column) key per entry, sorted: each row's columns ascend
+        key += np.repeat(np.arange(hi - lo), np.diff(col_ptr[lo:hi + 1]))
+        key.sort()
+        cols = key % BLOCK + lo
+        rows = np.floor_divide(key, BLOCK, out=key)
+        starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+        counts = np.diff(starts, append=len(rows))
+        runs = rows[starts]
+        dest = np.repeat(ptr[runs + 1] - starts, counts)
+        dest += np.arange(len(dest))
+        cob[dest] = cols
+        ptr[runs + 1] += counts
+        del key, cols, dest  # freed before the next block allocates its own
+    return ptr, cob
+
+
+def _pair_degree(matrix: BoundaryMatrix, d: int, ptr: np.ndarray, cob: np.ndarray,
+                 owner: np.ndarray) -> None:
+    """Pair d-simplices with (d+1)-simplices by coboundary reduction.
+
+    Columns are the d-simplices, youngest first; a column's pivot is its
+    oldest cofacet, and ``owner[pivot]`` becomes the column's row. Apparent
+    pairs (sigma's oldest cofacet tau has sigma as its youngest facet) are
+    registered in one pass before any column addition. That is safe: no
+    column younger than sigma has an entry in row tau, so no sum of them
+    reaches pivot tau. A d-simplex that killed a class in degree d-1 would
+    reduce to zero and is skipped (clearing). The working column is a
     sorted int array, so its pivot is its first entry.
     """
-    sig_rows = np.flatnonzero(matrix.dims == d)
-    tau_rows = np.flatnonzero(matrix.dims == d + 1)
-    ptr, cob = _coboundary(matrix, d, len(sig_rows), tau_rows, rank)
-    col_ptr, col_rows = matrix.col_ptr, matrix.col_rows
-
-    has = np.flatnonzero(ptr[1:] > ptr[:-1])
+    sig = np.flatnonzero(matrix.dims == d)
+    has = sig[ptr[sig + 1] > ptr[sig]]
     oldest = cob[ptr[has]]
-    youngest = rank[col_rows[col_ptr[tau_rows[oldest] + 1] - 1]]
-    apparent = youngest == has
-    owner = np.full(len(tau_rows), -1, dtype=np.int32)  # pivot -> column rank
+    apparent = matrix.col_rows[matrix.col_ptr[oldest + 1] - 1] == has
     owner[oldest[apparent]] = has[apparent]
-    # cleared columns (killed in degree d-1) would reduce to zero
-    todo = has[~apparent & ~killed[sig_rows[has]]]
+    todo = has[~apparent & (owner[has] < 0)]
 
-    reduced: dict[int, np.ndarray] = {}  # the columns that took an addition
-    found_b, found_d = [], []
+    reduced: dict[int, np.ndarray] = {}  # each paired column as reduced
     for s in todo[::-1].tolist():
         work = cob[ptr[s]:ptr[s + 1]]
-        added = False
         while len(work):
             pivot = int(work[0])
             o = int(owner[pivot])
             if o < 0:
                 owner[pivot] = s
-                if added:
-                    reduced[s] = work
-                found_b.append(s)
-                found_d.append(pivot)
+                reduced[s] = work
                 break
             other = reduced.get(o)
             if other is None:
                 other = cob[ptr[o]:ptr[o + 1]]
             work = np.setxor1d(work, other, assume_unique=True)
-            added = True
-    births = sig_rows[np.concatenate([has[apparent], np.array(found_b, dtype=np.int64)])]
-    deaths = tau_rows[np.concatenate([oldest[apparent], np.array(found_d, dtype=np.int64)])]
-    killed[births] = True
-    killed[deaths] = True
-    return np.column_stack([births, deaths])
-
-
-def _coboundary(matrix: BoundaryMatrix, d: int, count: int, tau_rows: np.ndarray,
-                rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cofacets of the d-simplices, by rank within their dimensions.
-
-    Returns (ptr, cob): the cofacet ranks of the d-simplex of rank s are
-    ``cob[ptr[s]:ptr[s+1]]``, ascending. A counting sort over BLOCK cofacet
-    columns at a time keeps the temporaries small; ranks are int32.
-    """
-    col_ptr, col_rows = matrix.col_ptr, matrix.col_rows
-    slots = np.arange(d + 2)
-
-    def facets(lo: int) -> np.ndarray:
-        return rank[col_rows[col_ptr[tau_rows[lo:lo + BLOCK], None] + slots]].ravel()
-
-    blocks = range(0, len(tau_rows), BLOCK)
-    counts = np.zeros(count, dtype=np.int64)
-    for lo in blocks:
-        counts += np.bincount(facets(lo), minlength=count)
-    ptr = np.zeros(count + 1, dtype=np.int64)
-    np.cumsum(counts, out=ptr[1:])
-    cob = np.empty(int(ptr[-1]), dtype=np.int32)
-    fill = ptr[:-1].copy()
-    for lo in blocks:
-        sig = facets(lo)
-        order = np.argsort(sig, kind="stable")
-        sig = sig[order]
-        # an entry's place among this block's entries of the same simplex
-        place = np.arange(len(sig)) - np.searchsorted(sig, sig)
-        cob[fill[sig] + place] = (order // (d + 2) + lo).astype(np.int32)
-        fill += np.bincount(sig, minlength=count)
-    return ptr, cob
 
 
 def _reduce_columns(matrix: BoundaryMatrix) -> Pairing:

@@ -307,6 +307,15 @@ def test_persist_default_max_dim(tmp_path):
     assert stored == persistence.barcodes(filtration)
 
 
+def test_persist_empty_filtration(tmp_path):
+    filt_path = tmp_path / "filt.txt"
+    filt_path.write_text("0 0\n")
+    csv_path = tmp_path / "barcode.csv"
+    assert run(["persist", "--filtration", str(filt_path),
+                "--out-csv", str(csv_path)]) == 0
+    assert csv_path.read_text() == "degree,birth,death\n"
+
+
 def test_persist_negative_max_dim_writes_nothing(tmp_path, capsys):
     filt_path = tmp_path / "filt.txt"
     complexes.write_filtration(filt_path, complexes.vietoris_rips(circle_cloud(6), 2.5, 2))

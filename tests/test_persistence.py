@@ -178,7 +178,7 @@ def test_facet_index_property(tmp_path_factory, kind, points, max_dim, r_max, se
     assert columns == brute_force_facet_rows(f)
 
     with pytest.MonkeyPatch.context() as mp:
-        # blocks of 3 cofacet columns build each coboundary in several blocks
+        # blocks of 3 columns build the one transpose shared by all degrees
         mp.setattr(persistence, "BLOCK", 3)
         optimized = persistence.reduce_boundary(matrix)
     naive = persistence._reduce_columns(matrix)
@@ -300,7 +300,7 @@ def non_flag_complexes():
 
 
 def test_optimized_equals_naive_on_non_flag_complexes(monkeypatch):
-    # blocks of 2 cofacet columns build each coboundary in several blocks
+    # blocks of 2 columns build the one transpose shared by all degrees
     monkeypatch.setattr(persistence, "BLOCK", 2)
     non_flag = 0
     for name, f in non_flag_complexes():
@@ -313,6 +313,43 @@ def test_optimized_equals_naive_on_non_flag_complexes(monkeypatch):
     # most inputs have a clique that is no simplex, which a reducer taking
     # every sigma + {v} for a cofacet would pair
     assert non_flag >= 20
+
+
+def brute_force_coboundary(matrix):
+    """Row r's cofacets: the columns that contain r, ascending."""
+    cofacets = [[] for _ in range(len(matrix))]
+    for j in range(len(matrix)):
+        for r in matrix.column(j).tolist():
+            cofacets[r].append(j)
+    return cofacets
+
+
+def transpose_inputs():
+    rng = np.random.default_rng(11)
+    yield "rips", complexes.vietoris_rips(rng.standard_normal((9, 3)), 2.0, 4)
+    cloud = rng.standard_normal((40, 3))
+    landmarks = complexes.maxmin_landmarks(cloud, 10, rng)
+    yield "witness", complexes.witness_filtration(cloud, landmarks, 1.5, 3)
+    yield from non_flag_complexes()
+    # more vertices than one default block, so the first block has no entries
+    n = persistence.BLOCK + 3
+    simplices = [Simplex((v,), 0.0) for v in range(n)]
+    simplices += [Simplex(e, 1.0) for e in ((0, 1), (0, 2), (1, 2), (n - 2, n - 1))]
+    simplices.append(Simplex((0, 1, 2), 2.0))
+    yield "vertex block", Filtration.from_simplices(simplices, vertex_count=n)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, None])
+def test_transpose_matches_brute_force_coboundary(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(persistence, "BLOCK", block)
+    for name, f in transpose_inputs():
+        matrix = persistence.build_boundary(f)
+        ptr, cob = persistence._transpose(matrix)
+        assert cob.dtype == np.int32 and ptr[0] == 0 and ptr[-1] == len(cob), name
+        assert len(ptr) == len(matrix) + 1, name
+        got = [cob[ptr[r]:ptr[r + 1]].tolist() for r in range(len(matrix))]
+        assert got == brute_force_coboundary(matrix), name
 
 
 def test_missing_face_is_one_class():
@@ -383,6 +420,15 @@ def test_vertices_only_all_essential():
     assert np.array_equal(pairing.essential, (0, 1, 2, 3, 4))
     bc = persistence.barcodes(f)
     assert bc.intervals(0) == [(float(v), INF) for v in range(5)]
+
+
+def test_empty_filtration():
+    f = Filtration.from_simplices([], vertex_count=0)
+    pairing = persistence.reduce_boundary(persistence.build_boundary(f))
+    assert pairing.pairs.shape == (0, 2) and pairing.pairs.dtype == np.int64
+    assert pairing.essential.shape == (0,) and pairing.essential.dtype == np.int64
+    assert pairing.size == 0
+    assert len(persistence.barcodes(f).dims) == 0
 
 
 def test_single_point_barcode():
