@@ -19,6 +19,7 @@ INF = np.inf
 
 DEFAULT_MAX_SIMPLICES = 5_000_000
 DEFAULT_LANDMARK_METHOD = "maxmin"  # witness landmarks, for pipeline and witness alike
+COMPLEX_KINDS = ("rips", "witness")  # ExperimentConfig.kind, pipeline --complex
 
 BettiProfile = tuple[int, ...]
 
@@ -96,7 +97,7 @@ class ExperimentConfig:
 
     space: str
     sample_size: int
-    kind: str = "rips"  # "rips" | "witness"
+    kind: str = "rips"  # one of COMPLEX_KINDS
     r_max: float = INF
     max_dim: int = 2
     seed: int = 0
@@ -119,7 +120,7 @@ class ExperimentConfig:
         elif not 0 <= self.top_dim <= bound:
             raise ValueError(f"top_dim must lie in [0, {bound}], the smaller of max_dim "
                              f"and the dimension of {self.space}")
-        if self.kind not in ("rips", "witness"):
+        if self.kind not in COMPLEX_KINDS:
             raise ValueError(f"unknown complex kind {self.kind!r}")
         # the builders' own checks, made here before any file is written
         if self.kind == "witness":

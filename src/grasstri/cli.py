@@ -133,14 +133,10 @@ def _cmd_pipeline(args) -> int:
             print("grasstri pipeline: error: --space (or --config) is required",
                   file=sys.stderr)
             return 2
-        outdir = args.outdir or f"grasstri-{args.space}-seed{args.seed}"
-        proportions = _parse_list(args.proportions, float) if args.proportions else None
-        config = analysis.ExperimentConfig(
-            space=args.space, sample_size=args.points, kind=args.complex,
-            r_max=args.r_max, max_dim=args.max_dim, seed=args.seed,
-            output_dir=outdir, landmark_count=args.landmark_count,
-            landmark_method=args.landmark_method, proportions=proportions,
-            top_dim=args.top_dim, max_simplices=args.max_simplices)
+        args.output_dir = args.output_dir or f"grasstri-{args.space}-seed{args.seed}"
+        args.proportions = _parse_list(args.proportions, float) if args.proportions else None
+        names = [f.name for f in dataclasses.fields(analysis.ExperimentConfig)]
+        config = analysis.ExperimentConfig(**{name: getattr(args, name) for name in names})
     result = analysis.run_pipeline(config)
     report = result.report
     print(f"target: {' '.join(str(t) for t in report.target)}")
@@ -177,28 +173,24 @@ def build_parser() -> _Parser:
     p.add_argument("--top-dim", type=int, default=None)
     p.set_defaults(func=_cmd_betti)
 
-    p = sub.add_parser("rips", help="Vietoris-Rips filtration from a cloud file")
-    p.add_argument("--cloud", required=True)
-    p.add_argument("--r-max", type=float, default=analysis.INF)
-    p.add_argument("--max-dim", type=int, required=True,
-                   help="top simplex dimension (one above the degree of interest)")
-    p.add_argument("--max-simplices", type=int, default=analysis.DEFAULT_MAX_SIMPLICES)
-    p.add_argument("--out", required=True)
+    build = argparse.ArgumentParser(add_help=False)  # the flags rips and witness share
+    build.add_argument("--cloud", required=True)
+    build.add_argument("--r-max", type=float, default=analysis.INF)
+    build.add_argument("--max-dim", type=int, required=True,
+                       help="top simplex dimension (one above the degree of interest)")
+    build.add_argument("--max-simplices", type=int, default=analysis.DEFAULT_MAX_SIMPLICES)
+    build.add_argument("--out", required=True)
+
+    p = sub.add_parser("rips", parents=[build], help="Vietoris-Rips filtration from a cloud file")
     p.set_defaults(func=_cmd_rips)
 
-    p = sub.add_parser("witness", help="witness filtration from a cloud file")
-    p.add_argument("--cloud", required=True)
+    p = sub.add_parser("witness", parents=[build], help="witness filtration from a cloud file")
     p.add_argument("--landmark-count", type=int, required=True)
     p.add_argument("--landmark-method", choices=sorted(complexes.LANDMARKS),
                    default=analysis.DEFAULT_LANDMARK_METHOD)
     p.add_argument("--seed", type=int, required=True,
                    help="landmark selection seed (the pipeline uses its seed + 1)")
-    p.add_argument("--r-max", type=float, default=analysis.INF)
-    p.add_argument("--max-dim", type=int, required=True,
-                   help="top simplex dimension (one above the degree of interest)")
-    p.add_argument("--max-simplices", type=int, default=analysis.DEFAULT_MAX_SIMPLICES)
     p.add_argument("--landmarks-out")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_witness)
 
     p = sub.add_parser("persist", help="barcode CSV (and SVG) from a filtration file")
@@ -219,9 +211,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("pipeline", help="run sample, build, persist, window in one go")
     p.add_argument("--config", help="flat key = value config file")
     p.add_argument("--space")
-    p.add_argument("--points", type=int, default=200)
+    p.add_argument("--points", dest="sample_size", metavar="POINTS", type=int, default=200)
     defaults = analysis.ExperimentConfig
-    p.add_argument("--complex", choices=("rips", "witness"), default=defaults.kind)
+    p.add_argument("--complex", dest="kind", choices=analysis.COMPLEX_KINDS, default=defaults.kind)
     p.add_argument("--r-max", type=float, default=defaults.r_max)
     p.add_argument("--max-dim", type=int, default=defaults.max_dim,
                    help="top homology degree; simplices go one dimension higher")
@@ -231,7 +223,7 @@ def build_parser() -> _Parser:
     p.add_argument("--proportions")
     p.add_argument("--top-dim", type=int, default=None)
     p.add_argument("--max-simplices", type=int, default=analysis.DEFAULT_MAX_SIMPLICES)
-    p.add_argument("--outdir")
+    p.add_argument("--outdir", dest="output_dir", metavar="OUTDIR")
     p.set_defaults(func=_cmd_pipeline)
     return parser
 

@@ -14,7 +14,8 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .linalg import pairwise_distances
+from . import linalg
+from .linalg import pairwise_distances  # a name here too: perfbench wraps it
 
 
 class EmptyCloud(ValueError):
@@ -211,10 +212,6 @@ def _check_labels(labels, vertex_count: int) -> None:
             raise ValueError(f"vertex label {v} outside [0, {bound})")
 
 
-# candidate-matrix bytes per block of _flag_expand: rows = EXPAND_BYTES // n
-EXPAND_BYTES = 2**22
-
-
 def _flag_expand(values: np.ndarray, within: np.ndarray, max_dim: int,
                  max_simplices: int | None) -> "Filtration":
     """Grow the flag complex of an edge-weighted graph up to max_dim.
@@ -236,7 +233,7 @@ def _flag_expand(values: np.ndarray, within: np.ndarray, max_dim: int,
     above = np.triu(within, k=1)
     pieces = [(np.arange(n, dtype=np.int32)[:, None], np.zeros(n))]
     count = n
-    rows = max(1, EXPAND_BYTES // n)
+    rows = max(1, linalg.BLOCK_BYTES // n)  # candidate-matrix bytes per block
     done = 0  # pieces[done:] hold the top dimension so far
     for _ in range(max_dim):
         frontier, done = pieces[done:], len(pieces)
@@ -349,8 +346,6 @@ def random_landmarks(cloud, count: int, rng: np.random.Generator) -> LandmarkSet
 
 
 LANDMARKS = {"maxmin": maxmin_landmarks, "random": random_landmarks}
-# distance-table bytes per column block of witness_edge_values
-WITNESS_BYTES = 2**22
 
 
 def witness_edge_values(landmarks: LandmarkSet) -> np.ndarray:
@@ -376,7 +371,7 @@ def witness_edge_values(landmarks: LandmarkSet) -> np.ndarray:
     if n_l < 2:
         raise TooFewLandmarks("witness complex needs at least 2 landmarks")
     best = np.full((n_l, n_l), np.inf)  # best[a, b]: (i) for a < b, (ii) for r1 = a
-    width = max(1, WITNESS_BYTES // (8 * n_l))
+    width = max(1, linalg.BLOCK_BYTES // (8 * n_l))  # distance-table bytes per block
     for lo in range(0, dist.shape[1], width):
         block = dist[:, lo:lo + width]
         near = np.argpartition(block, 1, axis=0)[:2]
@@ -492,9 +487,10 @@ def _floats(text, starts, ends):
         return None, new[lo:hi]
 
 
-def _labels(text, starts, ends) -> np.ndarray:
+def _labels(text, starts, ends, bound: int) -> np.ndarray:
     """Tokens of ASCII decimal digits as labels, parsed in groups of one
-    length; -1 for a token that is not digits or is 2**31 or more."""
+    length; -1 for a token that is not digits or is ``bound`` (at most
+    2**31) or more."""
     lens = ends - starts
     labels = np.empty(len(starts), np.int64)
     for width in np.flatnonzero(np.bincount(lens)):
@@ -503,7 +499,7 @@ def _labels(text, starts, ends) -> np.ndarray:
         for k in range(width):
             digit = text[at + k] - 48  # above 9 for a byte that is not a digit
             value = value * 10 + digit  # can wrap only once bad is set
-            bad |= (digit > 9) | (value >= 2**31)
+            bad |= (digit > 9) | (value >= bound)
         labels[group] = np.where(bad, -1, value)
     return labels
 
@@ -550,7 +546,7 @@ def read_filtration(path) -> Filtration:
             col = np.arange(len(starts)) - heads[row] - 1
             lab = np.flatnonzero(col >= 0)
             vals, bad = _floats(text, starts[heads], ends[heads])
-            labels = _labels(text, starts[lab], ends[lab])
+            labels = _labels(text, starts[lab], ends[lab], min(vertex_count, 2**31))
             wrong = np.r_[heads[bad], lab[labels < 0]]
             if len(wrong):
                 i = wrong.min()

@@ -15,7 +15,7 @@ import numpy as np
 ORTHONORMAL_TOL = 1e-10
 PROJECTION_TOL = 1e-9
 DEPENDENCE_TOL = 1e-12  # gram_schmidt's least residual norm, relative to the vector's
-DISTANCE_BYTES = 2**22  # difference-array bytes per block of pairwise_distances
+BLOCK_BYTES = 2**22  # main-temporary bytes per block, here and in complexes' block loops
 
 
 class LinearDependence(ValueError):
@@ -106,14 +106,14 @@ def projection_matrix(frames) -> np.ndarray:
 def pairwise_distances(points: np.ndarray, others: np.ndarray | None = None) -> np.ndarray:
     """All Euclidean distances between rows of ``points`` and rows of ``others``.
 
-    Row-chunked so that a block's difference array stays within DISTANCE_BYTES.
+    Row-chunked so that a block's difference array stays within BLOCK_BYTES.
     """
     a = np.asarray(points, dtype=float)
     b = a if others is None else np.asarray(others, dtype=float)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise DimensionMismatch("point arrays must be 2-d with equal width")
     out = np.empty((a.shape[0], b.shape[0]))
-    rows = max(1, DISTANCE_BYTES // max(1, 8 * b.size))
+    rows = max(1, BLOCK_BYTES // max(1, 8 * b.size))
     for i in range(0, a.shape[0], rows):
         diff = a[i:i + rows, None, :] - b[None, :, :]
         out[i:i + rows] = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))

@@ -8,8 +8,8 @@ youngest first. Apparent pairs are registered before any column addition,
 and d-simplices that killed a class in degree d-1 are skipped (clearing), so
 the top dimension is never reduced. The pairs are read off one row-indexed
 ``owner`` array at the end. The pairing is identical to the naive
-left-to-right reduction of the boundary matrix, which stays as the reference
-(``_reduce_columns``).
+left-to-right reduction of the boundary matrix, the tests' reference
+(``reference_reduce_columns`` in ``tests/test_acceptance.py``).
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ def reduce_boundary(matrix: BoundaryMatrix) -> Pairing:
     """The persistence pairing of a boundary matrix over Z/2.
 
     It is the pairing of the naive left-to-right reduction of the boundary
-    columns (``_reduce_columns``, the reference), computed from the
+    columns (the tests' ``reference_reduce_columns``), computed from the
     coboundary (de Silva, Morozov & Vejdemo-Johansson 2011): the matrix is
     transposed once (``_transpose``), then ``_pair_degree`` pairs each degree
     d = 0 .. top-1 into ``owner``, which maps a death row to its birth row.
@@ -173,43 +173,6 @@ def _pair_degree(matrix: BoundaryMatrix, d: int, ptr: np.ndarray, cob: np.ndarra
             if other is None:
                 other = cob[ptr[o]:ptr[o + 1]]
             work = np.setxor1d(work, other, assume_unique=True)
-
-
-def _reduce_columns(matrix: BoundaryMatrix) -> Pairing:
-    """Left-to-right reduction of every boundary column: the reference."""
-    m = len(matrix)
-    col_ptr, col_rows = matrix.col_ptr, matrix.col_rows
-    pairs: list[tuple[int, int]] = []
-    killed = bytearray(m)
-    low_inv: dict[int, tuple[int, ...]] = {}
-    for j in range(m):
-        p0, p1 = col_ptr[j], col_ptr[j + 1]
-        if p1 == p0:
-            continue
-        rows = col_rows[p0:p1].tolist()
-        other = low_inv.get(rows[-1])
-        if other is None:
-            low_inv[rows[-1]] = tuple(rows)
-            pairs.append((rows[-1], j))
-            killed[rows[-1]] = 1
-            killed[j] = 1
-            continue
-        work = set(rows)
-        while True:
-            work.symmetric_difference_update(other)
-            if not work:
-                break
-            low = max(work)
-            other = low_inv.get(low)
-            if other is None:
-                low_inv[low] = tuple(sorted(work))
-                pairs.append((low, j))
-                killed[low] = 1
-                killed[j] = 1
-                break
-    pairs.sort()
-    return Pairing(np.array(pairs, dtype=np.int64).reshape(-1, 2),
-                   np.array([j for j in range(m) if not killed[j]], dtype=np.int64), m)
 
 
 class Barcode:

@@ -1,5 +1,7 @@
 """Tests for the command-line interface: every subcommand plus exit codes."""
 
+import argparse
+import math
 import re
 
 import numpy as np
@@ -35,6 +37,54 @@ def test_missing_required_flag_exits_2(capsys):
 def test_help_exits_0(capsys):
     assert run(["--help"]) == 0
     assert "sample" in capsys.readouterr().out
+
+
+# every option of every subcommand: (required, default, type, choices)
+REQUIRED_STR = (True, None, None, None)
+OPTIONAL_STR = (False, None, None, None)
+OPTIONAL_INT = (False, None, int, None)
+BUILD_OPTIONS = {"--cloud": REQUIRED_STR, "--r-max": (False, math.inf, float, None),
+                 "--max-dim": (True, None, int, None),
+                 "--max-simplices": (False, 5_000_000, int, None), "--out": REQUIRED_STR}
+OPTIONS = {
+    "sample": {"--space": REQUIRED_STR, "--count": (True, None, int, None),
+               "--seed": (True, None, int, None), "--out": REQUIRED_STR,
+               "--proportions": OPTIONAL_STR},
+    "betti": {"--n": (True, None, int, None), "--k": (True, None, int, None),
+              "--top-dim": OPTIONAL_INT},
+    "rips": BUILD_OPTIONS,
+    "witness": {**BUILD_OPTIONS, "--landmark-count": (True, None, int, None),
+                "--landmark-method": (False, "maxmin", None, ("maxmin", "random")),
+                "--seed": (True, None, int, None), "--landmarks-out": OPTIONAL_STR},
+    "persist": {"--filtration": REQUIRED_STR, "--max-dim": OPTIONAL_INT,
+                "--out-csv": REQUIRED_STR, "--out-svg": OPTIONAL_STR},
+    "window": {"--barcode": REQUIRED_STR, "--target": OPTIONAL_STR, "--space": OPTIONAL_STR,
+               "--top-dim": OPTIONAL_INT, "--out": OPTIONAL_STR},
+    "pipeline": {"--config": OPTIONAL_STR, "--space": OPTIONAL_STR,
+                 "--points": (False, 200, int, None),
+                 "--complex": (False, "rips", None, ("rips", "witness")),
+                 "--r-max": (False, math.inf, float, None), "--max-dim": (False, 2, int, None),
+                 "--seed": (False, 0, int, None), "--landmark-count": OPTIONAL_INT,
+                 "--landmark-method": (False, None, None, ("maxmin", "random")),
+                 "--proportions": OPTIONAL_STR, "--top-dim": OPTIONAL_INT,
+                 "--max-simplices": (False, 5_000_000, int, None), "--outdir": OPTIONAL_STR},
+}
+
+
+def test_option_inventory():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(OPTIONS)
+    for command, parser in sub.choices.items():
+        found = {}
+        for action in parser._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            choices = None if action.choices is None else tuple(action.choices)
+            for option in action.option_strings:
+                assert option not in found, f"{command} {option} declared twice"
+                found[option] = (action.required, action.default, action.type, choices)
+        assert found == OPTIONS[command], command
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +312,7 @@ def test_persist_matches_library(tmp_path):
 
 @pytest.mark.parametrize("text, message", [
     ("1 2\n0 0\n0 1\n1 1 0\n", "strictly increase"),
-    ("0 2\n0 0\n0 2\n", "vertex labels in [0, 2)"),
+    ("0 2\n0 0\n0 2\n", "filt.txt:3: vertex label 2 outside [0, 2)"),
     ("0 2\n1 0\n0 1\n", "out of order"),
     ("0 1\n0 0\n0 0\n", "out of order"),
     ("0 2\n0 0\n0 1\n0 0 1\n", "dim_max 0"),
@@ -282,11 +332,13 @@ def test_persist_matches_library(tmp_path):
     ("0 2\n0 0\n0 -1\n", "filt.txt:3: vertex label -1 outside [0, 2)"),
     ("0 11\n0 0\n0 1_0\n", "filt.txt:3: '1_0' is not a label of ASCII decimal digits"),
     ("0 1\n0 000002147483648\n", "filt.txt:2: vertex label 2147483648 outside [0, 1)"),
+    ("0 2\n0 0\n0 5\n", "filt.txt:3: vertex label 5 outside [0, 2)"),
 ], ids=["unsorted-vertices", "label-range", "row-order", "duplicate-row", "header-dim",
         "edge-before-vertices", "missing-vertex", "missing-edge", "label-above-int32",
         "label-wraps-to-zero", "label-above-int64", "label-not-int", "label-float",
         "value-not-float", "header-not-int", "value-inf", "value-minus-inf",
-        "label-plus-sign", "label-minus-sign", "label-underscore", "label-zero-padded"])
+        "label-plus-sign", "label-minus-sign", "label-underscore", "label-zero-padded",
+        "label-above-count"])
 def test_persist_rejects_malformed_filtration(tmp_path, capsys, text, message):
     filt_path = tmp_path / "filt.txt"
     filt_path.write_text(text)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from grasstri import complexes
+from grasstri import complexes, linalg
 from grasstri.complexes import Filtration, LandmarkSet, Simplex
 
 
@@ -56,7 +56,7 @@ def test_flag_expand_matches_brute_force_cliques(monkeypatch, max_dim):
         np.fill_diagonal(within, trial % 2 == 0)
         # two rows per block, so every dimension with 3 or more simplices
         # is grown in several blocks
-        monkeypatch.setattr(complexes, "EXPAND_BYTES", 2 * n)
+        monkeypatch.setattr(linalg, "BLOCK_BYTES", 2 * n)
         f = complexes._flag_expand(values, within, max_dim, None)
         f.validate()
         expected = brute_force_cliques(values, within, max_dim)
@@ -357,7 +357,7 @@ def test_witness_edge_values_match_reference(count, extra, dim, decimals, column
     expected = reference_witness_edge_values(landmarks)
     assert np.array_equal(complexes.witness_edge_values(landmarks), expected)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(complexes, "WITNESS_BYTES", 8 * count * columns)
+        mp.setattr(linalg, "BLOCK_BYTES", 8 * count * columns)
         assert np.array_equal(complexes.witness_edge_values(landmarks), expected)
 
 
@@ -659,9 +659,11 @@ def test_read_filtration_matches_reference(tmp_path_factory, kind, points, max_d
     ("0 1_0", "'1_0' is not a label of ASCII decimal digits"),
     ("0 -1", "vertex label -1 outside [0, 300)"),
     ("0 00099999999999", "vertex label 99999999999 outside [0, 300)"),
+    ("0 300", "vertex label 300 outside [0, 300)"),
+    ("0 2147483647", "vertex label 2147483647 outside [0, 300)"),
     ("0\t197 \t1.5\r", "invalid literal for int() with base 10: '1.5'"),
 ], ids=["value", "label-letter", "label-plus", "label-underscore", "label-minus",
-        "label-above-int32", "label-float"])
+        "label-above-int32", "label-count", "label-above-count", "label-float"])
 def test_read_filtration_locates_bad_token_after_chunk_boundary(tmp_path, read_bytes, line,
                                                                 message):
     vertices = Filtration.from_simplices([Simplex((v,), 0.0) for v in range(300)], 300)

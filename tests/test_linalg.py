@@ -89,12 +89,12 @@ def test_pairwise_distances_against_direct_loop(monkeypatch):
     a = rng.standard_normal((17, 4))
     b = rng.standard_normal((9, 4))
     # a row of the difference array against b is 9 * 4 * 8 bytes: 5 rows a block
-    monkeypatch.setattr(linalg, "DISTANCE_BYTES", 5 * 9 * 4 * 8)
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", 5 * 9 * 4 * 8)
     got = linalg.pairwise_distances(a, b)
     for i in range(17):
         for j in range(9):
             assert got[i, j] == pytest.approx(np.linalg.norm(a[i] - b[j]), abs=1e-12)
-    monkeypatch.setattr(linalg, "DISTANCE_BYTES", 4 * 17 * 4 * 8)
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", 4 * 17 * 4 * 8)
     square = linalg.pairwise_distances(a)
     assert square.shape == (17, 17)
     assert np.allclose(square, square.T)
@@ -105,11 +105,11 @@ def test_pairwise_distances_chunk_boundaries(monkeypatch):
     rng = np.random.default_rng(7)
     a = rng.standard_normal((10, 3))
     row_bytes = 10 * 3 * 8
-    monkeypatch.setattr(linalg, "DISTANCE_BYTES", 1000 * row_bytes)
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", 1000 * row_bytes)
     full = linalg.pairwise_distances(a)
     # below one row still takes a row; then 1, 3 and all 10 rows a block
     for budget in (1, row_bytes, 3 * row_bytes + 7, 10 * row_bytes):
-        monkeypatch.setattr(linalg, "DISTANCE_BYTES", budget)
+        monkeypatch.setattr(linalg, "BLOCK_BYTES", budget)
         assert np.array_equal(linalg.pairwise_distances(a), full)
 
 
