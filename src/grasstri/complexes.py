@@ -348,8 +348,9 @@ def random_landmarks(cloud, count: int, rng: np.random.Generator) -> LandmarkSet
 LANDMARKS = {"maxmin": maxmin_landmarks, "random": random_landmarks}
 
 
-def witness_edge_values(landmarks: LandmarkSet) -> np.ndarray:
-    """Smallest parameter at which each landmark pair acquires a witness.
+def witness_edge_values(landmarks: LandmarkSet, r_max: float = np.inf) -> np.ndarray:
+    """Smallest parameter at which each landmark pair acquires a witness:
+    exact where it is at most ``r_max`` (by default, everywhere), else above.
 
     A cloud point x witnesses the pair (a, b) at parameter R when both
     d(x, a) and d(x, b) are at most R plus x's distance to its nearest
@@ -365,6 +366,10 @@ def witness_edge_values(landmarks: LandmarkSet) -> np.ndarray:
     minimum is s1 and rounding is monotone, so (i) is max(d_a, d_b) - s1
     exactly. Where r1 = a it is s2, or s3 if b is x's second nearest, where
     x gives s2 - s3 <= 0 and (ii) 0, equal once clamped; (i) is never less.
+
+    Term (i) is taken where r1 is not a or b, and is at most r_max only
+    through x with d_a - s1 <= r_max: row a scans only those x of a block
+    (all of it once they are over half), so values up to r_max are exact.
     """
     dist = landmarks.distances
     n_l = dist.shape[0]
@@ -374,16 +379,22 @@ def witness_edge_values(landmarks: LandmarkSet) -> np.ndarray:
     width = max(1, linalg.BLOCK_BYTES // (8 * n_l))  # distance-table bytes per block
     for lo in range(0, dist.shape[1], width):
         block = dist[:, lo:lo + width]
-        near = np.argpartition(block, 1, axis=0)[:2]
-        s1, s2 = np.take_along_axis(block, near, axis=0)
+        s1, cols = block.min(axis=0), np.arange(block.shape[1])
         shifted = block - s1
+        near = shifted.argmin(axis=0)
+        shifted[near, cols] = np.inf  # (i) skips r1; s2 is least among the tied runners-up
+        s2 = np.min(block, axis=0, where=shifted == shifted.min(axis=0), initial=np.inf)
         for a in range(n_l - 1):
-            np.minimum(best[a, a + 1:], np.maximum(shifted[a + 1:], shifted[a]).min(axis=1),
+            at = np.flatnonzero(shifted[a] <= r_max)
+            if not len(at):
+                continue
+            at = slice(None) if 2 * len(at) > len(cols) else at
+            np.minimum(best[a, a + 1:], np.maximum(shifted[a + 1:, at], shifted[a, at]).min(axis=1),
                        out=best[a, a + 1:])
-        order = np.argsort(near[0])
-        starts = np.flatnonzero(np.diff(near[0, order], prepend=-1))
+        order = np.argsort(near)
+        starts = np.flatnonzero(np.diff(near[order], prepend=-1))
         cells = np.minimum.reduceat(block[:, order] - s2[order], starts, axis=1)
-        np.minimum.at(best, near[0, order[starts]], cells.T)
+        np.minimum.at(best, near[order[starts]], cells.T)
     np.fill_diagonal(best, 0.0)
     return np.maximum(np.minimum(best, best.T), 0.0)
 
@@ -398,7 +409,7 @@ def witness_filtration(cloud, landmarks: LandmarkSet, r_max: float, max_dim: int
     """
     if not r_max >= 0:  # also rejects nan
         raise ValueError("r_max must be nonnegative")
-    values = witness_edge_values(landmarks)
+    values = witness_edge_values(landmarks, r_max)
     return _flag_expand(values, values <= r_max, max_dim, max_simplices)
 
 

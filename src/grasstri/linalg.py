@@ -106,7 +106,9 @@ def projection_matrix(frames) -> np.ndarray:
 def pairwise_distances(points: np.ndarray, others: np.ndarray | None = None) -> np.ndarray:
     """All Euclidean distances between rows of ``points`` and rows of ``others``.
 
-    Row-chunked so that a block's difference array stays within BLOCK_BYTES.
+    Blocked over rows of ``points`` so that a block's difference array stays
+    within BLOCK_BYTES, but a block holds at least one row of ``points``
+    against all of ``others``, which can be more.
     """
     a = np.asarray(points, dtype=float)
     b = a if others is None else np.asarray(others, dtype=float)

@@ -361,6 +361,57 @@ def test_witness_edge_values_match_reference(count, extra, dim, decimals, column
         assert np.array_equal(complexes.witness_edge_values(landmarks), expected)
 
 
+@settings(max_examples=80, deadline=None)
+@given(count=st.integers(2, 12), extra=st.integers(0, 40), dim=st.integers(1, 3),
+       decimals=st.sampled_from([None, 0, 1]), columns=st.integers(1, 4),
+       cut=st.sampled_from(["zero", "quantile", "inf"]), q=st.floats(0.0, 1.0),
+       max_dim=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+@example(count=4, extra=12, dim=1, decimals=0, columns=3, cut="quantile", q=0.3,
+         max_dim=2, seed=0)
+def test_witness_edge_values_below_r_max(count, extra, dim, decimals, columns, cut, q,
+                                          max_dim, seed):
+    # entries at most r_max are exact and the rest lie above it, also with
+    # tied nearest distances and with blocks a few witnesses wide, where a
+    # landmark row can find no witness of a block within reach, or only some
+    rng = np.random.default_rng(seed)
+    cloud = rng.uniform(-2.0, 2.0, (count + extra, dim))
+    if decimals is not None:
+        cloud = np.round(cloud, decimals)
+    landmarks = complexes.random_landmarks(cloud, count, rng)
+    expected = reference_witness_edge_values(landmarks)
+    r_max = {"zero": 0.0, "inf": np.inf,
+             "quantile": float(np.quantile(expected, q, method="nearest"))}[cut]
+    within = expected <= r_max
+    flag = complexes._flag_expand(expected, within, max_dim, None)
+    for budget in (linalg.BLOCK_BYTES, 8 * count * columns):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "BLOCK_BYTES", budget)
+            values = complexes.witness_edge_values(landmarks, r_max)
+            filtration = complexes.witness_filtration(cloud, landmarks, r_max, max_dim)
+        assert np.array_equal(values <= r_max, within)
+        assert np.array_equal(values[within], expected[within])
+        assert np.all(values[~within] > r_max)
+        assert filtration == flag
+
+
+def test_witness_edge_values_second_nearest_one_ulp_apart():
+    # witness 0 has s1 = 0.5 + 2**-53; its distances 1.75 + 2**-52 and 1.75
+    # to landmarks 1 and 2 both shift to 1.25, so s2 must come from the
+    # unshifted distances: edge (0, 1) is 2**-52, and stays out at r_max = 0
+    cloud = np.array([[0.0], [-(0.5 + 2**-53)], [1.75 + 2**-52], [1.75], [1.8]])
+    idx = np.arange(1, 5)
+    landmarks = LandmarkSet(idx, complexes._distance_rows(cloud, idx))
+    expected = reference_witness_edge_values(landmarks)
+    assert expected[0, 1] == 2**-52
+    for budget in (linalg.BLOCK_BYTES, 8 * len(idx)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "BLOCK_BYTES", budget)
+            assert np.array_equal(complexes.witness_edge_values(landmarks), expected)
+            assert np.array_equal(complexes.witness_edge_values(landmarks, 0.0), expected)
+            filtration = complexes.witness_filtration(cloud, landmarks, 0.0, 2)
+        assert filtration == complexes._flag_expand(expected, expected <= 0.0, 2, None)
+
+
 def test_witness_membership_grid():
     # filtration membership at any parameter equals the defining inequality:
     # some witness x has both endpoint distances at most R plus the smallest

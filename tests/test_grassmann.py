@@ -339,6 +339,32 @@ def test_cloud_round_trip(tmp_path):
     assert np.array_equal(back, cloud)
 
 
+def test_write_cloud_matches_savetxt(tmp_path, monkeypatch):
+    rng = np.random.default_rng(12)
+    sampled = grassmann.sample_uniform(GrassmannParams(5, 2), 40, rng).reshape(40, -1)
+    partial = rng.standard_normal((9, 4))
+    partial[:-1, 3] = partial[:-1, 1]  # columns 1 and 3 differ in the last row only
+    signed = np.zeros((6, 3))
+    signed[[1, 4], 2] = -0.0  # bit patterns differ from column 0's zeros
+    special = np.array([[np.inf, np.nan, -np.inf, np.inf], [1e-300, np.nan, -1e300, 1e-300]])
+    clouds = [sampled, partial, signed, special, sampled[:, :1], sampled[:1],
+              sampled[:, 3], np.empty((0, 3))]
+
+    def check():
+        for i, cloud in enumerate(clouds):
+            grassmann.write_cloud(tmp_path / f"{i}.txt", cloud)
+            np.savetxt(tmp_path / f"{i}.ref", cloud, fmt="%.17g")
+            assert (tmp_path / f"{i}.txt").read_bytes() == (tmp_path / f"{i}.ref").read_bytes()
+
+    check()
+    # one row a block, then three rows a block for the 25-column clouds
+    for budget in (1, 3 * 160 * 25):
+        monkeypatch.setattr(linalg, "BLOCK_BYTES", budget)
+        check()
+    with pytest.raises(ValueError):  # savetxt takes 1-d and 2-d arrays only
+        grassmann.write_cloud(tmp_path / "stack.txt", np.zeros((2, 2, 2)))
+
+
 def test_read_cloud_edge_cases(tmp_path):
     path = tmp_path / "empty.txt"
     path.write_text("")

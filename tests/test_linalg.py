@@ -111,6 +111,13 @@ def test_pairwise_distances_chunk_boundaries(monkeypatch):
     for budget in (1, row_bytes, 3 * row_bytes + 7, 10 * row_bytes):
         monkeypatch.setattr(linalg, "BLOCK_BYTES", budget)
         assert np.array_equal(linalg.pairwise_distances(a), full)
+    # the same blocks against an ``others`` of more rows than ``a``
+    b = rng.standard_normal((23, 3))
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", 1000 * 23 * 3 * 8)
+    rect = linalg.pairwise_distances(a, b)
+    for budget in (1, 23 * 3 * 8, 3 * 23 * 3 * 8 + 7):
+        monkeypatch.setattr(linalg, "BLOCK_BYTES", budget)
+        assert np.array_equal(linalg.pairwise_distances(a, b), rect)
 
 
 def test_pairwise_distances_rejects_mismatched_width():
