@@ -51,6 +51,8 @@ def matching_windows(barcode: persistence.Barcode, target, top_dim: int) -> Wind
     pieces is one maximal window, the last extending to +inf.
     """
     target = tuple(int(x) for x in target)
+    if top_dim < 0:
+        raise ValueError("top_dim must be nonnegative")
     if len(target) != top_dim + 1:
         raise ValueError(f"target needs entries for degrees 0..{top_dim}")
     keep = barcode.dims <= top_dim
@@ -255,35 +257,3 @@ def write_window_report(path, report: WindowReport) -> None:
         fh.write(f"windows: {len(report.windows)}\n")
         for a, b in report.windows:
             fh.write(f"window: [{format_r(a)}, {format_r(b)})\n")
-
-
-@dataclass(frozen=True)
-class ParsedReport:
-    """A window report file read back; critical values survive only as a count."""
-
-    target: BettiProfile
-    top_dim: int
-    critical_count: int
-    windows: tuple[tuple[float, float], ...]
-
-
-def read_window_report(path) -> ParsedReport:
-    target: BettiProfile = ()
-    top_dim = 0
-    n_crit = 0
-    windows: list[tuple[float, float]] = []
-    with open(path) as fh:
-        for line in fh:
-            key, _, rest = line.partition(":")
-            key, rest = key.strip(), rest.strip()
-            if key == "target":
-                target = tuple(int(t) for t in rest.split())
-            elif key == "top_dim":
-                top_dim = int(rest)
-            elif key == "critical_values":
-                n_crit = int(rest)
-            elif key == "window":
-                inner = rest.strip("[)")
-                lo, hi = (t.strip() for t in inner.split(","))
-                windows.append((float(lo), float(hi)))
-    return ParsedReport(target, top_dim, n_crit, tuple(windows))

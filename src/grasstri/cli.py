@@ -74,14 +74,10 @@ def _cmd_persist(args) -> int:
 
 def _cmd_window(args) -> int:
     barcode = persistence.read_barcode(args.barcode)
-    if args.target:
+    if args.target is not None:
         target = _parse_list(args.target, int)
-    elif args.space:
-        target = analysis.target_profile(args.space, args.top_dim)
     else:
-        print("grasstri window: error: one of --target or --space is required",
-              file=sys.stderr)
-        return 2
+        target = analysis.target_profile(args.space, args.top_dim)
     top_dim = args.top_dim if args.top_dim is not None else len(target) - 1
     report = analysis.matching_windows(barcode, target, top_dim)
     if args.out:
@@ -202,8 +198,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("window", help="matching windows from a barcode CSV")
     p.add_argument("--barcode", required=True)
-    p.add_argument("--target", help="Betti profile, e.g. '1,1,2,1,1'")
-    p.add_argument("--space", help="derive the target from a space instead")
+    target = p.add_mutually_exclusive_group(required=True)
+    target.add_argument("--target", help="Betti profile, e.g. '1,1,2,1,1'")
+    target.add_argument("--space", help="derive the target from a space instead")
     p.add_argument("--top-dim", type=int, default=None)
     p.add_argument("--out", help="write the report here instead of stdout")
     p.set_defaults(func=_cmd_window)

@@ -578,11 +578,4 @@ def read_filtration(path) -> Filtration:
 
 def write_landmarks(path, landmarks: LandmarkSet) -> None:
     """One cloud index per line, in selection order."""
-    with open(path, "w") as fh:
-        for i in landmarks.indices:
-            fh.write(f"{int(i)}\n")
-
-
-def read_landmarks(path) -> list[int]:
-    with open(path) as fh:
-        return [int(line) for line in fh if line.strip()]
+    np.savetxt(path, landmarks.indices, fmt="%d")

