@@ -116,6 +116,8 @@ class ExperimentConfig:
             raise ValueError("sample_size must be positive")
         if self.max_dim < 0:
             raise ValueError("max_dim must be nonnegative")
+        if self.max_simplices < 1:
+            raise ValueError("max_simplices must be positive")
         bound = min(self.max_dim, space_dimension(self.space))
         if self.top_dim is None:
             object.__setattr__(self, "top_dim", bound)
@@ -176,6 +178,8 @@ def target_profile(space: str, top_dim: int | None = None) -> BettiProfile:
 def sample_space(space: str, count: int, rng: np.random.Generator,
                  proportions=None) -> np.ndarray:
     family, args = parse_space(space)
+    if proportions is not None and family != "grassmann":
+        raise ValueError("proportions only apply to Grassmann spaces")
     if family == "rp2-r4":
         return grassmann.rp2_embed_r4(grassmann.sample_sphere(count, rng))
     if family == "rp2-r5":

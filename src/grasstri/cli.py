@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 
 import numpy as np
@@ -55,10 +56,10 @@ def _cmd_witness(args) -> int:
     cloud = grassmann.read_cloud(args.cloud)
     rng = np.random.default_rng(args.seed)
     landmarks = complexes.LANDMARKS[args.landmark_method](cloud, args.landmark_count, rng)
-    if args.landmarks_out:
-        complexes.write_landmarks(args.landmarks_out, landmarks)
     filtration = complexes.witness_filtration(cloud, landmarks, args.r_max,
                                               args.max_dim, args.max_simplices)
+    if args.landmarks_out:
+        complexes.write_landmarks(args.landmarks_out, landmarks)
     complexes.write_filtration(args.out, filtration)
     return 0
 
@@ -89,50 +90,47 @@ def _cmd_window(args) -> int:
     return 0 if report.windows else 3
 
 
-_CONFIG_TYPES = {"sample_size": int, "r_max": float, "max_dim": int, "seed": int,
-                 "landmark_count": int, "proportions": lambda raw: _parse_list(raw, float),
-                 "top_dim": int, "max_simplices": int}
+class _Given(argparse._StoreAction):
+    """A pipeline experiment flag: stores its value and appends its option to ``given``."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        super().__call__(parser, namespace, values, option_string)
+        namespace.given = [*namespace.given, option_string]
 
 
-def _config_from_file(path: str) -> analysis.ExperimentConfig:
-    """Flat key = value lines, # comments; keys and defaults as in ExperimentConfig."""
-    raw: dict[str, str] = {}
+def _config_flags(path: str, options: dict[str, str]) -> list[str]:
+    """Flat key = value lines, # comments; each key becomes the flag whose dest it is."""
+    raw = {"output_dir": analysis.ExperimentConfig.output_dir}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
+            key, sep, value = line.split("#", 1)[0].partition("=")
+            if sep:
+                raw[key.strip()] = value.strip()
+            elif key.strip():
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            raw[key.strip()] = value.strip()
-    fields = dataclasses.fields(analysis.ExperimentConfig)
-    unknown = sorted(set(raw) - {f.name for f in fields})
+    unknown = sorted(set(raw) - set(options))
     if unknown:
         raise ValueError(f"{path}: unknown config keys: {', '.join(unknown)}")
-    for f in fields:
+    for f in dataclasses.fields(analysis.ExperimentConfig):
         if f.default is dataclasses.MISSING and f.name not in raw:
             raise ValueError(f"{path}: missing config key {f.name!r}")
-    return analysis.ExperimentConfig(
-        **{key: _CONFIG_TYPES.get(key, str)(value) for key, value in raw.items()})
+    return [f"{options[key]}={value}" for key, value in raw.items()]
 
 
-def _cmd_pipeline(args) -> int:
+def _cmd_pipeline(parser, args) -> int:
+    options = {a.dest: a.option_strings[0] for a in parser._actions if isinstance(a, _Given)}
     if args.config:
-        if args.space:
-            print("grasstri pipeline: error: --config and --space are mutually "
+        if args.given:
+            print(f"grasstri pipeline: error: --config and {args.given[0]} are mutually "
                   "exclusive", file=sys.stderr)
             return 2
-        config = _config_from_file(args.config)
-    else:
-        if not args.space:
-            print("grasstri pipeline: error: --space (or --config) is required",
-                  file=sys.stderr)
-            return 2
-        args.output_dir = args.output_dir or f"grasstri-{args.space}-seed{args.seed}"
-        args.proportions = _parse_list(args.proportions, float) if args.proportions else None
-        names = [f.name for f in dataclasses.fields(analysis.ExperimentConfig)]
-        config = analysis.ExperimentConfig(**{name: getattr(args, name) for name in names})
+        args = parser.parse_args(_config_flags(args.config, options))
+    if not args.space:
+        print("grasstri pipeline: error: --space (or --config) is required", file=sys.stderr)
+        return 2
+    args.output_dir = args.output_dir or f"grasstri-{args.space}-seed{args.seed}"
+    args.proportions = _parse_list(args.proportions, float) if args.proportions else None
+    config = analysis.ExperimentConfig(**{dest: getattr(args, dest) for dest in options})
     result = analysis.run_pipeline(config)
     report = result.report
     print(f"target: {' '.join(str(t) for t in report.target)}")
@@ -206,22 +204,23 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_window)
 
     p = sub.add_parser("pipeline", help="run sample, build, persist, window in one go")
-    p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--space")
-    p.add_argument("--points", dest="sample_size", metavar="POINTS", type=int, default=200)
+    p.add_argument("--config", help="flat key = value config file; no other flag beside it")
+    flag = functools.partial(p.add_argument, action=_Given)  # one per ExperimentConfig field
+    flag("--space")
+    flag("--points", dest="sample_size", metavar="POINTS", type=int, default=200)
     defaults = analysis.ExperimentConfig
-    p.add_argument("--complex", dest="kind", choices=analysis.COMPLEX_KINDS, default=defaults.kind)
-    p.add_argument("--r-max", type=float, default=defaults.r_max)
-    p.add_argument("--max-dim", type=int, default=defaults.max_dim,
-                   help="top homology degree; simplices go one dimension higher")
-    p.add_argument("--seed", type=int, default=defaults.seed)
-    p.add_argument("--landmark-count", type=int, default=None)
-    p.add_argument("--landmark-method", choices=sorted(complexes.LANDMARKS), default=None)
-    p.add_argument("--proportions")
-    p.add_argument("--top-dim", type=int, default=None)
-    p.add_argument("--max-simplices", type=int, default=analysis.DEFAULT_MAX_SIMPLICES)
-    p.add_argument("--outdir", dest="output_dir", metavar="OUTDIR")
-    p.set_defaults(func=_cmd_pipeline)
+    flag("--complex", dest="kind", choices=analysis.COMPLEX_KINDS, default=defaults.kind)
+    flag("--r-max", type=float, default=defaults.r_max)
+    flag("--max-dim", type=int, default=defaults.max_dim,
+         help="top homology degree; simplices go one dimension higher")
+    flag("--seed", type=int, default=defaults.seed)
+    flag("--landmark-count", type=int, default=None)
+    flag("--landmark-method", choices=sorted(complexes.LANDMARKS), default=None)
+    flag("--proportions")
+    flag("--top-dim", type=int, default=None)
+    flag("--max-simplices", type=int, default=analysis.DEFAULT_MAX_SIMPLICES)
+    flag("--outdir", dest="output_dir", metavar="OUTDIR")
+    p.set_defaults(func=functools.partial(_cmd_pipeline, p), given=[])
     return parser
 
 

@@ -228,6 +228,8 @@ def _flag_expand(values: np.ndarray, within: np.ndarray, max_dim: int,
     n = values.shape[0]
     if max_dim < 0:
         raise ValueError("max_dim must be nonnegative")
+    if max_simplices is not None and max_simplices < 1:
+        raise ValueError("max_simplices must be positive")
     if max_simplices is not None and n > max_simplices:
         raise ResourceLimit(f"simplex count exceeds cap {max_simplices}")
     above = np.triu(within, k=1)

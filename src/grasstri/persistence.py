@@ -176,19 +176,9 @@ def _pair_degree(matrix: BoundaryMatrix, d: int, ptr: np.ndarray, cob: np.ndarra
 
 class Barcode:
     """Arrays ``dims`` (homology degree), ``births`` and ``deaths`` (inf if essential),
-    sorted by (degree, birth, death); from {degree: [(birth, death)]} or ``from_arrays``."""
+    sorted by (degree, birth, death)."""
 
-    def __init__(self, intervals: dict[int, list[tuple[float, float]]]):
-        rows = [(int(d), b, e) for d, bars in intervals.items() for b, e in bars]
-        self._store(*np.array(rows, dtype=float).reshape(-1, 3).T)
-
-    @classmethod
-    def from_arrays(cls, dims, births, deaths) -> Barcode:
-        barcode = cls.__new__(cls)
-        barcode._store(dims, births, deaths)
-        return barcode
-
-    def _store(self, dims, births, deaths) -> None:
+    def __init__(self, dims, births, deaths):
         dims = np.asarray(dims, dtype=np.int64)
         births, deaths = np.asarray(births, dtype=float), np.asarray(deaths, dtype=float)
         order = np.lexsort((deaths, births, dims))
@@ -206,10 +196,6 @@ class Barcode:
         mine = self.dims == degree
         return list(zip(self.births[mine].tolist(), self.deaths[mine].tolist()))
 
-    @property
-    def max_degree(self) -> int:
-        return int(self.dims[-1]) if len(self.dims) else 0
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Barcode):
             return NotImplemented
@@ -221,29 +207,21 @@ class Barcode:
         return f"Barcode({', '.join(parts)})"
 
 
-def pairing_to_barcode(pairing: Pairing, filtration: Filtration,
-                       max_dim: int | None = None) -> Barcode:
-    """Intervals of the pairs of positive length and of the essential rows,
-    in degrees 0..max_dim."""
+def barcodes(filtration: Filtration, max_dim: int | None = None) -> Barcode:
+    """Persistent homology of the filtration in degrees 0..max_dim: the
+    intervals of the pairs of positive length and of the essential rows."""
     if max_dim is None:
         max_dim = filtration.max_dim
-    if max_dim < 0:
+    if max_dim < 0:  # checked before the reduction
         raise ValueError(f"max_dim must be nonnegative, got {max_dim}")
+    pairing = reduce_boundary(build_boundary(filtration))
     values, dims = filtration.values, filtration.dims
     births, deaths = pairing.pairs[:, 0], pairing.pairs[:, 1]
     finite = values[births] != values[deaths]
     starts = np.concatenate([births[finite], pairing.essential])
     ends = np.concatenate([values[deaths[finite]], np.full(len(pairing.essential), INF)])
     keep = dims[starts] <= max_dim
-    return Barcode.from_arrays(dims[starts[keep]], values[starts[keep]], ends[keep])
-
-
-def barcodes(filtration: Filtration, max_dim: int | None = None) -> Barcode:
-    """Persistent homology of the filtration in degrees 0..max_dim."""
-    if max_dim is not None and max_dim < 0:  # checked before the reduction, too
-        raise ValueError(f"max_dim must be nonnegative, got {max_dim}")
-    pairing = reduce_boundary(build_boundary(filtration))
-    return pairing_to_barcode(pairing, filtration, max_dim)
+    return Barcode(dims[starts[keep]], values[starts[keep]], ends[keep])
 
 
 def betti_profile(barcode: Barcode, points, top_dim: int) -> np.ndarray:
@@ -260,7 +238,7 @@ def betti_profile(barcode: Barcode, points, top_dim: int) -> np.ndarray:
 
 def betti_at(barcode: Barcode, r: float, top_dim: int | None = None) -> tuple[int, ...]:
     """Betti numbers at parameter r: intervals with birth <= r < death."""
-    top = barcode.max_degree if top_dim is None else top_dim
+    top = int(barcode.dims.max(initial=0)) if top_dim is None else top_dim
     return tuple(betti_profile(barcode, [r], top)[0].tolist())
 
 
@@ -278,7 +256,7 @@ def read_barcode(path) -> Barcode:
         if header != "degree,birth,death":
             raise ValueError(f"unexpected barcode header: {header!r}")
         rows = [line.strip().split(",") for line in fh if line.strip()]
-    return Barcode.from_arrays(*np.array(rows, dtype=str).reshape(len(rows), 3).T)
+    return Barcode(*np.array(rows, dtype=str).reshape(len(rows), 3).T)
 
 
 def write_barcode_svg(path, barcode: Barcode) -> None:

@@ -6,13 +6,9 @@ import numpy as np
 import pytest
 
 from grasstri import analysis, complexes, grassmann, persistence
-from test_persistence import brute_betti
+from test_persistence import brute_betti, make_barcode
 
 INF = math.inf
-
-
-def make_barcode(bars_by_degree):
-    return persistence.Barcode(bars_by_degree)
 
 
 def windows_contain(windows, r):

@@ -1,6 +1,7 @@
 """Tests for the command-line interface: every subcommand plus exit codes."""
 
 import argparse
+import dataclasses
 import math
 import re
 
@@ -113,6 +114,14 @@ def test_sample_biased_grassmann(tmp_path):
     assert np.array_equal(cloud, expected)
 
 
+def test_sample_rejects_proportions_off_grassmann(tmp_path, capsys):
+    out = tmp_path / "x.txt"
+    assert run(["sample", "--space", "rp3", "--count", "5", "--seed", "0",
+                "--out", str(out), "--proportions", "1"]) == 2
+    assert "proportions only apply to Grassmann spaces" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sample_rejects_unknown_space(tmp_path, capsys):
     code = run(["sample", "--space", "mobius", "--count", "3",
                 "--seed", "0", "--out", str(tmp_path / "c.txt")])
@@ -166,6 +175,24 @@ def test_rips_cap_exits_4(tmp_path, capsys):
                 "--out", str(tmp_path / "f.txt")])
     assert code == 4
     assert "resource limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+@pytest.mark.parametrize("command", ["rips", "witness", "pipeline"])
+def test_max_simplices_below_1_writes_nothing(tmp_path, capsys, command, cap):
+    cloud_path = tmp_path / "cloud.txt"
+    grassmann.write_cloud(cloud_path, circle_cloud(20))
+    build = ["--cloud", str(cloud_path), "--max-dim", "2", "--out", str(tmp_path / "f.txt")]
+    argv = {
+        "rips": ["rips", *build],
+        "witness": ["witness", *build, "--landmark-count", "5", "--seed", "0",
+                    "--landmarks-out", str(tmp_path / "landmarks.txt")],
+        "pipeline": ["pipeline", "--space", "rp2-r4", "--points", "20",
+                     "--outdir", str(tmp_path / "run")],
+    }[command]
+    assert run([*argv, "--max-simplices", cap]) == 2
+    assert "max_simplices must be positive" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cloud.txt"]
 
 
 def test_rips_missing_cloud_exits_2(tmp_path, capsys):
@@ -382,7 +409,7 @@ def test_persist_negative_max_dim_writes_nothing(tmp_path, capsys):
 
 
 def barcode_file(tmp_path):
-    bc = persistence.Barcode({0: [(0.0, float("inf"))], 1: [(0.3, 0.9)]})
+    bc = persistence.Barcode([0, 1], [0.0, 0.3], [float("inf"), 0.9])
     path = tmp_path / "barcode.csv"
     persistence.write_barcode(path, bc)
     return path
@@ -515,6 +542,54 @@ def test_pipeline_config_defaults_match_flag_defaults(tmp_path, capsys):
     for name in ("barcode.csv", "report.txt"):
         assert (tmp_path / "cfg" / name).read_bytes() == \
             (tmp_path / "flags" / name).read_bytes()
+
+
+def valid_config(tmp_path):
+    config = tmp_path / "exp.cfg"
+    config.write_text(f"space = rp2-r4\nsample_size = 12\noutput_dir = {tmp_path / 'cfg'}\n")
+    return config
+
+
+PIPELINE = next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices["pipeline"]
+EXPERIMENT_FLAGS = [a for a in PIPELINE._actions if a.dest not in ("help", "config")]
+
+
+def test_pipeline_flags_are_the_experiment_fields():
+    # a config key is parsed by the flag whose dest it is
+    assert sorted(a.dest for a in EXPERIMENT_FLAGS) == \
+        sorted(f.name for f in dataclasses.fields(analysis.ExperimentConfig))
+
+
+@pytest.mark.parametrize("joined", [False, True], ids=["separate", "joined"])
+@pytest.mark.parametrize("action", EXPERIMENT_FLAGS, ids=lambda a: a.option_strings[0])
+def test_pipeline_config_rejects_every_other_flag(tmp_path, monkeypatch, capsys, action, joined):
+    monkeypatch.chdir(tmp_path)  # a stray --outdir would land here
+    config = valid_config(tmp_path)
+    option = action.option_strings[0]
+    # the default where there is one (so --seed 0), else a value the flag accepts
+    value = str(action.default if action.default is not None
+                else action.choices[0] if action.choices else 1)
+    flag = [f"{option}={value}"] if joined else [option, value]
+    assert run(["pipeline", "--config", str(config), *flag]) == 2
+    assert f"--config and {option} are mutually exclusive" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
+
+
+def test_pipeline_config_names_first_other_flag(tmp_path, capsys):
+    config = valid_config(tmp_path)
+    assert run(["pipeline", "--config", str(config), "--seed", "5", "--points=99",
+                "--outdir", str(tmp_path / "X")]) == 2
+    assert "--config and --seed are mutually exclusive" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
+
+
+def test_pipeline_config_value_parsed_by_its_flag(tmp_path, capsys):
+    config = valid_config(tmp_path)
+    config.write_text(config.read_text() + "kind = bogus\n")
+    assert run(["pipeline", "--config", str(config)]) == 2
+    assert "argument --complex: invalid choice: 'bogus'" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
 
 
 def test_pipeline_config_missing_sample_size(tmp_path, capsys):

@@ -69,6 +69,12 @@ def rank_oracle_betti(filtration, r, top_dim):
     )
 
 
+def make_barcode(intervals):
+    """A Barcode from {degree: [(birth, death), ...]}."""
+    rows = [(d, b, e) for d, bars in intervals.items() for b, e in bars]
+    return persistence.Barcode(*np.array(rows, dtype=float).reshape(-1, 3).T)
+
+
 def brute_betti(barcode, r, top_dim):
     """Betti numbers at r by a loop over every bar: the reference for betti_profile."""
     return tuple(sum(1 for b, e in barcode.intervals(d) if b <= r < e)
@@ -181,12 +187,12 @@ def test_facet_index_property(tmp_path_factory, kind, points, max_dim, r_max, se
         # blocks of 3 columns build the one transpose shared by all degrees
         mp.setattr(persistence, "BLOCK", 3)
         optimized = persistence.reduce_boundary(matrix)
+        barcode = persistence.barcodes(f)
     naive = reference_reduce_columns(matrix)
     assert np.array_equal(optimized.pairs, naive.pairs)
     assert np.array_equal(optimized.essential, naive.essential)
     # Euler identity: the alternating sums of simplex counts and of Betti
     # numbers agree at every value of the filtration
-    barcode = persistence.pairing_to_barcode(optimized, f)
     signs = (-1) ** f.dims
     for r in np.unique(f.values):
         betti = persistence.betti_at(barcode, r, f.max_dim)
@@ -391,7 +397,7 @@ def test_betti_profile_and_windows_match_brute_force(rows, top_dim, pick, attain
     intervals = {}
     for d, birth, length in rows:
         intervals.setdefault(d, []).append((birth, birth + length))
-    bc = persistence.Barcode(intervals)
+    bc = make_barcode(intervals)
     ends = sorted({x for bars in intervals.values() for bar in bars for x in bar})
     # every endpoint, every midpoint between them, below 0, beyond them, inf
     points = ends + [(a + b) / 2 for a, b in zip(ends, ends[1:])] + [-1.0, 0.0, 5.0, INF]
@@ -546,12 +552,13 @@ def test_barcode_max_dim_cutoff():
 
 
 def test_barcode_class_validation():
-    for bars in ([(2.0, 1.0)], [(INF, INF)], [(-INF, 1.0)], [(math.nan, 1.0)]):
+    for birth, death in ((2.0, 1.0), (INF, INF), (-INF, 1.0), (math.nan, 1.0)):
         with pytest.raises(ValueError, match="finite birth at most its death"):
-            persistence.Barcode({0: bars})
-    bc = persistence.Barcode({1: [(0.5, 2.0), (0.25, 1.0)]})
+            persistence.Barcode([0], [birth], [death])
+    bc = persistence.Barcode([1, 1], [0.5, 0.25], [2.0, 1.0])
     assert bc.intervals(1) == [(0.25, 1.0), (0.5, 2.0)]
-    assert bc.max_degree == 1
+    # without top_dim, betti_at reads degrees up to the barcode's highest
+    assert persistence.betti_at(bc, 0.5) == (0, 2)
 
 
 def test_barcode_csv_round_trip(tmp_path):
