@@ -143,6 +143,8 @@ class ExperimentConfig:
                 raise ValueError("landmark options only apply to witness experiments")
         if self.proportions is not None and parse_space(self.space)[0] != "grassmann":
             raise ValueError("proportions only apply to Grassmann spaces")
+        if self.proportions is not None and not len(self.proportions):
+            raise ValueError("proportions need at least one fraction")
 
 
 def parse_space(space: str) -> tuple[str, tuple[int, ...]]:

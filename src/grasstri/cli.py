@@ -31,7 +31,7 @@ def _parse_list(raw: str, type) -> tuple:
 
 def _cmd_sample(args) -> int:
     rng = np.random.default_rng(args.seed)
-    proportions = _parse_list(args.proportions, float) if args.proportions else None
+    proportions = None if args.proportions is None else _parse_list(args.proportions, float)
     cloud = analysis.sample_space(args.space, args.count, rng, proportions)
     grassmann.write_cloud(args.out, cloud)
     return 0
@@ -98,14 +98,15 @@ class _Given(argparse._StoreAction):
         namespace.given = [*namespace.given, option_string]
 
 
-def _config_flags(path: str, options: dict[str, str]) -> list[str]:
-    """Flat key = value lines, # comments; each key becomes the flag whose dest it is."""
-    raw = {"output_dir": analysis.ExperimentConfig.output_dir}
+def _config_args(parser, path: str, options: dict[str, str]):
+    """Flat key = value lines, # comments; each key becomes the flag whose dest
+    it is, and a value that flag rejects is reported at its line."""
+    raw, lines = {"output_dir": analysis.ExperimentConfig.output_dir}, {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             key, sep, value = line.split("#", 1)[0].partition("=")
             if sep:
-                raw[key.strip()] = value.strip()
+                raw[key.strip()], lines[key.strip()] = value.strip(), lineno
             elif key.strip():
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
     unknown = sorted(set(raw) - set(options))
@@ -114,7 +115,14 @@ def _config_flags(path: str, options: dict[str, str]) -> list[str]:
     for f in dataclasses.fields(analysis.ExperimentConfig):
         if f.default is dataclasses.MISSING and f.name not in raw:
             raise ValueError(f"{path}: missing config key {f.name!r}")
-    return [f"{options[key]}={value}" for key, value in raw.items()]
+    parser.exit_on_error = False  # a rejected value raises, so its line can be named
+    try:
+        return parser.parse_args([f"{options[key]}={value}" for key, value in raw.items()])
+    except argparse.ArgumentError as err:
+        key = next(key for key in raw if options[key] == err.argument_name)
+        raise ValueError(f"{path}:{lines[key]}: {key}: {err}") from None
+    finally:
+        parser.exit_on_error = True
 
 
 def _cmd_pipeline(parser, args) -> int:
@@ -124,12 +132,12 @@ def _cmd_pipeline(parser, args) -> int:
             print(f"grasstri pipeline: error: --config and {args.given[0]} are mutually "
                   "exclusive", file=sys.stderr)
             return 2
-        args = parser.parse_args(_config_flags(args.config, options))
+        args = _config_args(parser, args.config, options)
     if not args.space:
         print("grasstri pipeline: error: --space (or --config) is required", file=sys.stderr)
         return 2
     args.output_dir = args.output_dir or f"grasstri-{args.space}-seed{args.seed}"
-    args.proportions = _parse_list(args.proportions, float) if args.proportions else None
+    args.proportions = None if args.proportions is None else _parse_list(args.proportions, float)
     config = analysis.ExperimentConfig(**{dest: getattr(args, dest) for dest in options})
     result = analysis.run_pipeline(config)
     report = result.report

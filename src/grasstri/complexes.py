@@ -102,9 +102,7 @@ class Filtration:
     def validate(self) -> None:
         """Check the canonical order and the face-before-coface property."""
         self._check_order()
-        index = FacetIndex(self)
-        for d in range(1, self.max_dim + 1):
-            index.facet_rows(d, np.flatnonzero(self.dims == d))
+        FacetIndex(self).look_up_all()
 
     def _check_order(self) -> None:
         """Values are finite, vertices strictly increase, labels lie in
@@ -148,7 +146,7 @@ class FacetIndex:
 
     def __init__(self, filtration: Filtration):
         dims, verts = filtration.dims, filtration.verts
-        self.verts = verts
+        self.dims, self.verts = dims, verts
         self.n = int(verts.max()) + 1 if len(verts) else 1
         vrows = np.flatnonzero(dims == 0)
         table = np.full(self.n, -1, dtype=np.int64)
@@ -164,6 +162,17 @@ class FacetIndex:
             self.keys.append(np.append(keys[order], np.iinfo(np.int64).max))
             self.rows.append(rows_k[order])
 
+    def look_up_all(self, fill=lambda d, cols, rowmat: None) -> None:
+        """``fill(d, cols, facet_rows(d, cols))`` for blocks ``cols`` of the
+        d-simplices, d >= 1, as ``linalg.in_order`` jobs whose temporaries stay
+        near BLOCK_BYTES / 5; the first failing job raises its MissingFace."""
+        for d in range(1, int(self.dims.max(initial=0)) + 1):
+            cols = np.flatnonzero(self.dims == d)
+            step = max(1, linalg.BLOCK_BYTES // (128 * (d + 1)))
+            jobs = ((d, cols[lo:lo + step]) for lo in range(0, len(cols), step))
+            for _ in linalg.in_order(lambda d, c: fill(d, c, self.facet_rows(d, c)), jobs):
+                pass
+
     def facet_rows(self, d: int, cols: np.ndarray) -> np.ndarray:
         """Filtration rows of the facets of the d-simplices at rows ``cols``, d >= 1.
 
@@ -171,7 +180,7 @@ class FacetIndex:
         of the facet without vertex p. Raises MissingFace when a face is
         absent or listed at or after its coface.
         """
-        vv = self.verts[cols, :d + 1]
+        vv = np.take(self.verts, cols, axis=0)[:, :d + 1]  # faster than indexing
         rowmat = np.empty((len(cols), d + 1), dtype=np.int64)
         prefix = None  # rank of vv[:, :p]
         for p in range(d + 1):
@@ -219,11 +228,13 @@ def _flag_expand(values: np.ndarray, within: np.ndarray, max_dim: int,
     ``values`` is the symmetric matrix of edge values and ``within`` the
     boolean matrix of pairs that are edges. A p-simplex is any (p+1)-clique;
     its value is the maximum of its edge values. The (d+1)-simplices grow
-    from the d-simplices, starting at the vertices, one block of rows at a
-    time: a simplex's new vertices are the columns where the ``within`` rows
-    of all its vertices hold, above its last vertex. Taken row-major, they
-    come out in lexicographic order within each dimension, and dimension by
-    dimension, so one stable sort by value gives the canonical order.
+    from the d-simplices, starting at the vertices, in jobs of a block of
+    rows: a simplex's new vertices are the columns where the ``within`` rows
+    of all its vertices hold, above its last vertex. Jobs count them, the
+    cap is checked and the dimension's arrays allocated here, then jobs fill
+    their slices. Taken row-major, they come out in lexicographic order
+    within each dimension, and dimension by dimension, so one stable sort by
+    value gives the canonical order.
     """
     n = values.shape[0]
     if max_dim < 0:
@@ -233,38 +244,45 @@ def _flag_expand(values: np.ndarray, within: np.ndarray, max_dim: int,
     if max_simplices is not None and n > max_simplices:
         raise ResourceLimit(f"simplex count exceeds cap {max_simplices}")
     above = np.triu(within, k=1)
-    pieces = [(np.arange(n, dtype=np.int32)[:, None], np.zeros(n))]
-    count = n
-    rows = max(1, linalg.BLOCK_BYTES // n)  # candidate-matrix bytes per block
-    done = 0  # pieces[done:] hold the top dimension so far
-    for _ in range(max_dim):
-        frontier, done = pieces[done:], len(pieces)
-        for verts, vals in frontier:
-            for lo in range(0, len(verts), rows):
-                block = verts[lo:lo + rows]
-                cand = above[block[:, -1]]
-                for c in range(block.shape[1] - 1):
-                    cand &= within[block[:, c]]
-                count += np.count_nonzero(cand)
-                if max_simplices is not None and count > max_simplices:
-                    raise ResourceLimit(f"simplex count exceeds cap {max_simplices}")
-                i, v = np.nonzero(cand)
-                val = vals[lo + i]
-                for c in range(block.shape[1]):
-                    np.maximum(val, values[block[i, c], v], out=val)
-                if len(i):
-                    pieces.append((np.column_stack((block[i], v.astype(np.int32))), val))
+    rows = max(1, linalg.BLOCK_BYTES // (8 * n))  # an eighth of the budget in candidates
 
-    padded = np.full((count, pieces[-1][0].shape[1]), -1, dtype=np.int32)
-    start = 0
-    for verts, _ in pieces:
-        padded[start:start + len(verts), :verts.shape[1]] = verts
-        start += len(verts)
-    vals = np.concatenate([val for _, val in pieces])
-    pieces.clear()  # free the blocks before the sort
+    def job(verts, vals, lo, out=None):
+        """Count the cofaces of a level's rows from lo, or write them and their values to out."""
+        block = verts[lo:lo + rows]
+        cand = np.take(above, block[:, -1], axis=0)
+        for c in range(block.shape[1] - 1):
+            cand &= np.take(within, block[:, c], axis=0)
+        if out is None:
+            return np.count_nonzero(cand)
+        new_verts, new_vals = out
+        i, v = np.nonzero(cand)
+        new_verts[:, :-1], new_verts[:, -1] = np.take(block, i, axis=0), v
+        new_vals[:] = vals[lo + i]
+        for c in range(block.shape[1]):
+            np.maximum(new_vals, values[block[i, c], v], out=new_vals)
+
+    levels = [(np.arange(n, dtype=np.int32)[:, None], np.zeros(n))]  # k-simplices at k
+    while len(levels) <= max_dim and len(levels[-1][0]):
+        verts, vals = levels[-1]
+        starts = range(0, len(verts), rows)
+        ends = np.cumsum([0, *linalg.in_order(job, ((verts, vals, lo) for lo in starts))]).tolist()
+        if max_simplices is not None and sum(len(v) for v, _ in levels) + ends[-1] > max_simplices:
+            raise ResourceLimit(f"simplex count exceeds cap {max_simplices}")
+        levels.append((np.empty((ends[-1], verts.shape[1] + 1), np.int32), np.empty(ends[-1])))
+        for _ in linalg.in_order(job, ((verts, vals, lo, [a[i:j] for a in levels[-1]])
+                                       for lo, i, j in zip(starts, ends, ends[1:]))):
+            pass
+    verts = None  # levels alone holds the rows, freed before the sort
+    sizes = [len(v) for v, _ in levels if len(v)]  # only the last can be empty
+    vals = np.concatenate([val for _, val in levels])
+    dims = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
+    padded = np.full((len(vals), len(sizes)), -1, dtype=np.int32)
+    for k, lo in enumerate(np.cumsum([0, *sizes[:-1]]).tolist()):
+        padded[lo:lo + sizes[k], :k + 1] = levels[k][0]
+    levels.clear()  # free the levels before the sort
     order = np.argsort(vals, kind="stable")
-    padded = padded[order]
-    return Filtration(vals[order], np.count_nonzero(padded >= 0, axis=1) - 1, padded, n)
+    # take gathers rows several times faster than indexing
+    return Filtration(vals[order], dims[order], np.take(padded, order, axis=0), n)
 
 
 def _points(cloud, count: int = 1) -> np.ndarray:

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import FacetIndex, Filtration, MissingFace  # MissingFace: raised by build_boundary
+from .complexes import FacetIndex, Filtration, MissingFace  # MissingFace: re-exported for callers
 
 INF = np.inf
-BLOCK = 1 << 15   # columns handled at once by build_boundary and _transpose
+BLOCK = 1 << 15   # columns per block of _transpose's counting sort
 
 SVG_WIDTH = 900   # pixels
 _SVG_COLORS = ("#1f6f8b", "#b55439", "#3d7a3d", "#7a4f9d", "#946b00", "#555555")
@@ -50,22 +50,18 @@ class BoundaryMatrix:
 
 def build_boundary(filtration: Filtration) -> BoundaryMatrix:
     """Boundary columns from one ``FacetIndex``, each sorted ascending. The
-    matrix is allocated before the lookup, which runs BLOCK columns at a time
-    so that its temporaries stay small."""
+    matrix is allocated before the lookup, whose jobs fill its columns."""
     dims = filtration.dims
     col_ptr = np.zeros(len(filtration) + 1, dtype=np.int64)
     np.cumsum(np.where(dims > 0, dims + 1, 0), out=col_ptr[1:])
     col_rows = np.empty(int(col_ptr[-1]), dtype=np.int64)
-    matrix = BoundaryMatrix(col_ptr, col_rows, dims, filtration.values)
-    index = FacetIndex(filtration)
-    for d in range(1, filtration.max_dim + 1):
-        cols = np.flatnonzero(dims == d)
-        for lo in range(0, len(cols), BLOCK):
-            block = cols[lo:lo + BLOCK]
-            rowmat = index.facet_rows(d, block)
-            rowmat.sort(axis=1)
-            col_rows[col_ptr[block, None] + np.arange(d + 1)] = rowmat
-    return matrix
+
+    def fill(d, cols, rowmat):
+        rowmat.sort(axis=1)
+        col_rows[col_ptr[cols, None] + np.arange(d + 1)] = rowmat
+
+    FacetIndex(filtration).look_up_all(fill)
+    return BoundaryMatrix(col_ptr, col_rows, dims, filtration.values)
 
 
 @dataclass(frozen=True, eq=False)

@@ -592,6 +592,36 @@ def test_pipeline_config_value_parsed_by_its_flag(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
 
 
+@pytest.mark.parametrize("line, message", [
+    ("seed = x", "seed: argument --seed: invalid int value: 'x'"),
+    ("sample_size =", "sample_size: argument --points: invalid int value: ''"),
+    ("r_max = wide", "r_max: argument --r-max: invalid float value: 'wide'"),
+])
+def test_pipeline_config_bad_value_names_file_line_and_key(tmp_path, capsys, line, message):
+    config = valid_config(tmp_path)
+    config.write_text(config.read_text() + "# comment\n" + line + "\n")
+    assert run(["pipeline", "--config", str(config)]) == 2
+    assert f"grasstri: error: {config}:5: {message}" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sample", "--space", "rp3", "--count", "5", "--seed", "0", "--proportions", "",
+      "--out", "{tmp}/c.txt"], "proportions only apply to Grassmann spaces"),
+    (["sample", "--space", "grassmann-4-2", "--count", "5", "--seed", "0",
+      "--proportions", " , ", "--out", "{tmp}/c.txt"], "fractions sum to 0, expected 1"),
+    (["pipeline", "--space", "grassmann-4-2", "--points", "12", "--proportions", "",
+      "--outdir", "{tmp}/out"], "proportions need at least one fraction"),
+    (["pipeline", "--config", "{tmp}/exp.cfg"], "proportions need at least one fraction"),
+], ids=["sample", "sample-grassmann", "pipeline", "config"])
+def test_empty_proportions_exit_2_and_write_nothing(tmp_path, capsys, argv, message):
+    (tmp_path / "exp.cfg").write_text(
+        f"space = grassmann-4-2\nsample_size = 12\nproportions =\noutput_dir = {tmp_path}/out\n")
+    assert run([a.format(tmp=tmp_path) for a in argv]) == 2
+    assert message in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
+
+
 def test_pipeline_config_missing_sample_size(tmp_path, capsys):
     config = tmp_path / "exp.cfg"
     config.write_text("space = rp3\n")

@@ -54,9 +54,9 @@ def test_flag_expand_matches_brute_force_cliques(monkeypatch, max_dim):
         upper = np.triu(rng.random((n, n)) < rng.uniform(0.3, 1.0), k=1)
         within = upper | upper.T
         np.fill_diagonal(within, trial % 2 == 0)
-        # two rows per block, so every dimension with 3 or more simplices
-        # is grown in several blocks
-        monkeypatch.setattr(linalg, "BLOCK_BYTES", 2 * n)
+        # two rows per job, so every dimension with 3 or more simplices
+        # is grown in several jobs
+        monkeypatch.setattr(linalg, "BLOCK_BYTES", 16 * n)
         f = complexes._flag_expand(values, within, max_dim, None)
         f.validate()
         expected = brute_force_cliques(values, within, max_dim)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grasstri import analysis, complexes, persistence
+from grasstri import analysis, complexes, linalg, persistence
 from grasstri.complexes import Filtration, Simplex
 from grasstri.persistence import INF
 from test_acceptance import gf2_rank_profile, reference_reduce_columns
@@ -147,8 +147,8 @@ def brute_force_facet_rows(filtration):
 
 
 def test_build_boundary_matches_brute_force_facets(monkeypatch):
-    # blocks of 5 columns split every dimension's lookup into several
-    monkeypatch.setattr(persistence, "BLOCK", 5)
+    # jobs of at most 5 columns split every dimension's lookup into several
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", 128 * 2 * 5)
     rng = np.random.default_rng(1)
     cloud = rng.standard_normal((8, 2))
     f = complexes.vietoris_rips(cloud, 2.5, 5)
