@@ -17,7 +17,6 @@ from . import complexes, grassmann, persistence
 
 INF = np.inf
 
-DEFAULT_MAX_SIMPLICES = 5_000_000
 DEFAULT_LANDMARK_METHOD = "maxmin"  # witness landmarks, for pipeline and witness alike
 COMPLEX_KINDS = ("rips", "witness")  # ExperimentConfig.kind, pipeline --complex
 
@@ -108,7 +107,7 @@ class ExperimentConfig:
     landmark_method: str | None = None
     proportions: tuple[float, ...] | None = None
     top_dim: int | None = None
-    max_simplices: int = DEFAULT_MAX_SIMPLICES
+    max_simplices: int = complexes.DEFAULT_MAX_SIMPLICES
 
     def __post_init__(self):
         parse_space(self.space)
@@ -196,6 +195,18 @@ def sample_space(space: str, count: int, rng: np.random.Generator,
     return points.reshape(count, -1)
 
 
+def build_complex(cloud, kind, r_max, max_dim, max_simplices=complexes.DEFAULT_MAX_SIMPLICES,
+                  landmark_count=None, landmark_method=DEFAULT_LANDMARK_METHOD, seed=None):
+    """(filtration, landmarks or None) of a kind; looks up complexes' functions per call."""
+    if kind == "rips":
+        return complexes.vietoris_rips(cloud, r_max, max_dim, max_simplices), None
+    if kind != "witness" or landmark_method not in complexes.LANDMARKS:
+        raise ValueError(f"unknown complex kind {kind!r} or landmark method {landmark_method!r}")
+    choose = getattr(complexes, f"{landmark_method}_landmarks")
+    landmarks = choose(cloud, landmark_count, np.random.default_rng(seed))
+    return complexes.witness_filtration(cloud, landmarks, r_max, max_dim, max_simplices), landmarks
+
+
 @dataclass(frozen=True)
 class PipelineResult:
     report: WindowReport
@@ -225,18 +236,12 @@ def run_pipeline(config: ExperimentConfig) -> PipelineResult:
 
     # one simplex dimension above the reported degrees, so clique-skeleton
     # cycles in the top degree die at birth and drop out as zero length
-    simplex_dim = config.max_dim + 1
-    landmarks = None
-    if config.kind == "witness":
+    filtration, landmarks = build_complex(
+        cloud, config.kind, config.r_max, config.max_dim + 1, config.max_simplices,
+        config.landmark_count, config.landmark_method, config.seed + 1)
+    if landmarks is not None:
         paths["landmarks"] = str(out / "landmarks.txt")
-        choose = complexes.LANDMARKS[config.landmark_method]
-        landmarks = choose(cloud, config.landmark_count, np.random.default_rng(config.seed + 1))
         complexes.write_landmarks(paths["landmarks"], landmarks)
-        filtration = complexes.witness_filtration(
-            cloud, landmarks, config.r_max, simplex_dim, config.max_simplices)
-    else:
-        filtration = complexes.vietoris_rips(
-            cloud, config.r_max, simplex_dim, config.max_simplices)
     complexes.write_filtration(paths["filtration"], filtration)
 
     barcode = persistence.barcodes(filtration, config.max_dim)

@@ -44,20 +44,10 @@ def _cmd_betti(args) -> int:
     return 0
 
 
-def _cmd_rips(args) -> int:
-    cloud = grassmann.read_cloud(args.cloud)
-    filtration = complexes.vietoris_rips(cloud, args.r_max, args.max_dim,
-                                         args.max_simplices)
-    complexes.write_filtration(args.out, filtration)
-    return 0
-
-
-def _cmd_witness(args) -> int:
-    cloud = grassmann.read_cloud(args.cloud)
-    rng = np.random.default_rng(args.seed)
-    landmarks = complexes.LANDMARKS[args.landmark_method](cloud, args.landmark_count, rng)
-    filtration = complexes.witness_filtration(cloud, landmarks, args.r_max,
-                                              args.max_dim, args.max_simplices)
+def _cmd_build(args) -> int:
+    filtration, landmarks = analysis.build_complex(
+        grassmann.read_cloud(args.cloud), args.command, args.r_max, args.max_dim,
+        args.max_simplices, args.landmark_count, args.landmark_method, args.seed)
     if args.landmarks_out:
         complexes.write_landmarks(args.landmarks_out, landmarks)
     complexes.write_filtration(args.out, filtration)
@@ -100,14 +90,16 @@ class _Given(argparse._StoreAction):
 
 def _config_args(parser, path: str, options: dict[str, str]):
     """Flat key = value lines, # comments; each key becomes the flag whose dest
-    it is, and a value that flag rejects is reported at its line."""
+    it is; a value that flag rejects, or a repeated key, is reported at its line."""
     raw, lines = {"output_dir": analysis.ExperimentConfig.output_dir}, {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
-            key, sep, value = line.split("#", 1)[0].partition("=")
+            key, sep, value = (part.strip() for part in line.split("#", 1)[0].partition("="))
+            if sep and key in lines:
+                raise ValueError(f"{path}:{lineno}: {key}: already given at line {lines[key]}")
             if sep:
-                raw[key.strip()], lines[key.strip()] = value.strip(), lineno
-            elif key.strip():
+                raw[key], lines[key] = value, lineno
+            elif key:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
     unknown = sorted(set(raw) - set(options))
     if unknown:
@@ -180,20 +172,20 @@ def build_parser() -> _Parser:
     build.add_argument("--r-max", type=float, default=analysis.INF)
     build.add_argument("--max-dim", type=int, required=True,
                        help="top simplex dimension (one above the degree of interest)")
-    build.add_argument("--max-simplices", type=int, default=analysis.DEFAULT_MAX_SIMPLICES)
+    build.add_argument("--max-simplices", type=int, default=complexes.DEFAULT_MAX_SIMPLICES)
     build.add_argument("--out", required=True)
+    build.set_defaults(func=_cmd_build)
 
     p = sub.add_parser("rips", parents=[build], help="Vietoris-Rips filtration from a cloud file")
-    p.set_defaults(func=_cmd_rips)
+    p.set_defaults(landmark_count=None, landmark_method=None, seed=None, landmarks_out=None)
 
     p = sub.add_parser("witness", parents=[build], help="witness filtration from a cloud file")
     p.add_argument("--landmark-count", type=int, required=True)
-    p.add_argument("--landmark-method", choices=sorted(complexes.LANDMARKS),
+    p.add_argument("--landmark-method", choices=complexes.LANDMARKS,
                    default=analysis.DEFAULT_LANDMARK_METHOD)
     p.add_argument("--seed", type=int, required=True,
                    help="landmark selection seed (the pipeline uses its seed + 1)")
     p.add_argument("--landmarks-out")
-    p.set_defaults(func=_cmd_witness)
 
     p = sub.add_parser("persist", help="barcode CSV (and SVG) from a filtration file")
     p.add_argument("--filtration", required=True)
@@ -223,10 +215,10 @@ def build_parser() -> _Parser:
          help="top homology degree; simplices go one dimension higher")
     flag("--seed", type=int, default=defaults.seed)
     flag("--landmark-count", type=int, default=None)
-    flag("--landmark-method", choices=sorted(complexes.LANDMARKS), default=None)
+    flag("--landmark-method", choices=complexes.LANDMARKS, default=None)
     flag("--proportions")
     flag("--top-dim", type=int, default=None)
-    flag("--max-simplices", type=int, default=analysis.DEFAULT_MAX_SIMPLICES)
+    flag("--max-simplices", type=int, default=complexes.DEFAULT_MAX_SIMPLICES)
     flag("--outdir", dest="output_dir", metavar="OUTDIR")
     p.set_defaults(func=functools.partial(_cmd_pipeline, p), given=[])
     return parser

@@ -17,6 +17,8 @@ import numpy as np
 from . import linalg
 from .linalg import pairwise_distances  # a name here too: perfbench wraps it
 
+DEFAULT_MAX_SIMPLICES = 5_000_000  # the builders', the pipeline's and the CLI's simplex cap
+
 
 class EmptyCloud(ValueError):
     """The point cloud has no points."""
@@ -222,7 +224,7 @@ def _check_labels(labels, vertex_count: int) -> None:
 
 
 def _flag_expand(values: np.ndarray, within: np.ndarray, max_dim: int,
-                 max_simplices: int | None) -> "Filtration":
+                 max_simplices: int) -> "Filtration":
     """Grow the flag complex of an edge-weighted graph up to max_dim.
 
     ``values`` is the symmetric matrix of edge values and ``within`` the
@@ -239,9 +241,9 @@ def _flag_expand(values: np.ndarray, within: np.ndarray, max_dim: int,
     n = values.shape[0]
     if max_dim < 0:
         raise ValueError("max_dim must be nonnegative")
-    if max_simplices is not None and max_simplices < 1:
+    if max_simplices < 1:
         raise ValueError("max_simplices must be positive")
-    if max_simplices is not None and n > max_simplices:
+    if n > max_simplices:
         raise ResourceLimit(f"simplex count exceeds cap {max_simplices}")
     above = np.triu(within, k=1)
     rows = max(1, linalg.BLOCK_BYTES // (8 * n))  # an eighth of the budget in candidates
@@ -266,7 +268,7 @@ def _flag_expand(values: np.ndarray, within: np.ndarray, max_dim: int,
         verts, vals = levels[-1]
         starts = range(0, len(verts), rows)
         ends = np.cumsum([0, *linalg.in_order(job, ((verts, vals, lo) for lo in starts))]).tolist()
-        if max_simplices is not None and sum(len(v) for v, _ in levels) + ends[-1] > max_simplices:
+        if sum(len(v) for v, _ in levels) + ends[-1] > max_simplices:
             raise ResourceLimit(f"simplex count exceeds cap {max_simplices}")
         levels.append((np.empty((ends[-1], verts.shape[1] + 1), np.int32), np.empty(ends[-1])))
         for _ in linalg.in_order(job, ((verts, vals, lo, [a[i:j] for a in levels[-1]])
@@ -299,7 +301,7 @@ def _points(cloud, count: int = 1) -> np.ndarray:
 
 
 def vietoris_rips(cloud, r_max: float, max_dim: int,
-                  max_simplices: int | None = None) -> Filtration:
+                  max_simplices: int = DEFAULT_MAX_SIMPLICES) -> Filtration:
     """Vietoris-Rips filtration: simplices with diameter strictly below r_max.
 
     Vertices enter at 0 and every other simplex at the largest pairwise
@@ -365,7 +367,7 @@ def random_landmarks(cloud, count: int, rng: np.random.Generator) -> LandmarkSet
     return LandmarkSet(idx, _distance_rows(pts, idx))
 
 
-LANDMARKS = {"maxmin": maxmin_landmarks, "random": random_landmarks}
+LANDMARKS = ("maxmin", "random")  # methods; callers look up <method>_landmarks at call time
 
 
 def witness_edge_values(landmarks: LandmarkSet, r_max: float = np.inf) -> np.ndarray:
@@ -420,7 +422,7 @@ def witness_edge_values(landmarks: LandmarkSet, r_max: float = np.inf) -> np.nda
 
 
 def witness_filtration(cloud, landmarks: LandmarkSet, r_max: float, max_dim: int,
-                       max_simplices: int | None = None) -> Filtration:
+                       max_simplices: int = DEFAULT_MAX_SIMPLICES) -> Filtration:
     """Lazy witness filtration on the landmark vertices.
 
     Edges carry the witness parameter from ``witness_edge_values`` and enter
@@ -433,26 +435,19 @@ def witness_filtration(cloud, landmarks: LandmarkSet, r_max: float, max_dim: int
     return _flag_expand(values, values <= r_max, max_dim, max_simplices)
 
 
-# rows formatted and written per block by write_filtration
-WRITE_ROWS = 32_768
-# bytes read per chunk by read_filtration and grassmann.read_cloud
-READ_BYTES = 2**18
-
-
 def write_filtration(path, filtration: Filtration) -> None:
     """Text format: header ``dim_max vertex_count``, then ``value v0 ... vk`` lines.
 
     Values are written with ``%.17g``, so they read back exactly. Each block
-    of ``WRITE_ROWS`` rows formats each run of values with one bit pattern
-    once (so ``-0.0`` stays ``-0``) and each label it uses once, as
-    NUL-padded byte strings, gathers them row by row and writes the bytes
-    that are not NUL.
+    of ``BLOCK_BYTES // 128`` rows formats each run of values with one bit
+    pattern once (so ``-0.0`` stays ``-0``) and each label it uses once, as
+    NUL-padded byte strings, gathers them by row and writes all but the NULs.
     """
-    values, verts = filtration.values, filtration.verts
+    values, verts, rows = filtration.values, filtration.verts, max(1, linalg.BLOCK_BYTES // 128)
     with open(path, "wb") as fh:
         fh.write(b"%d %d\n" % (filtration.max_dim, filtration.vertex_count))
-        for lo in range(0, len(filtration), WRITE_ROWS):
-            vals, block = values[lo:lo + WRITE_ROWS], verts[lo:lo + WRITE_ROWS]
+        for lo in range(0, len(filtration), rows):
+            vals, block = values[lo:lo + rows], verts[lo:lo + rows]
             new = np.r_[True, vals.view(np.int64)[1:] != vals.view(np.int64)[:-1]]
             texts = np.array([b"%.17g" % v for v in vals[new].tolist()])
             used, labels = np.unique(block, return_inverse=True)
@@ -466,21 +461,21 @@ def _token_chunks(fh, line: int):
     """The lines of binary file ``fh`` from its position on, which starts
     line number ``line``: first their count and bytes, then their tokens.
 
-    A chunk is ``READ_BYTES`` cut after its last line end (a missing final
-    one is supplied). Per chunk with tokens, yields its bytes as uint8,
-    padded with spaces by its longest token, the number of its first line,
-    its token start and end offsets, and the index of the first token of
-    each nonblank line. Whitespace is ASCII space, \\t, \\n, \\v, \\f and
-    \\r; lines end at \\n.
+    A chunk is ``BLOCK_BYTES // 16`` bytes cut after its last line end (a
+    missing final one is supplied). Per chunk with tokens, yields its bytes
+    as uint8, padded with spaces by its longest token, the number of its
+    first line, its token start and end offsets, and the index of the first
+    token of each nonblank line. Whitespace is ASCII space, \\t, \\n, \\v,
+    \\f and \\r; lines end at \\n.
     """
-    start, count, size, last = fh.tell(), 0, 0, b"\n"
-    for data in iter(lambda: fh.read(READ_BYTES), b""):
+    start, count, size, last, step = fh.tell(), 0, 0, b"\n", max(1, linalg.BLOCK_BYTES // 16)
+    for data in iter(lambda: fh.read(step), b""):
         count, size, last = count + data.count(b"\n"), size + len(data), data[-1:]
     fh.seek(start)
     yield count + (last != b"\n"), size
     rest = b""
     while True:
-        data = fh.read(READ_BYTES)
+        data = fh.read(step)
         buf = rest + (data or b"\n")
         cut = buf.rfind(b"\n") + 1
         rest, text = buf[cut:], np.frombuffer(buf, np.uint8, cut)

@@ -19,7 +19,7 @@ import numpy as np
 ORTHONORMAL_TOL = 1e-10
 PROJECTION_TOL = 1e-9
 DEPENDENCE_TOL = 1e-12  # gram_schmidt's least residual norm, relative to the vector's
-BLOCK_BYTES = 2**22  # main-temporary bytes per block, here and in complexes' block loops
+BLOCK_BYTES = 2**22  # the one block budget: each loop takes it over its bytes per item
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .complexes import FacetIndex, Filtration, MissingFace  # MissingFace: re-exported for callers
 
 INF = np.inf
-BLOCK = 1 << 15   # columns per block of _transpose's counting sort
 
 SVG_WIDTH = 900   # pixels
 _SVG_COLORS = ("#1f6f8b", "#b55439", "#3d7a3d", "#7a4f9d", "#946b00", "#555555")
@@ -104,25 +104,25 @@ def reduce_boundary(matrix: BoundaryMatrix) -> Pairing:
 def _transpose(matrix: BoundaryMatrix) -> tuple[np.ndarray, np.ndarray]:
     """The coboundary: row r's cofacets are ``cob[ptr[r]:ptr[r+1]]``, ascending.
 
-    A counting sort of ``col_rows`` over BLOCK columns at a time keeps the
-    temporaries small; column indices are int32.
+    A counting sort of ``col_rows`` over ``BLOCK_BYTES // 128`` columns at a
+    time keeps the temporaries small; column indices are int32.
     """
     col_ptr, col_rows = matrix.col_ptr, matrix.col_rows
-    m = len(matrix)
+    m, block = len(matrix), max(1, linalg.BLOCK_BYTES // 128)
     # ptr[r+1] starts at row r's first slot and ends past its last one
     ptr = np.zeros(m + 1, dtype=np.int64)
     np.cumsum(np.bincount(col_rows, minlength=m)[:-1], out=ptr[2:])
     cob = np.empty(len(col_rows), dtype=np.int32)
-    for lo in range(0, m, BLOCK):
-        hi = min(lo + BLOCK, m)
-        key = col_rows[col_ptr[lo]:col_ptr[hi]] * BLOCK
+    for lo in range(0, m, block):
+        hi = min(lo + block, m)
+        key = col_rows[col_ptr[lo]:col_ptr[hi]] * block
         if not len(key):  # vertex columns only
             continue
         # one (row, column) key per entry, sorted: each row's columns ascend
         key += np.repeat(np.arange(hi - lo), np.diff(col_ptr[lo:hi + 1]))
         key.sort()
-        cols = key % BLOCK + lo
-        rows = np.floor_divide(key, BLOCK, out=key)
+        cols = key % block + lo
+        rows = np.floor_divide(key, block, out=key)
         starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
         counts = np.diff(starts, append=len(rows))
         runs = rows[starts]
@@ -247,12 +247,19 @@ def write_barcode(path, barcode: Barcode) -> None:
 
 
 def read_barcode(path) -> Barcode:
+    rows = []
     with open(path) as fh:
         header = fh.readline().strip()
         if header != "degree,birth,death":
             raise ValueError(f"unexpected barcode header: {header!r}")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    return Barcode(*np.array(rows, dtype=str).reshape(len(rows), 3).T)
+        for lineno, line in enumerate(fh, 2):
+            try:
+                if line.strip():
+                    degree, birth, death = line.strip().split(",")
+                    rows.append((int(degree), float(birth), float(death)))
+            except ValueError as exc:  # also a row without three fields
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return Barcode(*np.array(rows, dtype=object).reshape(-1, 3).T)
 
 
 def write_barcode_svg(path, barcode: Barcode) -> None:

@@ -377,6 +377,35 @@ def test_pipeline_honors_explicit_top_dim(tmp_path):
     assert result.report.target == (1, 1)
 
 
+@pytest.mark.parametrize("kind", analysis.COMPLEX_KINDS)
+def test_build_complex_calls_complexes_attributes(monkeypatch, kind):
+    # a wrapper set on the module, as a tracer sets one, sees the build
+    calls = []
+    for name in ("vietoris_rips", "witness_filtration", "maxmin_landmarks"):
+        def wrapper(*args, _fn=getattr(complexes, name), _name=name):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(complexes, name, wrapper)
+    cloud = np.random.default_rng(4).standard_normal((20, 3))
+    filtration, landmarks = analysis.build_complex(cloud, kind, 1.5, 2, 10**4, 6, "maxmin", 3)
+    if kind == "rips":
+        assert calls == ["vietoris_rips"] and landmarks is None
+        assert filtration == complexes.vietoris_rips(cloud, 1.5, 2)
+    else:
+        assert calls == ["maxmin_landmarks", "witness_filtration"]
+        expected = complexes.maxmin_landmarks(cloud, 6, np.random.default_rng(3))
+        assert np.array_equal(landmarks.indices, expected.indices)
+        assert filtration == complexes.witness_filtration(cloud, expected, 1.5, 2)
+
+
+def test_build_complex_rejects_unknown_kind_and_method():
+    cloud = np.zeros((3, 2))
+    with pytest.raises(ValueError, match="unknown complex kind 'full'"):
+        analysis.build_complex(cloud, "full", 1.0, 1)
+    with pytest.raises(ValueError, match="landmark method 'distance'"):
+        analysis.build_complex(cloud, "witness", 1.0, 1, 10, 2, "distance", 0)
+
+
 def test_pipeline_respects_simplex_cap(tmp_path):
     config = base_config(sample_size=40, r_max=2.0, max_simplices=50,
                          output_dir=str(tmp_path / "cap"))

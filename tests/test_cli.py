@@ -474,6 +474,21 @@ def test_window_rejects_negative_degree(tmp_path, capsys):
     assert "a degree of at least 0" in err
 
 
+@pytest.mark.parametrize("row, message", [
+    ("1,0.5", "not enough values to unpack (expected 3, got 2)"),
+    ("1,0.5,0.9,2", "too many values to unpack (expected 3)"),
+    ("1.0,0.5,0.9", "invalid literal for int() with base 10: '1.0'"),
+    ("1,x,0.9", "could not convert string to float: 'x'"),
+    ("1,0.5,x", "could not convert string to float: 'x'"),
+], ids=["short", "four-fields", "float-degree", "bad-birth", "bad-death"])
+def test_window_locates_bad_barcode_row(tmp_path, capsys, row, message):
+    path, out = tmp_path / "barcode.csv", tmp_path / "report.txt"
+    path.write_text(f"degree,birth,death\n0,0,inf\n\n{row}\n1,0.2,0.4\n")
+    assert run(["window", "--barcode", str(path), "--target", "1,1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"grasstri: error: {path}:4: {message}\n"
+    assert not out.exists()
+
+
 def test_window_report_file(tmp_path):
     out = tmp_path / "report.txt"
     code = run(["window", "--barcode", str(barcode_file(tmp_path)),
@@ -599,9 +614,21 @@ def test_pipeline_config_value_parsed_by_its_flag(tmp_path, capsys):
 ])
 def test_pipeline_config_bad_value_names_file_line_and_key(tmp_path, capsys, line, message):
     config = valid_config(tmp_path)
-    config.write_text(config.read_text() + "# comment\n" + line + "\n")
+    key = line.split("=")[0].strip()
+    # a key may be given only once, so a valid line of the same key becomes a comment
+    text = config.read_text().replace(f"\n{key} =", f"\n# {key} =")
+    config.write_text(text + "# comment\n" + line + "\n")
     assert run(["pipeline", "--config", str(config)]) == 2
     assert f"grasstri: error: {config}:5: {message}" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
+
+
+def test_pipeline_config_repeated_key_exits_2(tmp_path, capsys):
+    config = valid_config(tmp_path)
+    config.write_text(config.read_text() + "seed = 1\n# comment\nseed = 2\n")
+    assert run(["pipeline", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == \
+        f"grasstri: error: {config}:6: seed: already given at line 4\n"
     assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
 
 
@@ -668,3 +695,23 @@ def test_pipeline_cap_exits_4(tmp_path, capsys):
                 "--max-simplices", "20", "--outdir", str(tmp_path / "x")])
     assert code == 4
     assert "resource limit" in capsys.readouterr().err
+
+
+def test_capped_witness_pipeline_writes_only_the_cloud(tmp_path, capsys):
+    # landmarks are written once the complex is built, so a cap leaves none
+    outdir = tmp_path / "x"
+    assert run(["pipeline", "--space", "rp2-r4", "--points", "60", "--complex", "witness",
+                "--landmark-count", "30", "--r-max", "2", "--max-dim", "2",
+                "--max-simplices", "50", "--outdir", str(outdir)]) == 4
+    assert "resource limit" in capsys.readouterr().err
+    assert [p.name for p in outdir.iterdir()] == ["cloud.txt"]
+
+
+@pytest.mark.parametrize("command", ["rips", "witness", "pipeline"])
+def test_simplex_cap_defaults_to_the_library_default(command):
+    flags = {"rips": ["--cloud", "c", "--max-dim", "1", "--out", "f"],
+             "witness": ["--cloud", "c", "--max-dim", "1", "--out", "f",
+                         "--landmark-count", "2", "--seed", "0"],
+             "pipeline": ["--space", "rp3"]}[command]
+    args = cli.build_parser().parse_args([command, *flags])
+    assert args.max_simplices == complexes.DEFAULT_MAX_SIMPLICES == 5_000_000

@@ -57,7 +57,7 @@ def test_flag_expand_matches_brute_force_cliques(monkeypatch, max_dim):
         # two rows per job, so every dimension with 3 or more simplices
         # is grown in several jobs
         monkeypatch.setattr(linalg, "BLOCK_BYTES", 16 * n)
-        f = complexes._flag_expand(values, within, max_dim, None)
+        f = complexes._flag_expand(values, within, max_dim, complexes.DEFAULT_MAX_SIMPLICES)
         f.validate()
         expected = brute_force_cliques(values, within, max_dim)
         assert filtration_as_dict(f) == expected
@@ -382,7 +382,7 @@ def test_witness_edge_values_below_r_max(count, extra, dim, decimals, columns, c
     r_max = {"zero": 0.0, "inf": np.inf,
              "quantile": float(np.quantile(expected, q, method="nearest"))}[cut]
     within = expected <= r_max
-    flag = complexes._flag_expand(expected, within, max_dim, None)
+    flag = complexes._flag_expand(expected, within, max_dim, complexes.DEFAULT_MAX_SIMPLICES)
     for budget in (linalg.BLOCK_BYTES, 8 * count * columns):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(linalg, "BLOCK_BYTES", budget)
@@ -409,7 +409,8 @@ def test_witness_edge_values_second_nearest_one_ulp_apart():
             assert np.array_equal(complexes.witness_edge_values(landmarks), expected)
             assert np.array_equal(complexes.witness_edge_values(landmarks, 0.0), expected)
             filtration = complexes.witness_filtration(cloud, landmarks, 0.0, 2)
-        assert filtration == complexes._flag_expand(expected, expected <= 0.0, 2, None)
+        assert filtration == complexes._flag_expand(expected, expected <= 0.0, 2,
+                                                    complexes.DEFAULT_MAX_SIMPLICES)
 
 
 def test_witness_membership_grid():
@@ -500,6 +501,24 @@ def test_witness_simplex_cap():
     assert again == full
 
 
+@pytest.mark.parametrize("kind", ["rips", "witness"])
+def test_builders_cap_at_the_default(kind):
+    # every pair of 120 points is an edge: 288,100 simplices up to dimension
+    # 2, and C(120, 4) = 8,214,570 tetrahedra on top, past the default cap
+    cloud = np.random.default_rng(5).standard_normal((120, 3))
+    landmarks = complexes.maxmin_landmarks(cloud, 120, np.random.default_rng(0))
+
+    def build(max_dim):
+        if kind == "rips":
+            return complexes.vietoris_rips(cloud, np.inf, max_dim)
+        return complexes.witness_filtration(cloud, landmarks, np.inf, max_dim)
+
+    assert len(build(2)) == 120 + math.comb(120, 2) + math.comb(120, 3)
+    cap = complexes.DEFAULT_MAX_SIMPLICES
+    with pytest.raises(complexes.ResourceLimit, match=f"exceeds cap {cap}$"):
+        build(3)
+
+
 def test_witness_filtration_nesting():
     rng = np.random.default_rng(11)
     cloud = rng.standard_normal((20, 2))
@@ -551,10 +570,11 @@ def reference_write_filtration(path, filtration):
 
 def assert_writes_reference(filtration, directory, rows=3):
     """write_filtration with blocks of ``rows`` rows (3 by default, which
-    split dimensions and mix them) gives the reference writer's bytes."""
+    split dimensions and mix them; 128 budget bytes a row) gives the
+    reference writer's bytes."""
     ours, ref = directory / "block.txt", directory / "reference.txt"
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(complexes, "WRITE_ROWS", rows)
+        mp.setattr(linalg, "BLOCK_BYTES", 128 * rows)
         complexes.write_filtration(ours, filtration)
     reference_write_filtration(ref, filtration)
     assert ours.read_bytes() == ref.read_bytes()
@@ -607,7 +627,7 @@ def test_write_filtration_edge_cases(tmp_path):
                                                  "0.5 1 2"]
     assert complexes.read_filtration(path).values.tobytes() == signed.values.tobytes()
     # one distinct value in a block, and blocks of one and of three rows
-    for rows in (1, 3, complexes.WRITE_ROWS):
+    for rows in (1, 3, linalg.BLOCK_BYTES // 128):
         for f in (signed, vertices):
             assert_writes_reference(f, tmp_path, rows)
 
@@ -615,7 +635,7 @@ def test_write_filtration_edge_cases(tmp_path):
 def test_write_filtration_memory_is_bounded(tmp_path, monkeypatch):
     f = complexes.vietoris_rips(np.random.default_rng(3).standard_normal((40, 3)), 2.2, 4)
     assert 15_000 < len(f) < 30_000
-    monkeypatch.setattr(complexes, "WRITE_ROWS", 64)
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", 128 * 64)  # 64-row blocks
     path = tmp_path / "filtration.txt"
     complexes.write_filtration(path, f)  # keeps one-time imports and caches out of the trace
     tracemalloc.start()
@@ -686,7 +706,7 @@ def respace(text: str, rng) -> bytes:
 @settings(max_examples=60, deadline=None)
 @given(kind=st.sampled_from(["rips", "witness"]), points=st.integers(1, 9),
        max_dim=st.integers(0, 4), r_max=st.floats(0.3, 3.0), seed=st.integers(0, 2**32 - 1),
-       read_bytes=st.sampled_from([1, 7, 64, complexes.READ_BYTES]))
+       read_bytes=st.sampled_from([1, 7, 64, linalg.BLOCK_BYTES // 16]))
 def test_read_filtration_matches_reference(tmp_path_factory, kind, points, max_dim, r_max,
                                            seed, read_bytes):
     f = random_filtration(kind, points, max_dim, r_max, seed)
@@ -695,14 +715,14 @@ def test_read_filtration_matches_reference(tmp_path_factory, kind, points, max_d
     complexes.write_filtration(plain, f)
     spaced.write_bytes(respace(plain.read_text(), random.Random(seed)))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(complexes, "READ_BYTES", read_bytes)
+        mp.setattr(linalg, "BLOCK_BYTES", 16 * read_bytes)  # read_bytes-byte chunks
         for path in (plain, spaced):
             back = complexes.read_filtration(path)
             assert back == reference_read_filtration(path) == f
             assert back.values.tobytes() == f.values.tobytes()
 
 
-@pytest.mark.parametrize("read_bytes", [1, 7, 64, complexes.READ_BYTES])
+@pytest.mark.parametrize("read_bytes", [1, 7, 64, linalg.BLOCK_BYTES // 16])
 @pytest.mark.parametrize("line, message", [
     ("abc 198", "could not convert string to float: 'abc'"),
     ("0 x", "invalid literal for int() with base 10: 'x'"),
@@ -725,7 +745,7 @@ def test_read_filtration_locates_bad_token_after_chunk_boundary(tmp_path, read_b
     lines[250] = "0 y\n"  # a later bad line is not the one reported
     path.write_text("".join(lines))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(complexes, "READ_BYTES", read_bytes)
+        mp.setattr(linalg, "BLOCK_BYTES", 16 * read_bytes)  # read_bytes-byte chunks
         with pytest.raises(ValueError) as exc:
             complexes.read_filtration(path)
     assert str(exc.value) == f"{path}:200: {message}"
@@ -759,7 +779,7 @@ def test_read_filtration_memory_is_bounded(tmp_path, monkeypatch):
     assert 40_000 < len(f) < 60_000
     path = tmp_path / "filtration.txt"
     complexes.write_filtration(path, f)
-    monkeypatch.setattr(complexes, "READ_BYTES", 2**16)
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", 2**20)  # 64 KiB chunks
     complexes.read_filtration(path)  # keeps one-time imports and caches out of the trace
     tracemalloc.start()
     try:
@@ -771,7 +791,7 @@ def test_read_filtration_memory_is_bounded(tmp_path, monkeypatch):
     # the output, the order check's masks (less than the output again) and
     # the token arrays of a chunk; the 1.5 MB file read as one chunk peaks
     # at about 30 MB
-    assert peak < 2 * output + 16 * complexes.READ_BYTES
+    assert peak < 2 * output + linalg.BLOCK_BYTES
 
 
 def test_landmarks_round_trip(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from grasstri import complexes, grassmann, linalg
+from grasstri import grassmann, linalg
 from grasstri.grassmann import GrassmannParams
 
 
@@ -378,8 +378,8 @@ def test_read_cloud_edge_cases(tmp_path):
 def test_read_cloud_locates_bad_lines(tmp_path, monkeypatch):
     path = tmp_path / "cloud.txt"
     path.write_bytes(b"\n 1\t2 \r\n\n3\v4\f\n5 6")
-    for read_bytes in (1, 5, complexes.READ_BYTES):
-        monkeypatch.setattr(complexes, "READ_BYTES", read_bytes)
+    for read_bytes in (1, 5, linalg.BLOCK_BYTES // 16):
+        monkeypatch.setattr(linalg, "BLOCK_BYTES", 16 * read_bytes)  # read_bytes-byte chunks
         assert np.array_equal(grassmann.read_cloud(path), [[1, 2], [3, 4], [5, 6]])
         for text, message in [
                 ("1 2\n3 4\n0.3 x\n", "3: could not convert string to float: 'x'"),
@@ -402,7 +402,7 @@ BIT_PATTERNS = st.one_of(st.integers(0, 2**64 - 1), st.integers(0, 2**52 - 1),
 
 @settings(max_examples=60, deadline=None)
 @given(bits=st.lists(BIT_PATTERNS, min_size=1, max_size=300),
-       read_bytes=st.sampled_from([7, 64, complexes.READ_BYTES]))
+       read_bytes=st.sampled_from([7, 64, linalg.BLOCK_BYTES // 16]))
 @example(bits=[0, 2**63, 1, 2**63 + 1, 0x7FEFFFFFFFFFFFFF, 0xFFEFFFFFFFFFFFFF,
                0x000FFFFFFFFFFFFF, 0x0010000000000000], read_bytes=64)
 def test_float_tokens_parse_as_float_does(tmp_path_factory, bits, read_bytes):
@@ -415,6 +415,6 @@ def test_float_tokens_parse_as_float_does(tmp_path_factory, bits, read_bytes):
     path = tmp_path_factory.mktemp("floats") / "cloud.txt"
     path.write_text("\n".join(tokens) + "\n")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(complexes, "READ_BYTES", read_bytes)
+        mp.setattr(linalg, "BLOCK_BYTES", 16 * read_bytes)
         cloud = grassmann.read_cloud(path)
     assert cloud[:, 0].view(np.int64).tolist() == expected.view(np.int64).tolist()

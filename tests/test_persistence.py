@@ -185,7 +185,7 @@ def test_facet_index_property(tmp_path_factory, kind, points, max_dim, r_max, se
 
     with pytest.MonkeyPatch.context() as mp:
         # blocks of 3 columns build the one transpose shared by all degrees
-        mp.setattr(persistence, "BLOCK", 3)
+        mp.setattr(linalg, "BLOCK_BYTES", 128 * 3)
         optimized = persistence.reduce_boundary(matrix)
         barcode = persistence.barcodes(f)
     naive = reference_reduce_columns(matrix)
@@ -307,7 +307,7 @@ def non_flag_complexes():
 
 def test_optimized_equals_naive_on_non_flag_complexes(monkeypatch):
     # blocks of 2 columns build the one transpose shared by all degrees
-    monkeypatch.setattr(persistence, "BLOCK", 2)
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", 128 * 2)
     non_flag = 0
     for name, f in non_flag_complexes():
         matrix = persistence.build_boundary(f)
@@ -338,7 +338,7 @@ def transpose_inputs():
     yield "witness", complexes.witness_filtration(cloud, landmarks, 1.5, 3)
     yield from non_flag_complexes()
     # more vertices than one default block, so the first block has no entries
-    n = persistence.BLOCK + 3
+    n = linalg.BLOCK_BYTES // 128 + 3
     simplices = [Simplex((v,), 0.0) for v in range(n)]
     simplices += [Simplex(e, 1.0) for e in ((0, 1), (0, 2), (1, 2), (n - 2, n - 1))]
     simplices.append(Simplex((0, 1, 2), 2.0))
@@ -348,7 +348,7 @@ def transpose_inputs():
 @pytest.mark.parametrize("block", [1, 2, 3, None])
 def test_transpose_matches_brute_force_coboundary(monkeypatch, block):
     if block is not None:
-        monkeypatch.setattr(persistence, "BLOCK", block)
+        monkeypatch.setattr(linalg, "BLOCK_BYTES", 128 * block)  # block columns
     for name, f in transpose_inputs():
         matrix = persistence.build_boundary(f)
         ptr, cob = persistence._transpose(matrix)

@@ -33,8 +33,7 @@ def results(build):
 def tiny_jobs(mp, workers):
     """Jobs of at most 2 facet lookups or 7 expansion rows, on ``workers`` workers."""
     mp.setattr(linalg, "WORKERS", workers)
-    mp.setattr(linalg, "BLOCK_BYTES", 600)
-    mp.setattr(persistence, "BLOCK", 3)
+    mp.setattr(linalg, "BLOCK_BYTES", 600)  # also 4-column transpose blocks
 
 
 @pytest.mark.parametrize("kind", ["rips", "witness"])
@@ -93,7 +92,7 @@ def test_resource_limit_does_not_depend_on_workers():
     rng = np.random.default_rng(3)
     dist = complexes.pairwise_distances(rng.standard_normal((12, 3)))
     np.fill_diagonal(dist, 0.0)
-    total = len(complexes._flag_expand(dist, dist < 1.6, 3, None))
+    total = len(complexes._flag_expand(dist, dist < 1.6, 3, complexes.DEFAULT_MAX_SIMPLICES))
     for workers in (1, 2, 3):
         with pytest.MonkeyPatch.context() as mp:
             tiny_jobs(mp, workers)
