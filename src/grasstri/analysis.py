@@ -67,14 +67,14 @@ def matching_windows(barcode: persistence.Barcode, target, top_dim: int) -> Wind
 
 
 def export_complex(filtration: complexes.Filtration, r: float) -> list[complexes.Simplex]:
-    """The triangulation at parameter r: all simplices with value <= r, in order."""
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    keep = np.flatnonzero(filtration.values <= r)
-    return [filtration.simplex(int(i)) for i in keep]
+    """The triangulation at parameter r: all simplices with value <= r, in
+    order, which the canonical order makes a prefix."""
+    return [filtration.simplex(i) for i in range(simplex_count_at(filtration, r))]
 
 
 def simplex_count_at(filtration: complexes.Filtration, r: float) -> int:
+    if not r >= 0:  # also rejects nan
+        raise ValueError("r must be nonnegative")
     return int(np.count_nonzero(filtration.values <= r))
 
 
@@ -204,7 +204,7 @@ def build_complex(cloud, kind, r_max, max_dim, max_simplices=complexes.DEFAULT_M
         raise ValueError(f"unknown complex kind {kind!r} or landmark method {landmark_method!r}")
     choose = getattr(complexes, f"{landmark_method}_landmarks")
     landmarks = choose(cloud, landmark_count, np.random.default_rng(seed))
-    return complexes.witness_filtration(cloud, landmarks, r_max, max_dim, max_simplices), landmarks
+    return complexes.witness_filtration(landmarks, r_max, max_dim, max_simplices), landmarks
 
 
 @dataclass(frozen=True)
@@ -224,7 +224,6 @@ def run_pipeline(config: ExperimentConfig) -> PipelineResult:
     reproduce each file byte for byte.
     """
     out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     paths = {name: str(out / fname) for name, fname in (
         ("cloud", "cloud.txt"), ("filtration", "filtration.txt"),
         ("barcode", "barcode.csv"), ("svg", "barcode.svg"),
@@ -232,6 +231,7 @@ def run_pipeline(config: ExperimentConfig) -> PipelineResult:
 
     rng = np.random.default_rng(config.seed)
     cloud = sample_space(config.space, config.sample_size, rng, config.proportions)
+    out.mkdir(parents=True, exist_ok=True)  # after sampling: a bad fraction writes nothing
     grassmann.write_cloud(paths["cloud"], cloud)
 
     # one simplex dimension above the reported degrees, so clique-skeleton

@@ -121,13 +121,10 @@ def _cmd_pipeline(parser, args) -> int:
     options = {a.dest: a.option_strings[0] for a in parser._actions if isinstance(a, _Given)}
     if args.config:
         if args.given:
-            print(f"grasstri pipeline: error: --config and {args.given[0]} are mutually "
-                  "exclusive", file=sys.stderr)
-            return 2
+            parser.error(f"--config and {args.given[0]} are mutually exclusive")
         args = _config_args(parser, args.config, options)
     if not args.space:
-        print("grasstri pipeline: error: --space (or --config) is required", file=sys.stderr)
-        return 2
+        parser.error("--space (or --config) is required")
     args.output_dir = args.output_dir or f"grasstri-{args.space}-seed{args.seed}"
     args.proportions = None if args.proportions is None else _parse_list(args.proportions, float)
     config = analysis.ExperimentConfig(**{dest: getattr(args, dest) for dest in options})

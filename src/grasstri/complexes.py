@@ -20,24 +20,8 @@ from .linalg import pairwise_distances  # a name here too: perfbench wraps it
 DEFAULT_MAX_SIMPLICES = 5_000_000  # the builders', the pipeline's and the CLI's simplex cap
 
 
-class EmptyCloud(ValueError):
-    """The point cloud has no points."""
-
-
-class CountTooLarge(ValueError):
-    """More landmarks requested than there are cloud points."""
-
-
-class TooFewLandmarks(ValueError):
-    """Witness construction needs at least two landmarks."""
-
-
 class ResourceLimit(RuntimeError):
     """Simplex count exceeded the configured cap."""
-
-
-class MissingFace(ValueError):
-    """A simplex's face is absent from the filtration or listed after it."""
 
 
 class Simplex(NamedTuple):
@@ -167,7 +151,7 @@ class FacetIndex:
     def look_up_all(self, fill=lambda d, cols, rowmat: None) -> None:
         """``fill(d, cols, facet_rows(d, cols))`` for blocks ``cols`` of the
         d-simplices, d >= 1, as ``linalg.in_order`` jobs whose temporaries stay
-        near BLOCK_BYTES / 5; the first failing job raises its MissingFace."""
+        near BLOCK_BYTES / 5; the first failing job raises its ValueError."""
         for d in range(1, int(self.dims.max(initial=0)) + 1):
             cols = np.flatnonzero(self.dims == d)
             step = max(1, linalg.BLOCK_BYTES // (128 * (d + 1)))
@@ -179,7 +163,7 @@ class FacetIndex:
         """Filtration rows of the facets of the d-simplices at rows ``cols``, d >= 1.
 
         Row i describes the i-th of those simplices; its column p is the row
-        of the facet without vertex p. Raises MissingFace when a face is
+        of the facet without vertex p. Raises ValueError when a face is
         absent or listed at or after its coface.
         """
         vv = np.take(self.verts, cols, axis=0)[:, :d + 1]  # faster than indexing
@@ -195,8 +179,8 @@ class FacetIndex:
             i, p = bad[0]
             simplex = tuple(int(v) for v in vv[i])
             where = "missing from" if rowmat[i, p] < 0 else "listed at or after it in"
-            raise MissingFace(f"face {simplex[:p] + simplex[p + 1:]} of {simplex} "
-                              f"is {where} the filtration")
+            raise ValueError(f"face {simplex[:p] + simplex[p + 1:]} of {simplex} "
+                             f"is {where} the filtration")
         return rowmat
 
     def rank(self, vv: np.ndarray, cols, prefix=None, start: int = 0) -> np.ndarray:
@@ -210,7 +194,7 @@ class FacetIndex:
             if len(miss):
                 simplex = tuple(int(v) for v in vv[int(miss[0])])
                 face = tuple(simplex[c] for c in cols[:w + 1])
-                raise MissingFace(f"face {face} of {simplex} is missing from the filtration")
+                raise ValueError(f"face {face} of {simplex} is missing from the filtration")
         return rank
 
 
@@ -292,11 +276,11 @@ def _points(cloud, count: int = 1) -> np.ndarray:
     ``count`` points to choose."""
     pts = np.asarray(cloud, dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:
-        raise EmptyCloud("need a nonempty 2-d point cloud")
+        raise ValueError("need a nonempty 2-d point cloud")
     if not np.isfinite(pts).all():
         raise ValueError("point coordinates must be finite")
     if not 1 <= count <= len(pts):
-        raise CountTooLarge(f"need 1 <= count <= {len(pts)}, got {count}")
+        raise ValueError(f"need 1 <= count <= {len(pts)}, got {count}")
     return pts
 
 
@@ -396,7 +380,7 @@ def witness_edge_values(landmarks: LandmarkSet, r_max: float = np.inf) -> np.nda
     dist = landmarks.distances
     n_l = dist.shape[0]
     if n_l < 2:
-        raise TooFewLandmarks("witness complex needs at least 2 landmarks")
+        raise ValueError("witness complex needs at least 2 landmarks")
     best = np.full((n_l, n_l), np.inf)  # best[a, b]: (i) for a < b, (ii) for r1 = a
     width = max(1, linalg.BLOCK_BYTES // (8 * n_l))  # distance-table bytes per block
     for lo in range(0, dist.shape[1], width):
@@ -421,7 +405,7 @@ def witness_edge_values(landmarks: LandmarkSet, r_max: float = np.inf) -> np.nda
     return np.maximum(np.minimum(best, best.T), 0.0)
 
 
-def witness_filtration(cloud, landmarks: LandmarkSet, r_max: float, max_dim: int,
+def witness_filtration(landmarks: LandmarkSet, r_max: float, max_dim: int,
                        max_simplices: int = DEFAULT_MAX_SIMPLICES) -> Filtration:
     """Lazy witness filtration on the landmark vertices.
 

@@ -15,23 +15,8 @@ import numpy as np
 
 from . import linalg
 from .complexes import _floats, _token_chunks, _token_error
-from .linalg import (
-    PROJECTION_TOL,
-    LinearDependence,
-    _dot,
-    _raise_at,
-    gram_schmidt,
-    projection_matrix,
-    random_orthogonal,
-)
-
-
-class InvalidProportions(ValueError):
-    """Cell-dimension proportions do not describe a probability split."""
-
-
-class NotUnit(ValueError):
-    """Input point is not on the unit sphere."""
+from .linalg import (PROJECTION_TOL, _dot, _raise_at, gram_schmidt, projection_matrix,
+                     random_orthogonal)
 
 
 @dataclass(frozen=True)
@@ -60,11 +45,11 @@ def check_projections(params: GrassmannParams, matrices) -> np.ndarray:
     n, k = params.n, params.k
     if p.shape[-2:] != (n, n):
         raise ValueError(f"expected {n}x{n} matrices, got shape {p.shape}")
-    _raise_at(~np.all(p == np.swapaxes(p, -1, -2), axis=(-2, -1)), ValueError,
+    _raise_at(~np.all(p == np.swapaxes(p, -1, -2), axis=(-2, -1)),
               "projection matrix must be exactly symmetric")
-    _raise_at(np.max(np.abs(p @ p - p), axis=(-2, -1)) >= PROJECTION_TOL, ValueError,
+    _raise_at(np.max(np.abs(p @ p - p), axis=(-2, -1)) >= PROJECTION_TOL,
               "matrix is not idempotent")
-    _raise_at(np.abs(np.trace(p, axis1=-2, axis2=-1) - k) >= PROJECTION_TOL, ValueError,
+    _raise_at(np.abs(np.trace(p, axis1=-2, axis2=-1) - k) >= PROJECTION_TOL,
               f"trace must equal {k}")
     return p
 
@@ -178,13 +163,15 @@ def sample_biased(params: GrassmannParams, count: int, proportions,
         cells_by_dim.setdefault(cell_dimension(sym), []).append(sym)
 
     for dim, frac in proportions.items():
+        if np.isnan(frac):  # it would pass every check below
+            raise ValueError(f"fraction for dimension {dim} is not a number")
         if frac < 0:
-            raise InvalidProportions(f"negative fraction for dimension {dim}")
+            raise ValueError(f"negative fraction for dimension {dim}")
         if frac > 0 and dim not in cells_by_dim:
-            raise InvalidProportions(f"no cell of dimension {dim} in G_{params.k}(R^{params.n})")
+            raise ValueError(f"no cell of dimension {dim} in G_{params.k}(R^{params.n})")
     total = sum(proportions.values())
     if abs(total - 1.0) > 1e-9:
-        raise InvalidProportions(f"fractions sum to {total}, expected 1")
+        raise ValueError(f"fractions sum to {total}, expected 1")
 
     counts = _largest_remainder(count, proportions)
     n, k = params.n, params.k
@@ -214,8 +201,7 @@ def _check_unit(p) -> np.ndarray:
     v = np.asarray(p, dtype=float)
     if v.shape[-1:] != (3,):
         raise ValueError(f"expected vectors in R^3, got shape {v.shape}")
-    _raise_at(np.abs(np.sqrt(_dot(v, v)) - 1.0) >= 1e-10, NotUnit,
-              "input must be a unit vector")
+    _raise_at(np.abs(np.sqrt(_dot(v, v)) - 1.0) >= 1e-10, "input must be a unit vector")
     return v
 
 
@@ -252,7 +238,7 @@ def sample_sphere(count: int, rng: np.random.Generator) -> np.ndarray:
     v = rng.standard_normal((count, 3))
     norm = np.sqrt(_dot(v, v))
     # a draw this short has probability zero
-    _raise_at(norm <= 1e-12, LinearDependence, "normal draw too close to zero")
+    _raise_at(norm <= 1e-12, "normal draw too close to zero")
     return v / norm
 
 

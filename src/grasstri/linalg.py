@@ -23,14 +23,6 @@ BLOCK_BYTES = 2**22  # the one block budget: each loop takes it over its bytes p
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-class LinearDependence(ValueError):
-    """Input vectors are (numerically) linearly dependent."""
-
-
-class DimensionMismatch(ValueError):
-    """Operands do not have matching dimensions."""
-
-
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise dot products of two (..., n) stacks, shape (..., 1).
 
@@ -41,11 +33,11 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0]
 
 
-def _raise_at(bad: np.ndarray, error: type, message: str) -> None:
-    """Raise ``error`` naming the first flat index where ``bad`` holds."""
+def _raise_at(bad: np.ndarray, message: str) -> None:
+    """Raise ValueError naming the first flat index where ``bad`` holds."""
     hits = np.flatnonzero(bad)
     if len(hits):
-        raise error(f"{message} (item {int(hits[0])})")
+        raise ValueError(f"{message} (item {int(hits[0])})")
 
 
 def gram_schmidt(vectors) -> np.ndarray:
@@ -54,12 +46,12 @@ def gram_schmidt(vectors) -> np.ndarray:
     Uses the modified Gram-Schmidt recursion with one re-orthogonalization
     pass per vector, which keeps the result orthonormal to ORTHONORMAL_TOL
     even for nearly dependent inputs; the whole batch is checked against
-    that tolerance once. Raises LinearDependence when a residual's norm
+    that tolerance once. Raises ValueError when a residual's norm
     falls below DEPENDENCE_TOL times the vector's norm.
     """
     vecs = np.asarray(vectors, dtype=float)
     if vecs.ndim < 2 or not 1 <= vecs.shape[-2] <= vecs.shape[-1]:
-        raise DimensionMismatch(f"expected stacks of 1 to n vectors in R^n, got {vecs.shape}")
+        raise ValueError(f"expected stacks of 1 to n vectors in R^n, got {vecs.shape}")
     *batch, k, n = vecs.shape
     cols = np.zeros((*batch, n, k))
     for i in range(k):
@@ -70,12 +62,12 @@ def gram_schmidt(vectors) -> np.ndarray:
             for j in range(i):
                 v -= _dot(cols[..., j], v) * cols[..., j]
         norm = np.sqrt(_dot(v, v))
-        _raise_at(norm <= DEPENDENCE_TOL * scale, LinearDependence,
+        _raise_at(norm <= DEPENDENCE_TOL * scale,
                   f"vector {i} is zero or dependent on its predecessors")
         cols[..., i] = v / norm
     gram = np.matmul(np.swapaxes(cols, -1, -2), cols)
     _raise_at(np.max(np.abs(gram - np.eye(k)), axis=(-2, -1)) >= ORTHONORMAL_TOL,
-              LinearDependence, "frame columns are not orthonormal")
+              "frame columns are not orthonormal")
     return cols
 
 
@@ -89,11 +81,11 @@ def random_orthogonal(normals) -> np.ndarray:
     """
     a = np.asarray(normals, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
-        raise DimensionMismatch(f"expected a stack of square matrices, got {a.shape}")
+        raise ValueError(f"expected a stack of square matrices, got {a.shape}")
     q, r = np.linalg.qr(a)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     # a zero pivot has probability zero for Gaussian draws
-    _raise_at(np.any(diag == 0.0, axis=-1), LinearDependence, "singular normal draw")
+    _raise_at(np.any(diag == 0.0, axis=-1), "singular normal draw")
     return q * np.sign(diag)[..., None, :]
 
 
@@ -118,7 +110,7 @@ def pairwise_distances(points: np.ndarray, others: np.ndarray | None = None) -> 
     a = np.asarray(points, dtype=float)
     b = a if others is None else np.asarray(others, dtype=float)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise DimensionMismatch("point arrays must be 2-d with equal width")
+        raise ValueError("point arrays must be 2-d with equal width")
     out = np.empty((a.shape[0], b.shape[0]))
     rows = max(1, BLOCK_BYTES // max(1, 8 * b.size))
     for i in range(0, a.shape[0], rows):

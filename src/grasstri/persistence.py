@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .complexes import FacetIndex, Filtration, MissingFace  # MissingFace: re-exported for callers
+from .complexes import FacetIndex, Filtration
 
 INF = np.inf
 

@@ -335,7 +335,7 @@ def test_grassmann_witness_window():
                                       (0.0, 0.05, 0.30, 0.25, 0.40))
         landmarks = complexes.maxmin_landmarks(cloud, 100,
                                                np.random.default_rng(seed + 1))
-        filtration = complexes.witness_filtration(cloud, landmarks,
+        filtration = complexes.witness_filtration(landmarks,
                                                   WITNESS_RMAX, 5,
                                                   max_simplices=4_000_000)
         barcode = persistence.barcodes(filtration, 4)
@@ -366,7 +366,7 @@ def test_witness_membership_formula():
         count = int(rng.integers(3, 9))
         landmarks = complexes.random_landmarks(cloud, count, rng)
         r_max = float(rng.uniform(0.3, 1.2))
-        filtration = complexes.witness_filtration(cloud, landmarks, r_max, 3)
+        filtration = complexes.witness_filtration(landmarks, r_max, 3)
         expected = brute_witness_values(landmarks, 3)
 
         built = {}

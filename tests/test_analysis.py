@@ -152,6 +152,15 @@ def test_export_rejects_negative_radius():
         analysis.export_complex(triangle_filtration(), -0.1)
 
 
+def test_export_and_count_reject_nan_radius():
+    filtration = triangle_filtration()
+    for at in (analysis.export_complex, analysis.simplex_count_at):
+        with pytest.raises(ValueError, match="^r must be nonnegative$"):
+            at(filtration, math.nan)
+    assert analysis.simplex_count_at(filtration, math.inf) == len(filtration)
+    assert analysis.export_complex(filtration, math.inf) == list(filtration.simplices())
+
+
 def test_simplex_count_monotone():
     filtration = triangle_filtration()
     counts = [analysis.simplex_count_at(filtration, r)
@@ -352,7 +361,7 @@ def test_pipeline_witness_uses_offset_landmark_seed(tmp_path):
     with open(result.paths["landmarks"]) as fh:
         assert fh.read() == "".join(f"{i}\n" for i in expected.indices)
 
-    direct = complexes.witness_filtration(cloud, expected, 0.8, 2)
+    direct = complexes.witness_filtration(expected, 0.8, 2)
     stored = complexes.read_filtration(result.paths["filtration"])
     assert len(stored) == len(direct)
     assert np.array_equal(stored.values, direct.values)
@@ -395,7 +404,7 @@ def test_build_complex_calls_complexes_attributes(monkeypatch, kind):
         assert calls == ["maxmin_landmarks", "witness_filtration"]
         expected = complexes.maxmin_landmarks(cloud, 6, np.random.default_rng(3))
         assert np.array_equal(landmarks.indices, expected.indices)
-        assert filtration == complexes.witness_filtration(cloud, expected, 1.5, 2)
+        assert filtration == complexes.witness_filtration(expected, 1.5, 2)
 
 
 def test_build_complex_rejects_unknown_kind_and_method():

@@ -296,7 +296,7 @@ def test_witness_matches_library(tmp_path):
     landmarks = complexes.maxmin_landmarks(cloud, 8, np.random.default_rng(2))
     assert marks_path.read_text() == "".join(f"{i}\n" for i in landmarks.indices)
     stored = complexes.read_filtration(filt_path)
-    direct = complexes.witness_filtration(cloud, landmarks, 0.6, 2)
+    direct = complexes.witness_filtration(landmarks, 0.6, 2)
     assert len(stored) == len(direct)
     assert np.array_equal(stored.values, direct.values)
 
@@ -312,7 +312,7 @@ def test_witness_random_method(tmp_path):
                 "--out", str(filt_path)])
     assert code == 0
     landmarks = complexes.random_landmarks(cloud, 5, np.random.default_rng(3))
-    direct = complexes.witness_filtration(cloud, landmarks, 0.5, 1)
+    direct = complexes.witness_filtration(landmarks, 0.5, 1)
     stored = complexes.read_filtration(filt_path)
     assert len(stored) == len(direct)
 
@@ -715,3 +715,56 @@ def test_simplex_cap_defaults_to_the_library_default(command):
              "pipeline": ["--space", "rp3"]}[command]
     args = cli.build_parser().parse_args([command, *flags])
     assert args.max_simplices == complexes.DEFAULT_MAX_SIMPLICES == 5_000_000
+
+
+# ---------------------------------------------------------------------------
+# library errors: exit 2 with the library's message, and no output file
+
+LINE_20 = "".join(f"{i} 0\n" for i in range(20))  # 20 distinct points
+
+
+@pytest.mark.parametrize("argv, inputs, stderr", [
+    (["rips", "--cloud", "cloud.txt", "--max-dim", "1", "--out", "f.txt"],
+     {"cloud.txt": ""}, "grasstri: error: need a nonempty 2-d point cloud\n"),
+    (["witness", "--cloud", "cloud.txt", "--landmark-count", "50", "--seed", "0",
+      "--max-dim", "1", "--landmarks-out", "l.txt", "--out", "f.txt"],
+     {"cloud.txt": LINE_20}, "grasstri: error: need 1 <= count <= 20, got 50\n"),
+    (["witness", "--cloud", "cloud.txt", "--landmark-count", "1", "--seed", "0",
+      "--max-dim", "1", "--landmarks-out", "l.txt", "--out", "f.txt"],
+     {"cloud.txt": LINE_20}, "grasstri: error: witness complex needs at least 2 landmarks\n"),
+    (["persist", "--filtration", "filt.txt", "--out-csv", "b.csv", "--out-svg", "b.svg"],
+     {"filt.txt": "1 3\n0 0\n0 1\n0.5 0 2\n"},
+     "grasstri: error: face (2,) of (0, 2) is missing from the filtration\n"),
+    (["sample", "--space", "grassmann-4-2", "--count", "5", "--seed", "0",
+      "--proportions=-1,2", "--out", "c.txt"],
+     {}, "grasstri: error: negative fraction for dimension 0\n"),
+    (["sample", "--space", "grassmann-4-2", "--count", "5", "--seed", "0",
+      "--proportions", "0,0,0,0,0,1", "--out", "c.txt"],
+     {}, "grasstri: error: no cell of dimension 5 in G_2(R^4)\n"),
+    (["pipeline", "--config", "exp.cfg", "--seed", "0"],
+     {"exp.cfg": "space = rp2-r4\nsample_size = 12\noutput_dir = out\n"},
+     "grasstri pipeline: error: --config and --seed are mutually exclusive\n"),
+    (["pipeline", "--points", "12"], {},
+     "grasstri pipeline: error: --space (or --config) is required\n"),
+], ids=["empty-cloud", "count-too-large", "too-few-landmarks", "missing-face",
+        "negative-fraction", "no-such-cell", "config-and-flag", "no-space"])
+def test_library_error_message_exits_2(tmp_path, monkeypatch, capsys, argv, inputs, stderr):
+    monkeypatch.chdir(tmp_path)
+    for name, text in inputs.items():
+        (tmp_path / name).write_text(text)
+    assert run(argv) == 2
+    assert capsys.readouterr().err == stderr
+    assert sorted(p.name for p in tmp_path.rglob("*") if p.is_file()) == sorted(inputs)
+
+
+@pytest.mark.parametrize("proportions, dim", [("0.5,nan,0.5", 1), ("nan", 0)])
+@pytest.mark.parametrize("command", ["sample", "pipeline"])
+def test_nan_fraction_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys, command,
+                                                 proportions, dim):
+    monkeypatch.chdir(tmp_path)
+    argv = {"sample": ["sample", "--count", "5", "--seed", "0", "--out", "c.txt"],
+            "pipeline": ["pipeline", "--points", "12", "--outdir", "out"]}[command]
+    assert run([*argv, "--space", "grassmann-4-2", "--proportions", proportions]) == 2
+    assert capsys.readouterr().err == \
+        f"grasstri: error: fraction for dimension {dim} is not a number\n"
+    assert not any(tmp_path.iterdir())
