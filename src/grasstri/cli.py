@@ -56,7 +56,11 @@ def _cmd_build(args) -> int:
 
 def _cmd_persist(args) -> int:
     filtration = complexes.read_filtration(args.filtration)
-    barcode = persistence.barcodes(filtration, args.max_dim)
+    top = filtration.max_dim  # no coface there can kill a cycle
+    max_dim = max(top - 1, 0) if args.max_dim is None else args.max_dim
+    if len(filtration) and max_dim >= top:
+        raise ValueError(f"{args.filtration} ends at dimension {top}, too low for degree {max_dim}")
+    barcode = persistence.barcodes(filtration, max_dim)
     persistence.write_barcode(args.out_csv, barcode)
     if args.out_svg:
         persistence.write_barcode_svg(args.out_svg, barcode)
@@ -186,7 +190,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("persist", help="barcode CSV (and SVG) from a filtration file")
     p.add_argument("--filtration", required=True)
-    p.add_argument("--max-dim", type=int, default=None)
+    p.add_argument("--max-dim", type=int, help="top degree; at most and by default the top dim - 1")
     p.add_argument("--out-csv", required=True)
     p.add_argument("--out-svg")
     p.set_defaults(func=_cmd_persist)

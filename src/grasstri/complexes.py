@@ -9,6 +9,7 @@ and the witness complex is the flag complex of the witnessed-edge graph.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -119,39 +120,42 @@ class Filtration:
 
 
 class FacetIndex:
-    """The simplices of a filtration below its top dimension, keyed for
-    searchsorted, to look up the facets of its simplices.
+    """The simplices below a filtration's top dimension, keyed to find facets.
 
-    The key of a tuple (v0, ..., vk) is rank(v0..v(k-1)) * n + vk, where n
-    bounds the labels. A vertex's rank is its label; a longer tuple's rank
-    is its position among the sorted keys of its dimension. Keys follow the
-    lexicographic order and stay below (simplex count) * n, so int64 holds
-    them in any dimension. ``rows[k][rank]`` is the filtration row of the
-    k-simplex with that rank; for vertices it is -1 where the label is absent.
+    A k-simplex's key is its position among the (k+1)-subsets of the n labels
+    in use in lexicographic order, the filtration's tie order, so that nearby
+    rows search nearby keys: C(n, k + 1) - 1 - sum_i C(c_i, k + 1 - i), with
+    c_0 > ... > c_k the counts of labels in use above its vertices (the
+    combinatorial number system). ``keys[k]`` holds the sorted keys of the
+    k-simplices and C(n, k + 1), ``rows[k]`` their rows and -1. Keys are int64
+    while every C(n, j), j <= top dimension, is below 2**63, else Python ints.
     """
 
     def __init__(self, filtration: Filtration):
-        dims, verts = filtration.dims, filtration.verts
-        self.dims, self.verts = dims, verts
-        self.n = int(verts.max()) + 1 if len(verts) else 1
-        vrows = np.flatnonzero(dims == 0)
-        table = np.full(self.n, -1, dtype=np.int64)
-        table[verts[vrows, 0]] = vrows
-        self.rows = [table]
-        self.keys = [None]  # a vertex's rank is its label, so none are searched
-        for k in range(1, filtration.max_dim):
+        self.dims, self.verts = dims, verts = filtration.dims, filtration.verts
+        # the count of labels in use above each label; padding -1 marks the last slot
+        self.above = np.zeros(int(verts.max(initial=0)) + 2, dtype=np.int32)
+        self.above[verts] = 1
+        self.n, top = int(np.cumsum(self.above, out=self.above)[-2]), filtration.max_dim
+        np.subtract(self.n, self.above, out=self.above)
+        wide = max(math.comb(self.n, j) for j in range(top + 1)) >= 2**63
+        self.binom = [np.ones(self.n, dtype=object if wide else np.int64)]  # binom[j][c] = C(c, j)
+        for j in range(1, top + 1):
+            self.binom.append(np.r_[0, np.cumsum(self.binom[-1][:-1])])
+        self.keys, self.rows = [], []
+        for k in range(top):
             rows_k = np.flatnonzero(dims == k)
-            vv = verts[rows_k, :k + 1]
-            keys = self.rank(vv, range(k)) * self.n + vv[:, k]
+            keys = np.full(len(rows_k), math.comb(self.n, k + 1) - 1, dtype=self.binom[0].dtype)
+            for i in range(k + 1):
+                keys -= np.take(self.binom[k + 1 - i], np.take(self.above, verts[rows_k, i]))
             order = np.argsort(keys)
-            # a sentinel above every key keeps searchsorted positions in range
-            self.keys.append(np.append(keys[order], np.iinfo(np.int64).max))
-            self.rows.append(rows_k[order])
+            self.keys.append(np.r_[np.take(keys, order), math.comb(self.n, k + 1)])
+            self.rows.append(np.r_[np.take(rows_k, order), -1])
 
     def look_up_all(self, fill=lambda d, cols, rowmat: None) -> None:
         """``fill(d, cols, facet_rows(d, cols))`` for blocks ``cols`` of the
         d-simplices, d >= 1, as ``linalg.in_order`` jobs whose temporaries stay
-        near BLOCK_BYTES / 5; the first failing job raises its ValueError."""
+        near BLOCK_BYTES / 4; the first failing job raises its ValueError."""
         for d in range(1, int(self.dims.max(initial=0)) + 1):
             cols = np.flatnonzero(self.dims == d)
             step = max(1, linalg.BLOCK_BYTES // (128 * (d + 1)))
@@ -166,36 +170,28 @@ class FacetIndex:
         of the facet without vertex p. Raises ValueError when a face is
         absent or listed at or after its coface.
         """
-        vv = np.take(self.verts, cols, axis=0)[:, :d + 1]  # faster than indexing
+        c = np.take(self.above, np.take(self.verts, cols, axis=0)[:, :d + 1].T)  # take: faster
+        # row p: the key of the facet without vertex p, C(n, d) - 1 minus sum_{i<p}
+        # C(c_i, d - i) and sum_{i>p} C(c_i, d + 1 - i), as running sums from each side
+        keys = np.full((d + 1, len(cols)), math.comb(self.n, d) - 1, dtype=self.binom[0].dtype)
+        for p in range(1, d + 1):
+            np.subtract(keys[p - 1], np.take(self.binom[d + 1 - p], c[p - 1]), out=keys[p])
+        right = 0
+        for p in range(d, 0, -1):
+            right = right + np.take(self.binom[d + 1 - p], c[p])
+            keys[p - 1] -= right
         rowmat = np.empty((len(cols), d + 1), dtype=np.int64)
-        prefix = None  # rank of vv[:, :p]
-        for p in range(d + 1):
-            rank = self.rank(vv, [c for c in range(d + 1) if c != p], prefix, p)
-            rowmat[:, p] = self.rows[d - 1][rank]
-            if p < d:
-                prefix = self.rank(vv, range(p + 1), prefix, p)
+        for p in range(d + 1):  # -1 where the key is missing
+            at = np.searchsorted(self.keys[d - 1], keys[p])
+            rowmat[:, p] = np.where(self.keys[d - 1][at] == keys[p], self.rows[d - 1][at], -1)
         bad = np.argwhere((rowmat < 0) | (rowmat >= cols[:, None]))
         if len(bad):
             i, p = bad[0]
-            simplex = tuple(int(v) for v in vv[i])
+            simplex = tuple(int(v) for v in self.verts[cols[i], :d + 1])
             where = "missing from" if rowmat[i, p] < 0 else "listed at or after it in"
             raise ValueError(f"face {simplex[:p] + simplex[p + 1:]} of {simplex} "
                              f"is {where} the filtration")
         return rowmat
-
-    def rank(self, vv: np.ndarray, cols, prefix=None, start: int = 0) -> np.ndarray:
-        """Rank of the tuples vv[:, cols], given the rank ``prefix`` of vv[:, cols[:start]]."""
-        cols = list(cols)
-        rank = prefix if start else vv[:, cols[0]].astype(np.int64)
-        for w in range(max(start, 1), len(cols)):
-            key = rank * self.n + vv[:, cols[w]]
-            rank = np.searchsorted(self.keys[w], key)
-            miss = np.flatnonzero(self.keys[w][rank] != key)
-            if len(miss):
-                simplex = tuple(int(v) for v in vv[int(miss[0])])
-                face = tuple(simplex[c] for c in cols[:w + 1])
-                raise ValueError(f"face {face} of {simplex} is missing from the filtration")
-        return rank
 
 
 def _check_labels(labels, vertex_count: int) -> None:

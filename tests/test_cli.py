@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -382,7 +383,35 @@ def test_persist_default_max_dim(tmp_path):
     assert run(["persist", "--filtration", str(filt_path),
                 "--out-csv", str(csv_path)]) == 0
     stored = persistence.read_barcode(csv_path)
-    assert stored == persistence.barcodes(filtration)
+    # degree 2 has no 3-simplices to kill its cycles, so the default stops below it
+    assert stored == persistence.barcodes(filtration, 1)
+
+
+def test_persist_rejects_uncertified_degrees(tmp_path, monkeypatch, capsys):
+    # a witness filtration up to dimension 3 certifies degrees 0-2 only: its
+    # 3-cycles have no 4-simplices to kill them, and read as essential bars
+    monkeypatch.chdir(tmp_path)
+    assert run(["sample", "--space", "rp3", "--count", "50", "--seed", "0",
+                "--out", "cloud.txt"]) == 0
+    assert run(["witness", "--cloud", "cloud.txt", "--landmark-count", "10", "--seed", "1",
+                "--r-max", "inf", "--max-dim", "3", "--out", "f.txt"]) == 0
+    filtration = complexes.read_filtration("f.txt")
+    assert filtration.max_dim == 3
+    assert np.count_nonzero(persistence.barcodes(filtration).dims == 3) > 0
+    Path("vertices.txt").write_text("0 2\n0 0\n0 1\n")
+    capsys.readouterr()
+    for argv, top, degree in ((["--filtration", "f.txt", "--max-dim", "3"], 3, 3),
+                              (["--filtration", "f.txt", "--max-dim", "7"], 3, 7),
+                              (["--filtration", "vertices.txt"], 0, 0)):
+        assert run(["persist", *argv, "--out-csv", "b.csv", "--out-svg", "b.svg"]) == 2
+        assert capsys.readouterr().err == (f"grasstri: error: {argv[1]} ends at dimension "
+                                           f"{top}, too low for degree {degree}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cloud.txt", "f.txt",
+                                                                "vertices.txt"]
+    # the default and the largest accepted degree are one below the top dimension
+    for max_dim in ([], ["--max-dim", "2"]):
+        assert run(["persist", "--filtration", "f.txt", *max_dim, "--out-csv", "b.csv"]) == 0
+        assert persistence.read_barcode("b.csv") == persistence.barcodes(filtration, 2)
 
 
 def test_persist_empty_filtration(tmp_path):

@@ -1,5 +1,7 @@
 import itertools
 import math
+import re
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -167,6 +169,68 @@ def test_build_boundary_matches_brute_force_facets(monkeypatch):
                           persistence.build_boundary(f).col_rows)
 
 
+@pytest.mark.parametrize("count, wide", [(16_175, False), (16_176, True)])
+def test_facet_keys_past_int64(count, wide):
+    # C(16176, 5) >= 2**63 > C(16175, 5): the 4-simplex keys fill int64 at
+    # 16,175 vertices and need Python ints from 16,176 on
+    top = (0, 1, count // 2, count - 3, count - 2, count - 1)
+    faces = [Simplex(c, 1.0) for k in range(2, 7) for c in itertools.combinations(top, k)]
+    f = Filtration.from_simplices([*(Simplex((v,), 0.0) for v in range(count)), *faces], count)
+    index = complexes.FacetIndex(f)
+    assert [keys.dtype == object for keys in index.keys] == [wide] * 5
+    matrix = persistence.build_boundary(f)
+    assert [matrix.column(j).tolist() for j in range(len(matrix))] == brute_force_facet_rows(f)
+
+
+def unchecked_filtration(rows):
+    """The (vertices, value) rows as given, without the order check."""
+    width = max(len(v) for v, _ in rows)
+    return Filtration([x for _, x in rows], [len(v) - 1 for v, _ in rows],
+                      [[*v, *[-1] * (width - len(v))] for v, _ in rows], vertex_count=4)
+
+
+TRIANGLE = [((0,), 0), ((1,), 0), ((2,), 0), ((0, 1), 1), ((0, 1, 2), 2)]
+
+
+@pytest.mark.parametrize("rows, face", [
+    # the lowest dimension first: the bad edge comes after the bad triangle
+    (TRIANGLE + [((0, 2), 3), ((2, 3), 3)], "(3,) of (2, 3) is missing from"),
+    # then the lowest p: (1, 2) is missing and (0, 2) late, or the reverse
+    (TRIANGLE + [((0, 2), 3)], "(1, 2) of (0, 1, 2) is missing from"),
+    (TRIANGLE + [((1, 2), 3)], "(1, 2) of (0, 1, 2) is listed at or after it in"),
+    # the earliest simplex before the lowest p
+    ([*(((v,), 0) for v in range(4)), ((0, 2), 1), ((1, 2), 1), ((1, 3), 1),
+      ((0, 1, 2), 2), ((1, 2, 3), 2)], "(0, 1) of (0, 1, 2) is missing from"),
+    # always a facet, though the first face missing is the edge (0, 1)
+    ([*(((v,), 0) for v in range(4)), *((e, 1) for e in itertools.combinations(range(4), 2)
+                                        if e != (0, 1)),
+      ((0, 2, 3), 2), ((1, 2, 3), 2), ((0, 1, 2, 3), 3)],
+     "(0, 1, 3) of (0, 1, 2, 3) is missing from"),
+], ids=["lowest-dim", "missing-then-late", "late-then-missing", "earliest-simplex", "facet"])
+def test_first_bad_face_is_reported(rows, face):
+    f = unchecked_filtration(rows)
+    message = f"^face {re.escape(face)} the filtration$"
+    with pytest.raises(ValueError, match=message):
+        f.validate()
+    with pytest.raises(ValueError, match=message):
+        persistence.build_boundary(f)
+
+
+def test_label_table_takes_4_bytes_per_label():
+    # the one allocation sized by the largest label, not by the simplex count
+    top = 10**7
+    f = Filtration.from_simplices(
+        [Simplex((0,), 0.0), Simplex((top,), 0.0), Simplex((0, top), 1.0)], top + 1)
+    tracemalloc.start()
+    try:
+        matrix = persistence.build_boundary(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert matrix.column(2).tolist() == [0, 1]
+    assert 4 * top < peak < 5 * top
+
+
 @settings(max_examples=60, deadline=None)
 @given(kind=st.sampled_from(["rips", "witness"]), points=st.integers(2, 9),
        max_dim=st.integers(1, 4), r_max=st.floats(0.3, 3.0),
@@ -183,6 +247,11 @@ def test_facet_index_property(tmp_path_factory, kind, points, max_dim, r_max, se
     matrix = persistence.build_boundary(f)
     columns = [matrix.column(j).tolist() for j in range(len(matrix))]
     assert columns == brute_force_facet_rows(f)
+    # an increasing relabel keeps the canonical order, so the rows must not change
+    labels = np.sort(rng.choice(10**6, size=f.vertex_count, replace=False))
+    sparse = Filtration(f.values, f.dims, np.where(f.verts >= 0, labels[f.verts], -1), 10**6)
+    sparse.validate()
+    assert np.array_equal(persistence.build_boundary(sparse).col_rows, matrix.col_rows)
 
     with pytest.MonkeyPatch.context() as mp:
         # blocks of 3 columns build the one transpose shared by all degrees
