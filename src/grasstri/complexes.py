@@ -429,7 +429,7 @@ def write_filtration(path, filtration: Filtration) -> None:
         for lo in range(0, len(filtration), rows):
             vals, block = values[lo:lo + rows], verts[lo:lo + rows]
             new = np.r_[True, vals.view(np.int64)[1:] != vals.view(np.int64)[:-1]]
-            texts = np.array([b"%.17g" % v for v in vals[new].tolist()])
+            texts = _float_texts(vals[new])
             used, labels = np.unique(block, return_inverse=True)
             names = np.array([b" %d" % v if v >= 0 else b"" for v in used.tolist()])
             lines = np.column_stack([a.view(np.uint8).reshape(len(vals), -1) for a in (
@@ -491,6 +491,50 @@ def _floats(text, starts, ends):
             except ValueError:
                 hi = (lo + hi) // 2
         return None, new[lo:hi]
+
+
+_DIGITS = (np.arange(1000)[:, None] // [100, 10, 1] % 10 + 48).astype(np.uint8)  # b"000".."999"
+# 10**k for k in [-4, 20]: the least float at or above it, exact from k = 0 on (5**20 < 2**53)
+_TENS = np.array([float(f"1e{k}") for k in range(-4, 21)])
+
+
+def _float_texts(values) -> np.ndarray:
+    """``b"%.17g" % v`` of each value, as S24 strings whose NULs the writers
+    drop: the inverse of ``_floats``. For 1e-4 <= |v| < 1e17 it is fixed
+    notation with exponent X in [-4, 16] of D = |v| * 10**(16 - X) rounded
+    half to even: D's float64 rounding p is an integer and its exact error e
+    decides the rounding. Every other value goes through ``%``."""
+    x = np.asarray(values, dtype=float).ravel()
+    a = np.abs(x)
+    slow = np.flatnonzero(~((a >= 1e-4) & (a < 1e17)))  # nan too
+    a[slow] = 1.0
+    X = np.searchsorted(_TENS[:21], a, side="right") - 5  # 10**X <= a < 10**(X + 1)
+    b = _TENS[20 - X]  # a * b = p + e exactly: Dekker's product, with Veltkamp splits
+    p, ca, cb = a * b, a * 134217729.0, b * 134217729.0
+    ah, bh = ca - (ca - a), cb - (cb - b)
+    e = ((ah * bh - p) + ah * (b - bh) + (a - ah) * bh) + (a - ah) * (b - bh)
+    d = p.astype(np.int64) + np.floor(e).astype(np.int64)
+    e -= np.floor(e)
+    d += (e > 0.5) | ((e == 0.5) & (d % 2 == 1))  # no float rounds up to 10**(X + 1)
+    groups = np.empty((len(x), 6), np.int64)
+    for i in range(5, -1, -1):
+        groups[:, i], d = d % 1000, d // 1000
+    digits = np.take(_DIGITS, groups, axis=0).reshape(len(x), 18)  # b"0" and D's 17 digits
+    z = np.flatnonzero(digits[:, -1] == 48)  # strip trailing fraction zeros to NULs
+    tail = np.logical_and.accumulate(digits[z, :0:-1] == 48, axis=1)[:, ::-1]
+    digits[z, 1:] = np.where(tail & (np.arange(1, 18) > X[z, None] + 1), 0, digits[z, 1:])
+    out = np.zeros((len(x), 24), np.uint8)
+    out[:, 0] = np.where(x < 0, 45, 0)  # b"-" or NUL
+    for k in (np.flatnonzero(np.bincount(X + 4)) - 4).tolist():
+        at = np.flatnonzero(X == k)
+        if k < 0:  # 0.0...0ddd
+            out[at, 1:2 - k], out[at, 2], out[at, 2 - k:19 - k] = 48, 46, digits[at, 1:]
+        else:  # ddd.ddd, with no point before nothing
+            out[at, 1:k + 2], out[at, k + 3:19] = digits[at, 1:k + 2], digits[at, k + 2:]
+            out[at, k + 2] = 46 * digits[at, k + 2:k + 3].any(axis=1)
+    texts = out.view("S24").ravel()
+    texts[slow] = [b"%.17g" % v for v in x[slow].tolist()]
+    return texts
 
 
 def _labels(text, starts, ends, bound: int) -> np.ndarray:

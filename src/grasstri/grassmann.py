@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import linalg
-from .complexes import _floats, _token_chunks, _token_error
+from .complexes import _float_texts, _floats, _token_chunks, _token_error
 from .linalg import (PROJECTION_TOL, _dot, _raise_at, gram_schmidt, projection_matrix,
                      random_orthogonal)
 
@@ -258,20 +258,22 @@ def sample_so3(count: int, rng: np.random.Generator) -> np.ndarray:
 
 def write_cloud(path, points) -> None:
     """Write one point per line as ``np.savetxt(path, points, fmt="%.17g")``
-    does, formatting a column bit for bit equal to an earlier one (a flattened
-    projection is symmetric) once per block of rows, as NUL-padded bytes."""
+    does. Per block of rows, a column bit for bit equal to an earlier one (a
+    flattened projection is symmetric) is formatted once (``_float_texts``),
+    and the block's gathered bytes are written but their NULs."""
     pts = np.atleast_2d(np.asarray(points, dtype=float).T).T  # 1-d: one value a line
     _, width = pts.shape  # ValueError past 2-d, as in savetxt
-    seen = {}  # a column's bytes, so -0.0 and 0.0 differ -> its first column
-    keep, slot = np.unique([seen.setdefault(col.tobytes(), j) for j, col in enumerate(pts.T)],
-                           return_inverse=True)
-    rows = max(1, linalg.BLOCK_BYTES // (160 * width))  # about 160 temporary bytes a value
+    rows = max(1, linalg.BLOCK_BYTES // (256 * max(1, width)))  # temporary bytes a value
     with open(path, "wb") as fh:
         for lo in range(0, len(pts), rows):
-            block = pts[lo:lo + rows, keep]
-            texts = np.array([b"%.17g " % v for v in block.ravel().tolist()]).reshape(block.shape)
-            lines = texts[:, slot, None].view(np.uint8)
-            lines[:, -1][lines[:, -1] == 32] = 10  # the last space of a line is its end
+            block, seen = pts[lo:lo + rows], {}  # column bytes (-0.0 is not 0.0) -> first column
+            keep, slot = np.unique(np.array([seen.setdefault(col.tobytes(), j)
+                                             for j, col in enumerate(block.T)], np.intp),
+                                   return_inverse=True)
+            lines = np.zeros((len(block), width + 1, 25), np.uint8)
+            lines[:, 1:, 0], lines[:, -1, 0] = 32, 10  # spaces between values, \n last
+            lines[:, :-1, 1:] = _float_texts(block[:, keep]).view(np.uint8).reshape(
+                len(block), -1, 24)[:, slot]
             fh.write(lines[lines != 0])
 
 

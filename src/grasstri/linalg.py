@@ -103,19 +103,22 @@ def projection_matrix(frames) -> np.ndarray:
 def pairwise_distances(points: np.ndarray, others: np.ndarray | None = None) -> np.ndarray:
     """All Euclidean distances between rows of ``points`` and rows of ``others``.
 
-    Blocked over rows of ``points`` so that a block's difference array stays
-    within BLOCK_BYTES, but a block holds at least one row of ``points``
-    against all of ``others``, which can be more.
+    Blocked over both: a block's difference array stays within BLOCK_BYTES //
+    16 (256 KiB, so it stays in cache), as columns of ``others`` against as
+    many rows of ``points`` as fit beside them.
     """
     a = np.asarray(points, dtype=float)
     b = a if others is None else np.asarray(others, dtype=float)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ValueError("point arrays must be 2-d with equal width")
     out = np.empty((a.shape[0], b.shape[0]))
-    rows = max(1, BLOCK_BYTES // max(1, 8 * b.size))
+    step = max(1, BLOCK_BYTES // 16 // max(1, 8 * a.shape[1]))  # differences a block
+    cols = max(1, min(step, b.shape[0]))
+    rows = max(1, step // cols)
     for i in range(0, a.shape[0], rows):
-        diff = a[i:i + rows, None, :] - b[None, :, :]
-        out[i:i + rows] = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        for j in range(0, b.shape[0], cols):
+            diff = a[i:i + rows, None, :] - b[None, j:j + cols, :]
+            out[i:i + rows, j:j + cols] = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
     return out
 
 

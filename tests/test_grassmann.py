@@ -1,12 +1,13 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from grasstri import grassmann, linalg
+from grasstri import complexes, grassmann, linalg
 from grasstri.grassmann import GrassmannParams
 
 
@@ -353,7 +354,7 @@ def test_write_cloud_matches_savetxt(tmp_path, monkeypatch):
     signed[[1, 4], 2] = -0.0  # bit patterns differ from column 0's zeros
     special = np.array([[np.inf, np.nan, -np.inf, np.inf], [1e-300, np.nan, -1e300, 1e-300]])
     clouds = [sampled, partial, signed, special, sampled[:, :1], sampled[:1],
-              sampled[:, 3], np.empty((0, 3))]
+              sampled[:, 3], np.empty((0, 3)), np.empty((3, 0))]
 
     def check():
         for i, cloud in enumerate(clouds):
@@ -363,11 +364,28 @@ def test_write_cloud_matches_savetxt(tmp_path, monkeypatch):
 
     check()
     # one row a block, then three rows a block for the 25-column clouds
-    for budget in (1, 3 * 160 * 25):
+    for budget in (1, 3 * 256 * 25):
         monkeypatch.setattr(linalg, "BLOCK_BYTES", budget)
         check()
     with pytest.raises(ValueError):  # savetxt takes 1-d and 2-d arrays only
         grassmann.write_cloud(tmp_path / "stack.txt", np.zeros((2, 2, 2)))
+
+
+def test_write_cloud_memory_is_bounded(tmp_path, monkeypatch):
+    cloud = np.random.default_rng(13).standard_normal((4000, 25))
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", 256 * 25 * 64)  # 64-row blocks
+    path = tmp_path / "cloud.txt"
+    grassmann.write_cloud(path, cloud)  # keeps one-time imports and caches out of the trace
+    tracemalloc.start()
+    try:
+        grassmann.write_cloud(path, cloud)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a block's temporaries take about 256 bytes a value (240-250 here), and
+    # a whole-file join would hold at least the file's text at once
+    assert peak < 1.1 * linalg.BLOCK_BYTES
+    assert peak < path.stat().st_size / 4
 
 
 def test_read_cloud_edge_cases(tmp_path):
@@ -423,3 +441,55 @@ def test_float_tokens_parse_as_float_does(tmp_path_factory, bits, read_bytes):
         mp.setattr(linalg, "BLOCK_BYTES", 16 * read_bytes)
         cloud = grassmann.read_cloud(path)
     assert cloud[:, 0].view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+
+def assert_formats_as_percent(values):
+    """complexes._float_texts gives b"%.17g" % v once its NULs are dropped."""
+    values = np.asarray(values, dtype=float)
+    texts = complexes._float_texts(values)
+    assert texts.dtype == "S24" and texts.shape == values.shape
+    got = [t.replace(b"\0", b"") for t in texts.tolist()]
+    assert got == [b"%.17g" % v for v in values.tolist()]
+
+
+def array_path(values):
+    """Which values _float_texts formats as arrays: the rest take %."""
+    return (np.abs(values) >= 1e-4) & (np.abs(values) < 1e17)
+
+
+FORMAT_PINS = np.array(
+    [0.0, -0.0, 5e-324, 2**-25, 0.1, 0.5, 1e-4, np.nextafter(1e-4, 0), np.nextafter(1e-4, 1),
+     9.9999999999999995e-07, 1e16, 99999999999999999.0, np.inf, -np.inf, np.nan]
+    + [v for p in (float(f"1e{k}") for k in range(-5, 18))
+       for v in (np.nextafter(p, 0), p, np.nextafter(p, np.inf))])
+
+
+def test_float_texts_pinned_values():
+    assert_formats_as_percent(np.r_[FORMAT_PINS, -FORMAT_PINS])
+    # ties at 17 digits go to even, 99999999999999999.0 is 1e17, and -1e16
+    # has exponent 16, so no fraction digits
+    ties = [2**-25, 1234567890123456.25, 1234567890123456.75, 99999999999999999.0, -1e16]
+    assert [t.replace(b"\0", b"") for t in complexes._float_texts(ties).tolist()] == [
+        b"2.9802322387695312e-08", b"1234567890123456.2", b"1234567890123456.8", b"1e+17",
+        b"-10000000000000000"]
+    path = array_path(FORMAT_PINS)
+    assert path.sum() > 40 and (~path).sum() > 10
+
+
+def test_float_texts_bulk():
+    rng = np.random.default_rng(14)
+    uniform = rng.uniform(-1, 1, 10**6)
+    # trailing zeros, bare points, and from 10**15 on ties at 17 digits
+    eighths = np.r_[np.arange(-2 * 10**5, 2 * 10**5), 8 * 10**15 + np.arange(10**5)] / 8
+    for values in (uniform, eighths):
+        assert_formats_as_percent(values)
+        assert array_path(values).any() and not array_path(values).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(st.one_of(
+    st.floats(1e-5, 1e18), st.floats(-1e18, -1e-5),
+    BIT_PATTERNS.map(lambda b: float(np.array(b, dtype=np.uint64).view(float)))),
+    min_size=1, max_size=300))
+def test_float_texts_match_percent_formatting(values):
+    assert_formats_as_percent(values)

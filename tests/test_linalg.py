@@ -106,20 +106,25 @@ def test_pairwise_distances_against_direct_loop(monkeypatch):
 def test_pairwise_distances_chunk_boundaries(monkeypatch):
     rng = np.random.default_rng(7)
     a = rng.standard_normal((10, 3))
-    row_bytes = 10 * 3 * 8
-    monkeypatch.setattr(linalg, "BLOCK_BYTES", 1000 * row_bytes)
+    pair_bytes = 16 * 3 * 8  # a block's differences take BLOCK_BYTES // 16, 24 bytes a pair
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", 1000 * 10 * pair_bytes)
     full = linalg.pairwise_distances(a)
-    # below one row still takes a row; then 1, 3 and all 10 rows a block
-    for budget in (1, row_bytes, 3 * row_bytes + 7, 10 * row_bytes):
+    # below one pair still takes one; then 3 and 7 columns of a row, 1, 3 and all 10 rows
+    for budget in (1, 3 * pair_bytes, 7 * pair_bytes + 7, 10 * pair_bytes,
+                   3 * 10 * pair_bytes + 7, 10 * 10 * pair_bytes):
         monkeypatch.setattr(linalg, "BLOCK_BYTES", budget)
         assert np.array_equal(linalg.pairwise_distances(a), full)
-    # the same blocks against an ``others`` of more rows than ``a``
+    # the same blocks against an ``others`` of more rows than ``a``: columns
+    # split below one row of it (23 pairs), whole rows from there on
     b = rng.standard_normal((23, 3))
-    monkeypatch.setattr(linalg, "BLOCK_BYTES", 1000 * 23 * 3 * 8)
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", 1000 * 23 * pair_bytes)
     rect = linalg.pairwise_distances(a, b)
-    for budget in (1, 23 * 3 * 8, 3 * 23 * 3 * 8 + 7):
+    for budget in (1, pair_bytes, 5 * pair_bytes + 7, 22 * pair_bytes, 23 * pair_bytes,
+                   3 * 23 * pair_bytes + 7):
         monkeypatch.setattr(linalg, "BLOCK_BYTES", budget)
         assert np.array_equal(linalg.pairwise_distances(a, b), rect)
+    assert np.array_equal(linalg.pairwise_distances(np.empty((2, 0)), np.empty((3, 0))),
+                          np.zeros((2, 3)))
 
 
 def test_pairwise_distances_rejects_mismatched_width():
