@@ -94,29 +94,46 @@ class Filtration:
     def _check_order(self) -> None:
         """Values are finite, vertices strictly increase, labels lie in
         [0, vertex_count), and adjacent rows strictly increase by
-        (value, dim, vertices)."""
-        bad = np.flatnonzero(~np.isfinite(self.values))
-        if len(bad):
-            raise ValueError(f"filtration value {self.values[bad[0]]} at position "
-                             f"{int(bad[0])} is not finite")
+        (value, dim, vertices). Each test runs a column at a time over blocks
+        of ``BLOCK_BYTES // 16`` rows, each block from the last row of the one
+        before; the first bad row of the first failing test is reported."""
         width = self.verts.shape[1]
-        used = np.arange(width) <= self.dims[:, None]
-        labelled = (self.verts >= 0) & (self.verts < self.vertex_count)
-        if not (np.array_equal(labelled, used) and used[:, :1].all()):
+        step = max(1, linalg.BLOCK_BYTES // 16)
+
+        def first_bad(test):
+            for lo in range(0, len(self), step):
+                at = slice(max(lo - 1, 0), lo + step)
+                bad = np.flatnonzero(~test(self.values[at], self.dims[at], self.verts[at]))
+                if len(bad):
+                    return at.start + int(bad[0])
+
+        def labelled(values, dims, verts):
+            ok = dims >= 0
+            for p, column in enumerate(verts.T):
+                ok &= ((column >= 0) & (column < self.vertex_count)) == (dims >= p)
+            return ok
+
+        def rising(values, dims, verts):
+            ok = np.ones(len(dims), bool)
+            for p in range(1, width):
+                ok &= (verts[:, p] > verts[:, p - 1]) | (dims < p)
+            return ok
+
+        def in_order(values, dims, verts):  # "row i-1 < row i", folded from its last key
+            less = False
+            for key in [*verts.T[::-1], dims, values]:
+                less = (key[:-1] < key[1:]) | ((key[:-1] == key[1:]) & less)
+            return np.r_[True, less]
+
+        if (i := first_bad(lambda values, dims, verts: np.isfinite(values))) is not None:
+            raise ValueError(f"filtration value {self.values[i]} at position {i} is not finite")
+        if first_bad(labelled) is not None:
             raise ValueError(f"each simplex needs 1 to {width} vertex labels in "
                              f"[0, {self.vertex_count}), padded with -1")
-        rising = (self.verts[:, 1:] > self.verts[:, :-1]) | ~used[:, 1:]
-        bad = np.flatnonzero(~rising.all(axis=1))
-        if len(bad):
-            raise ValueError(f"simplex vertices must strictly increase: "
-                             f"{self.simplex(int(bad[0])).vertices}")
-        # "row i-1 < row i" in the canonical order, folded from its last key
-        less = False
-        for key in [*self.verts.T[::-1], self.dims, self.values]:
-            less = (key[:-1] < key[1:]) | ((key[:-1] == key[1:]) & less)
-        bad = np.flatnonzero(~less)
-        if len(bad):
-            raise ValueError(f"simplices out of order at position {int(bad[0]) + 1}")
+        if (i := first_bad(rising)) is not None:
+            raise ValueError(f"simplex vertices must strictly increase: {self.simplex(i).vertices}")
+        if (i := first_bad(in_order)) is not None:
+            raise ValueError(f"simplices out of order at position {i}")
 
 
 class FacetIndex:
@@ -503,11 +520,15 @@ def _float_texts(values) -> np.ndarray:
     drop: the inverse of ``_floats``. For 1e-4 <= |v| < 1e17 it is fixed
     notation with exponent X in [-4, 16] of D = |v| * 10**(16 - X) rounded
     half to even: D's float64 rounding p is an integer and its exact error e
-    decides the rounding. Every other value goes through ``%``."""
+    decides the rounding. Every other value goes through ``%`` alone."""
     x = np.asarray(values, dtype=float).ravel()
     a = np.abs(x)
-    slow = np.flatnonzero(~((a >= 1e-4) & (a < 1e17)))  # nan too
-    a[slow] = 1.0
+    fast = (a >= 1e-4) & (a < 1e17)  # not nan
+    if not fast.all():
+        texts = np.empty(len(x), "S24")
+        texts[~fast] = [b"%.17g" % v for v in x[~fast].tolist()]
+        texts[fast] = _float_texts(x[fast])
+        return texts
     X = np.searchsorted(_TENS[:21], a, side="right") - 5  # 10**X <= a < 10**(X + 1)
     b = _TENS[20 - X]  # a * b = p + e exactly: Dekker's product, with Veltkamp splits
     p, ca, cb = a * b, a * 134217729.0, b * 134217729.0
@@ -516,6 +537,7 @@ def _float_texts(values) -> np.ndarray:
     d = p.astype(np.int64) + np.floor(e).astype(np.int64)
     e -= np.floor(e)
     d += (e > 0.5) | ((e == 0.5) & (d % 2 == 1))  # no float rounds up to 10**(X + 1)
+    del a, b, p, ca, cb, ah, bh, e  # freed before the digit tables
     groups = np.empty((len(x), 6), np.int64)
     for i in range(5, -1, -1):
         groups[:, i], d = d % 1000, d // 1000
@@ -532,9 +554,7 @@ def _float_texts(values) -> np.ndarray:
         else:  # ddd.ddd, with no point before nothing
             out[at, 1:k + 2], out[at, k + 3:19] = digits[at, 1:k + 2], digits[at, k + 2:]
             out[at, k + 2] = 46 * digits[at, k + 2:k + 3].any(axis=1)
-    texts = out.view("S24").ravel()
-    texts[slow] = [b"%.17g" % v for v in x[slow].tolist()]
-    return texts
+    return out.view("S24").ravel()
 
 
 def _labels(text, starts, ends, bound: int) -> np.ndarray:

@@ -1,14 +1,14 @@
 """Persistent homology over Z/2 by sparse matrix reduction.
 
-The boundary matrix is stored column-compressed: one sorted row-index array
-per simplex, concatenated. The pairing is computed by cohomology: one
-transpose gives the coboundary of every row, shared by all degrees, and for
-each d from 0 up the coboundary columns of the d-simplices are reduced
-youngest first. Apparent pairs are registered before any column addition,
-and d-simplices that killed a class in degree d-1 are skipped (clearing), so
-the top dimension is never reduced. The pairs are read off one row-indexed
-``owner`` array at the end. The pairing is identical to the naive
-left-to-right reduction of the boundary matrix, the tests' reference
+The boundary matrix is stored column-compressed: one sorted int32 row-index
+array per simplex, concatenated. The pairing is computed by cohomology: for
+each d from 0 up, the coboundary of the d-simplices alone is built from the
+(d+1)-columns, its columns are reduced youngest first, and it is freed
+before the next degree. Apparent pairs are registered before any column
+addition, and d-simplices that killed a class in degree d-1 are skipped
+(clearing), so the top dimension is never reduced. The pairs are read off
+one row-indexed ``owner`` array at the end. The pairing is identical to the
+naive left-to-right reduction of the boundary matrix, the tests' reference
 (``reference_reduce_columns`` in ``tests/test_acceptance.py``).
 """
 
@@ -33,6 +33,7 @@ class BoundaryMatrix:
 
     Column j occupies ``col_rows[col_ptr[j]:col_ptr[j+1]]``, sorted ascending;
     a d-simplex column holds its d+1 facet positions, a vertex column is empty.
+    Rows are int32, like the reduction's ``owner`` and coboundary rows.
     ``dims`` and ``values`` are the filtration's own arrays; nothing mutates them.
     """
 
@@ -54,7 +55,7 @@ def build_boundary(filtration: Filtration) -> BoundaryMatrix:
     dims = filtration.dims
     col_ptr = np.zeros(len(filtration) + 1, dtype=np.int64)
     np.cumsum(np.where(dims > 0, dims + 1, 0), out=col_ptr[1:])
-    col_rows = np.empty(int(col_ptr[-1]), dtype=np.int64)
+    col_rows = np.empty(int(col_ptr[-1]), dtype=np.int32)
 
     def fill(d, cols, rowmat):
         rowmat.sort(axis=1)
@@ -84,89 +85,97 @@ def reduce_boundary(matrix: BoundaryMatrix) -> Pairing:
 
     It is the pairing of the naive left-to-right reduction of the boundary
     columns (the tests' ``reference_reduce_columns``), computed from the
-    coboundary (de Silva, Morozov & Vejdemo-Johansson 2011): the matrix is
-    transposed once (``_transpose``), then ``_pair_degree`` pairs each degree
-    d = 0 .. top-1 into ``owner``, which maps a death row to its birth row.
+    coboundary (de Silva, Morozov & Vejdemo-Johansson 2011): for each degree
+    d = 0 .. top-1, ``_coboundary`` builds the coboundary of the d-simplices
+    alone and ``_pair_degree`` pairs them into ``owner``, which maps a death
+    row to its birth row; the coboundary is freed before the next degree.
     """
     m = len(matrix)
-    ptr, cob = _transpose(matrix)
     owner = np.full(m, -1, dtype=np.int32)
+    rank = np.empty(m, dtype=np.int32)  # a d-simplex's place among the d-simplices
     for d in range(int(matrix.dims.max()) if m else 0):
-        _pair_degree(matrix, d, ptr, cob, owner)
-    del ptr, cob  # freed before the pairs are read off
+        sig = np.flatnonzero(matrix.dims == d)
+        rank[sig] = np.arange(len(sig))
+        _pair_degree(matrix, sig, rank, *_coboundary(matrix, d, rank, len(sig)), owner)
     deaths = np.flatnonzero(owner >= 0)
-    births = owner[deaths].astype(np.int64)
-    owner[births] = deaths  # now every paired row holds its partner
-    order = np.argsort(births)
-    return Pairing(np.column_stack([births[order], deaths[order]]), np.flatnonzero(owner < 0), m)
+    owner[owner[deaths]] = deaths  # now every paired row holds its partner
+    births = np.flatnonzero(owner > np.arange(m, dtype=np.int32))  # its partner is younger
+    return Pairing(np.column_stack([births, owner[births]]), np.flatnonzero(owner < 0), m)
 
 
-def _transpose(matrix: BoundaryMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """The coboundary: row r's cofacets are ``cob[ptr[r]:ptr[r+1]]``, ascending.
+def _coboundary(matrix: BoundaryMatrix, d: int, rank: np.ndarray,
+                n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The coboundary of the n d-simplices: rank i has the cofacet rows
+    ``cob[ptr[i]:ptr[i+1]]``, ascending. A counting sort of the (d+1)-columns'
+    entries in blocks of columns, 64 bytes of temporaries an entry: one pass
+    counts each rank's cofacets, a second places them."""
+    tau = np.flatnonzero(matrix.dims == d + 1).astype(np.int32)
+    block = max(1, linalg.BLOCK_BYTES // (64 * (d + 2)))
+    at = np.arange(d + 2)[:, None]  # a (d+1)-column's entries, one row each
 
-    A counting sort of ``col_rows`` over ``BLOCK_BYTES // 128`` columns at a
-    time keeps the temporaries small; column indices are int32.
-    """
-    col_ptr, col_rows = matrix.col_ptr, matrix.col_rows
-    m, block = len(matrix), max(1, linalg.BLOCK_BYTES // 128)
-    # ptr[r+1] starts at row r's first slot and ends past its last one
-    ptr = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(np.bincount(col_rows, minlength=m)[:-1], out=ptr[2:])
-    cob = np.empty(len(col_rows), dtype=np.int32)
-    for lo in range(0, m, block):
-        hi = min(lo + block, m)
-        key = col_rows[col_ptr[lo]:col_ptr[hi]] * block
-        if not len(key):  # vertex columns only
-            continue
-        # one (row, column) key per entry, sorted: each row's columns ascend
-        key += np.repeat(np.arange(hi - lo), np.diff(col_ptr[lo:hi + 1]))
+    def ranks(lo):  # (d+2, block): the ranks of the facets of a block's columns
+        return np.take(rank, np.take(matrix.col_rows, matrix.col_ptr[tau[lo:lo + block]] + at))
+
+    # ptr[i+1] starts at rank i's first slot and ends past its last one
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    for lo in range(0, len(tau), block):
+        ptr[2:] += np.bincount(ranks(lo).ravel(), minlength=n)[:-1]
+    np.cumsum(ptr, out=ptr)
+    end, cob = ptr[1:], np.empty(len(tau) * (d + 2), dtype=np.int32)
+    dtype = np.int32 if n * block < 2**31 else np.int64  # so rank * block fits
+    for lo in range(0, len(tau), block):
+        # one (rank, column in block) key per entry, sorted: each rank's columns ascend
+        key = np.multiply(ranks(lo), block, dtype=dtype)
+        key += np.arange(key.shape[1], dtype=dtype)
+        key = key.ravel()
         key.sort()
-        cols = key % block + lo
-        rows = np.floor_divide(key, block, out=key)
-        starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
-        counts = np.diff(starts, append=len(rows))
-        runs = rows[starts]
-        dest = np.repeat(ptr[runs + 1] - starts, counts)
+        runs = key // block
+        key -= runs * block
+        starts = np.flatnonzero(np.r_[True, runs[1:] != runs[:-1]])
+        counts = np.diff(starts, append=len(key))
+        runs = runs[starts]
+        dest = np.repeat(end[runs] - starts, counts)
         dest += np.arange(len(dest))
-        cob[dest] = cols
-        ptr[runs + 1] += counts
-        del key, cols, dest  # freed before the next block allocates its own
+        cob[dest] = np.take(tau[lo:], key)
+        end[runs] += counts
     return ptr, cob
 
 
-def _pair_degree(matrix: BoundaryMatrix, d: int, ptr: np.ndarray, cob: np.ndarray,
-                 owner: np.ndarray) -> None:
-    """Pair d-simplices with (d+1)-simplices by coboundary reduction.
+def _pair_degree(matrix: BoundaryMatrix, sig: np.ndarray, rank: np.ndarray, ptr: np.ndarray,
+                 cob: np.ndarray, owner: np.ndarray) -> None:
+    """Pair the d-simplices ``sig`` with (d+1)-simplices by coboundary reduction.
 
     Columns are the d-simplices, youngest first; a column's pivot is its
     oldest cofacet, and ``owner[pivot]`` becomes the column's row. Apparent
     pairs (sigma's oldest cofacet tau has sigma as its youngest facet) are
-    registered in one pass before any column addition. That is safe: no
-    column younger than sigma has an entry in row tau, so no sum of them
-    reaches pivot tau. A d-simplex that killed a class in degree d-1 would
+    registered, a block of ranks at a time, before any column addition. That
+    is safe: no column younger than sigma has an entry in row tau, so no sum
+    of them reaches pivot tau. A d-simplex that killed a class in degree d-1 would
     reduce to zero and is skipped (clearing). The working column is a
-    sorted int array, so its pivot is its first entry.
+    sorted int array, so its pivot is its first entry. Columns are read by
+    rank: ``sig[i]`` has rank i and the cofacets ``cob[ptr[i]:ptr[i+1]]``.
     """
-    sig = np.flatnonzero(matrix.dims == d)
-    has = sig[ptr[sig + 1] > ptr[sig]]
-    oldest = cob[ptr[has]]
-    apparent = matrix.col_rows[matrix.col_ptr[oldest + 1] - 1] == has
-    owner[oldest[apparent]] = has[apparent]
-    todo = has[~apparent & (owner[has] < 0)]
+    todo: list[int] = []
+    step = max(1, linalg.BLOCK_BYTES // 64)  # ranks a block, 64 bytes of temporaries each
+    for lo in range(0, len(sig), step):
+        i = lo + np.flatnonzero(np.diff(ptr[lo:lo + step + 1]))  # ranks with cofacets
+        oldest, rows = cob[ptr[i]], sig[i]
+        apparent = matrix.col_rows[matrix.col_ptr[oldest + 1] - 1] == rows
+        owner[oldest[apparent]] = rows[apparent]
+        todo += i[~apparent & (owner[rows] < 0)].tolist()
 
-    reduced: dict[int, np.ndarray] = {}  # each paired column as reduced
-    for s in todo[::-1].tolist():
-        work = cob[ptr[s]:ptr[s + 1]]
+    reduced: dict[int, np.ndarray] = {}  # each paired column as reduced, by rank
+    for i in reversed(todo):
+        work = cob[ptr[i]:ptr[i + 1]]
         while len(work):
             pivot = int(work[0])
             o = int(owner[pivot])
             if o < 0:
-                owner[pivot] = s
-                reduced[s] = work
+                owner[pivot] = sig[i]
+                reduced[i] = work
                 break
-            other = reduced.get(o)
-            if other is None:
-                other = cob[ptr[o]:ptr[o + 1]]
+            o = int(rank[o])
+            other = reduced[o] if o in reduced else cob[ptr[o]:ptr[o + 1]]
             work = np.setxor1d(work, other, assume_unique=True)
 
 

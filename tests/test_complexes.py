@@ -794,6 +794,65 @@ def test_read_filtration_memory_is_bounded(tmp_path, monkeypatch):
     assert peak < 2 * output + linalg.BLOCK_BYTES
 
 
+def check_order_message(f):
+    try:
+        f._check_order()
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_check_order_reports_the_first_fault_whatever_the_blocks():
+    f = complexes.vietoris_rips(np.random.default_rng(4).standard_normal((12, 3)), 2.0, 3)
+    width, m = f.verts.shape[1], len(f)
+    last = int(np.flatnonzero(f.dims == 3)[-1])
+    assert m > 50 and last > 40
+
+    def broken(row, value=None, label=None, column=0, swap=False, base=f):
+        values, dims, verts = base.values.copy(), base.dims.copy(), base.verts.copy()
+        if value is not None:
+            values[row] = value
+        if label is not None:
+            verts[row, column] = label
+        if swap:  # rows row-1 and row trade places
+            for a in (values, dims, verts):
+                a[[row - 1, row]] = a[[row, row - 1]]
+        return Filtration(values, dims, verts, f.vertex_count)
+
+    repeated = broken(last, label=f.verts[last, 1], column=2)
+    cases = [
+        (broken(m - 1, value=np.nan), f"filtration value nan at position {m - 1} is not finite"),
+        (broken(last, label=-1), f"each simplex needs 1 to {width} vertex labels"),
+        (repeated, f"simplex vertices must strictly increase: {repeated.simplex(last).vertices}"),
+        (broken(last, swap=True), f"simplices out of order at position {last}"),
+        (broken(m - 1, swap=True), f"simplices out of order at position {m - 1}"),
+        # a fault of higher precedence wins though it comes later
+        (broken(m - 1, value=np.inf, swap=True), f"filtration value inf at position {m - 2}"),
+        (broken(m - 1, label=f.vertex_count, base=broken(3, swap=True)),
+         f"each simplex needs 1 to {width} vertex labels"),
+    ]
+    for rows in (1, 2, 3, last, None):
+        with pytest.MonkeyPatch.context() as mp:
+            if rows is not None:  # rows a block, 16 bytes a row
+                mp.setattr(linalg, "BLOCK_BYTES", 16 * rows)
+            assert check_order_message(f) is None, rows
+            for bad, message in cases:
+                assert check_order_message(bad).startswith(message), (rows, message)
+
+
+def test_check_order_memory_is_bounded(monkeypatch):
+    f = complexes.vietoris_rips(np.random.default_rng(3).standard_normal((45, 3)), 2.4, 4)
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", 2**14)
+    f._check_order()  # keeps one-time imports and caches out of the trace
+    tracemalloc.start()
+    try:
+        f._check_order()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one (rows, width) bool mask of the whole filtration takes 14 times the budget
+    assert peak < linalg.BLOCK_BYTES < f.verts.size / 14
+
+
 def test_landmarks_round_trip(tmp_path):
     rng = np.random.default_rng(13)
     cloud = rng.standard_normal((15, 2))

@@ -371,21 +371,35 @@ def test_write_cloud_matches_savetxt(tmp_path, monkeypatch):
         grassmann.write_cloud(tmp_path / "stack.txt", np.zeros((2, 2, 2)))
 
 
-def test_write_cloud_memory_is_bounded(tmp_path, monkeypatch):
-    cloud = np.random.default_rng(13).standard_normal((4000, 25))
-    monkeypatch.setattr(linalg, "BLOCK_BYTES", 256 * 25 * 64)  # 64-row blocks
-    path = tmp_path / "cloud.txt"
+def write_cloud_peak(path, cloud, monkeypatch):
+    """tracemalloc's peak while ``write_cloud`` writes 64-row blocks."""
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", 256 * cloud.shape[1] * 64)
     grassmann.write_cloud(path, cloud)  # keeps one-time imports and caches out of the trace
     tracemalloc.start()
     try:
         grassmann.write_cloud(path, cloud)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # a block's temporaries take about 256 bytes a value (240-250 here), and
+
+
+def test_write_cloud_memory_is_bounded(tmp_path, monkeypatch):
+    path = tmp_path / "cloud.txt"
+    peak = write_cloud_peak(path, np.random.default_rng(13).standard_normal((4000, 25)),
+                            monkeypatch)
+    # a block's temporaries take about 256 bytes a value (220-230 here), and
     # a whole-file join would hold at least the file's text at once
     assert peak < 1.1 * linalg.BLOCK_BYTES
     assert peak < path.stat().st_size / 4
+
+
+def test_write_cloud_memory_is_bounded_below_1e4(tmp_path, monkeypatch):
+    # values below 1e-4 skip the array path and go through % alone
+    cloud = np.random.default_rng(13).standard_normal((4000, 25)) * 1e-6
+    path, reference = tmp_path / "cloud.txt", tmp_path / "cloud.ref"
+    assert write_cloud_peak(path, cloud, monkeypatch) < 1.1 * linalg.BLOCK_BYTES
+    np.savetxt(reference, cloud, fmt="%.17g")
+    assert path.read_bytes() == reference.read_bytes()
 
 
 def test_read_cloud_edge_cases(tmp_path):

@@ -254,7 +254,7 @@ def test_facet_index_property(tmp_path_factory, kind, points, max_dim, r_max, se
     assert np.array_equal(persistence.build_boundary(sparse).col_rows, matrix.col_rows)
 
     with pytest.MonkeyPatch.context() as mp:
-        # blocks of 3 columns build the one transpose shared by all degrees
+        # blocks of at most 3 columns build each degree's coboundary
         mp.setattr(linalg, "BLOCK_BYTES", 128 * 3)
         optimized = persistence.reduce_boundary(matrix)
         barcode = persistence.barcodes(f)
@@ -376,7 +376,7 @@ def non_flag_complexes():
 
 
 def test_optimized_equals_naive_on_non_flag_complexes(monkeypatch):
-    # blocks of 2 columns build the one transpose shared by all degrees
+    # blocks of at most 2 columns build each degree's coboundary
     monkeypatch.setattr(linalg, "BLOCK_BYTES", 128 * 2)
     non_flag = 0
     for name, f in non_flag_complexes():
@@ -407,7 +407,8 @@ def transpose_inputs():
     landmarks = complexes.maxmin_landmarks(cloud, 10, rng)
     yield "witness", complexes.witness_filtration(landmarks, 1.5, 3)
     yield from non_flag_complexes()
-    # more vertices than one default block, so the first block has no entries
+    # more vertices than one default block has edge columns, so rank * block
+    # overflows int32 in degree 0 and the sort keys are int64
     n = linalg.BLOCK_BYTES // 128 + 3
     simplices = [Simplex((v,), 0.0) for v in range(n)]
     simplices += [Simplex(e, 1.0) for e in ((0, 1), (0, 2), (1, 2), (n - 2, n - 1))]
@@ -415,17 +416,48 @@ def transpose_inputs():
     yield "vertex block", Filtration.from_simplices(simplices, vertex_count=n)
 
 
-@pytest.mark.parametrize("block", [1, 2, 3, None])
-def test_transpose_matches_brute_force_coboundary(monkeypatch, block):
-    if block is not None:
-        monkeypatch.setattr(linalg, "BLOCK_BYTES", 128 * block)  # block columns
+@pytest.mark.parametrize("block", [1, 2, 3, None, pytest.param(2**31, id="int64-keys")])
+def test_transpose_matches_brute_force_coboundary(block):
+    # each degree's coboundary, built alone, is the transpose of the boundary
+    # rows of that degree; 2**31 columns a block need int64 sort keys
     for name, f in transpose_inputs():
         matrix = persistence.build_boundary(f)
-        ptr, cob = persistence._transpose(matrix)
-        assert cob.dtype == np.int32 and ptr[0] == 0 and ptr[-1] == len(cob), name
-        assert len(ptr) == len(matrix) + 1, name
-        got = [cob[ptr[r]:ptr[r + 1]].tolist() for r in range(len(matrix))]
-        assert got == brute_force_coboundary(matrix), name
+        cofacets = brute_force_coboundary(matrix)
+        rank = np.empty(len(matrix), dtype=np.int32)
+        for d in range(f.max_dim):
+            sig = np.flatnonzero(f.dims == d)
+            rank[sig] = np.arange(len(sig))
+            with pytest.MonkeyPatch.context() as mp:
+                if block is not None:  # block columns of d + 2 entries, 64 bytes each
+                    mp.setattr(linalg, "BLOCK_BYTES", 64 * (d + 2) * block)
+                ptr, cob = persistence._coboundary(matrix, d, rank, len(sig))
+            assert cob.dtype == np.int32 and ptr[0] == 0 and ptr[-1] == len(cob), name
+            assert len(ptr) == len(sig) + 1, name
+            got = [cob[ptr[i]:ptr[i + 1]].tolist() for i in range(len(sig))]
+            assert got == [cofacets[r] for r in sig], (name, d)
+
+
+def test_reduce_memory_is_bounded(monkeypatch):
+    # a Rips complex up to dimension 5, whose degrees grow as a witness
+    # complex's do; the pairing is checked against the naive reduction
+    f = complexes.vietoris_rips(np.random.default_rng(5).standard_normal((36, 3)), 2.0, 5)
+    matrix = persistence.build_boundary(f)
+    m, nnz = len(matrix), len(matrix.col_rows)
+    assert 15_000 < m < 30_000 and f.max_dim == 5
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", 2**14)
+    persistence.reduce_boundary(matrix)  # keeps one-time imports and caches out of the trace
+    tracemalloc.start()
+    try:
+        pairing = persistence.reduce_boundary(matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # what one int32 coboundary of every degree and its int64 row pointers
+    # took alone: one degree's coboundary, the rank table and owner fit in it
+    assert peak < 4 * nnz + 8 * m
+    naive = reference_reduce_columns(matrix)
+    assert np.array_equal(pairing.pairs, naive.pairs)
+    assert np.array_equal(pairing.essential, naive.essential)
 
 
 def test_tetrahedron_barcode_exact():

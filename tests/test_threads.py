@@ -33,7 +33,7 @@ def results(build):
 def tiny_jobs(mp, workers):
     """Jobs of at most 2 facet lookups or 7 expansion rows, on ``workers`` workers."""
     mp.setattr(linalg, "WORKERS", workers)
-    mp.setattr(linalg, "BLOCK_BYTES", 600)  # also 4-column transpose blocks
+    mp.setattr(linalg, "BLOCK_BYTES", 600)  # also coboundary blocks of 2-4 columns
 
 
 @pytest.mark.parametrize("kind", ["rips", "witness"])
