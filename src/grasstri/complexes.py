@@ -61,7 +61,7 @@ class Filtration:
         verts = [[*s.vertices, *[-1] * (width - len(s.vertices))] for s in items]
         filtration = cls([s.value for s in items], [len(s.vertices) - 1 for s in items],
                          np.reshape(verts, (-1, width)), vertex_count)
-        filtration._check_order()
+        filtration.validate()
         return filtration
 
     def __len__(self) -> int:
@@ -87,16 +87,12 @@ class Filtration:
             for a in ("values", "dims", "verts"))
 
     def validate(self) -> None:
-        """Check the canonical order and the face-before-coface property."""
-        self._check_order()
-        FacetIndex(self).look_up_all()
-
-    def _check_order(self) -> None:
         """Values are finite, vertices strictly increase, labels lie in
         [0, vertex_count), and adjacent rows strictly increase by
         (value, dim, vertices). Each test runs a column at a time over blocks
         of ``BLOCK_BYTES // 16`` rows, each block from the last row of the one
-        before; the first bad row of the first failing test is reported."""
+        before; the first bad row of the first failing test is reported. Faces
+        are checked by ``persistence.build_boundary``, which ``barcodes`` runs."""
         width = self.verts.shape[1]
         step = max(1, linalg.BLOCK_BYTES // 16)
 
@@ -146,13 +142,19 @@ class FacetIndex:
     combinatorial number system). ``keys[k]`` holds the sorted keys of the
     k-simplices and C(n, k + 1), ``rows[k]`` their rows and -1. Keys are int64
     while every C(n, j), j <= top dimension, is below 2**63, else Python ints.
+    The counts form the int32 table ``above``, indexed by ``slots``: the labels,
+    or their ranks among the labels in use once the largest exceeds
+    ``verts.size``, so the table never outgrows the vertex matrix.
     """
 
     def __init__(self, filtration: Filtration):
-        self.dims, self.verts = dims, verts = filtration.dims, filtration.verts
-        # the count of labels in use above each label; padding -1 marks the last slot
-        self.above = np.zeros(int(verts.max(initial=0)) + 2, dtype=np.int32)
-        self.above[verts] = 1
+        self.verts = self.slots = verts = filtration.verts
+        if verts.max(initial=0) > verts.size:
+            used, ranks = np.unique(verts, return_inverse=True)
+            self.slots = (ranks.reshape(verts.shape) - (used[0] < 0)).astype(np.int32)
+        # the count of labels in use above each slot; padding -1 marks the last one
+        self.above = np.zeros(int(self.slots.max(initial=0)) + 2, dtype=np.int32)
+        self.above[self.slots] = 1
         self.n, top = int(np.cumsum(self.above, out=self.above)[-2]), filtration.max_dim
         np.subtract(self.n, self.above, out=self.above)
         wide = max(math.comb(self.n, j) for j in range(top + 1)) >= 2**63
@@ -161,33 +163,22 @@ class FacetIndex:
             self.binom.append(np.r_[0, np.cumsum(self.binom[-1][:-1])])
         self.keys, self.rows = [], []
         for k in range(top):
-            rows_k = np.flatnonzero(dims == k)
+            rows_k = np.flatnonzero(filtration.dims == k)
             keys = np.full(len(rows_k), math.comb(self.n, k + 1) - 1, dtype=self.binom[0].dtype)
             for i in range(k + 1):
-                keys -= np.take(self.binom[k + 1 - i], np.take(self.above, verts[rows_k, i]))
+                keys -= np.take(self.binom[k + 1 - i], np.take(self.above, self.slots[rows_k, i]))
             order = np.argsort(keys)
             self.keys.append(np.r_[np.take(keys, order), math.comb(self.n, k + 1)])
             self.rows.append(np.r_[np.take(rows_k, order), -1])
 
-    def look_up_all(self, fill=lambda d, cols, rowmat: None) -> None:
-        """``fill(d, cols, facet_rows(d, cols))`` for blocks ``cols`` of the
-        d-simplices, d >= 1, as ``linalg.in_order`` jobs whose temporaries stay
-        near BLOCK_BYTES / 4; the first failing job raises its ValueError."""
-        for d in range(1, int(self.dims.max(initial=0)) + 1):
-            cols = np.flatnonzero(self.dims == d)
-            step = max(1, linalg.BLOCK_BYTES // (128 * (d + 1)))
-            jobs = ((d, cols[lo:lo + step]) for lo in range(0, len(cols), step))
-            for _ in linalg.in_order(lambda d, c: fill(d, c, self.facet_rows(d, c)), jobs):
-                pass
-
     def facet_rows(self, d: int, cols: np.ndarray) -> np.ndarray:
         """Filtration rows of the facets of the d-simplices at rows ``cols``, d >= 1.
 
-        Row i describes the i-th of those simplices; its column p is the row
-        of the facet without vertex p. Raises ValueError when a face is
-        absent or listed at or after its coface.
+        Row i holds the facet rows of the i-th of those simplices, ascending.
+        Raises ValueError when a face is absent or listed at or after its
+        coface.
         """
-        c = np.take(self.above, np.take(self.verts, cols, axis=0)[:, :d + 1].T)  # take: faster
+        c = np.take(self.above, np.take(self.slots, cols, axis=0)[:, :d + 1].T)  # take: faster
         # row p: the key of the facet without vertex p, C(n, d) - 1 minus sum_{i<p}
         # C(c_i, d - i) and sum_{i>p} C(c_i, d + 1 - i), as running sums from each side
         keys = np.full((d + 1, len(cols)), math.comb(self.n, d) - 1, dtype=self.binom[0].dtype)
@@ -208,6 +199,7 @@ class FacetIndex:
             where = "missing from" if rowmat[i, p] < 0 else "listed at or after it in"
             raise ValueError(f"face {simplex[:p] + simplex[p + 1:]} of {simplex} "
                              f"is {where} the filtration")
+        rowmat.sort(axis=1)
         return rowmat
 
 
@@ -629,7 +621,7 @@ def read_filtration(path) -> Filtration:
             top = max(top, int(sizes.max()) - 2)
     filtration = Filtration(values[:count], dims[:count], verts[:count], vertex_count)
     if top <= dim_max:
-        filtration._check_order()
+        filtration.validate()
     if top != dim_max:
         raise ValueError(f"header of {path} gives dim_max {dim_max}, the simplices reach {top}")
     return filtration

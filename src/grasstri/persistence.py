@@ -50,18 +50,24 @@ class BoundaryMatrix:
 
 
 def build_boundary(filtration: Filtration) -> BoundaryMatrix:
-    """Boundary columns from one ``FacetIndex``, each sorted ascending. The
-    matrix is allocated before the lookup, whose jobs fill its columns."""
+    """Boundary columns, each sorted ascending: the face check. The matrix is
+    allocated, then ``linalg.in_order`` jobs of ``BLOCK_BYTES // (128 (d + 1))``
+    d-simplices look up their facets in one ``FacetIndex`` and fill their
+    columns; the first failing job raises its ValueError."""
     dims = filtration.dims
     col_ptr = np.zeros(len(filtration) + 1, dtype=np.int64)
     np.cumsum(np.where(dims > 0, dims + 1, 0), out=col_ptr[1:])
     col_rows = np.empty(int(col_ptr[-1]), dtype=np.int32)
+    index = FacetIndex(filtration)
 
-    def fill(d, cols, rowmat):
-        rowmat.sort(axis=1)
-        col_rows[col_ptr[cols, None] + np.arange(d + 1)] = rowmat
+    def fill(d, cols):
+        col_rows[col_ptr[cols, None] + np.arange(d + 1)] = index.facet_rows(d, cols)
 
-    FacetIndex(filtration).look_up_all(fill)
+    for d in range(1, filtration.max_dim + 1):
+        cols, step = np.flatnonzero(dims == d), max(1, linalg.BLOCK_BYTES // (128 * (d + 1)))
+        jobs = ((d, cols[lo:lo + step]) for lo in range(0, len(cols), step))
+        for _ in linalg.in_order(fill, jobs):
+            pass
     return BoundaryMatrix(col_ptr, col_rows, dims, filtration.values)
 
 

@@ -414,6 +414,15 @@ def test_persist_rejects_uncertified_degrees(tmp_path, monkeypatch, capsys):
         assert persistence.read_barcode("b.csv") == persistence.barcodes(filtration, 2)
 
 
+def test_persist_largest_label(tmp_path):
+    # the facet lookup's label table is sized by the labels in use, not the largest
+    filt_path = tmp_path / "filt.txt"
+    filt_path.write_text("1 2147483648\n0 0\n0 2147483647\n1 0 2147483647\n")
+    csv_path = tmp_path / "barcode.csv"
+    assert run(["persist", "--filtration", str(filt_path), "--out-csv", str(csv_path)]) == 0
+    assert csv_path.read_text() == "degree,birth,death\n0,0,1\n0,0,inf\n"
+
+
 def test_persist_empty_filtration(tmp_path):
     filt_path = tmp_path / "filt.txt"
     filt_path.write_text("0 0\n")
@@ -764,6 +773,11 @@ LINE_20 = "".join(f"{i} 0\n" for i in range(20))  # 20 distinct points
     (["persist", "--filtration", "filt.txt", "--out-csv", "b.csv", "--out-svg", "b.svg"],
      {"filt.txt": "1 3\n0 0\n0 1\n0.5 0 2\n"},
      "grasstri: error: face (2,) of (0, 2) is missing from the filtration\n"),
+    # U+0661, a digit float() reads and numpy's cast rejects
+    (["persist", "--filtration", "filt.txt", "--out-csv", "b.csv"],
+     {"filt.txt": "0 1\n\u0661 0\n"}, "grasstri: error: filt.txt:2: cannot parse '\u0661'\n"),
+    (["rips", "--cloud", "cloud.txt", "--max-dim", "1", "--out", "f.txt"],
+     {"cloud.txt": "\u0661 0\n1 0\n"}, "grasstri: error: cloud.txt:1: cannot parse '\u0661'\n"),
     (["sample", "--space", "grassmann-4-2", "--count", "5", "--seed", "0",
       "--proportions=-1,2", "--out", "c.txt"],
      {}, "grasstri: error: negative fraction for dimension 0\n"),
@@ -776,6 +790,7 @@ LINE_20 = "".join(f"{i} 0\n" for i in range(20))  # 20 distinct points
     (["pipeline", "--points", "12"], {},
      "grasstri pipeline: error: --space (or --config) is required\n"),
 ], ids=["empty-cloud", "count-too-large", "too-few-landmarks", "missing-face",
+        "value-arabic-indic-digit", "cloud-arabic-indic-digit",
         "negative-fraction", "no-such-cell", "config-and-flag", "no-space"])
 def test_library_error_message_exits_2(tmp_path, monkeypatch, capsys, argv, inputs, stderr):
     monkeypatch.chdir(tmp_path)

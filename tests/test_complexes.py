@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from grasstri import complexes, linalg
+from grasstri import complexes, linalg, persistence
 from grasstri.complexes import Filtration, LandmarkSet, Simplex
 
 
@@ -133,6 +133,7 @@ def test_rips_canonical_order():
         keys = [(s.value, s.dim, s.vertices) for s in f.simplices()]
         assert keys == sorted(keys)
         f.validate()
+        persistence.build_boundary(f)
     for f in builds[1:]:
         assert {0, 1, 2} <= set(f.dims[f.values == 0.0].tolist())
 
@@ -201,8 +202,8 @@ def test_filtration_validate_catches_violations():
     missing = Filtration(
         np.array([0.0, 1.0]), np.array([0, 1]),
         np.array([[0, -1], [0, 1]]), vertex_count=2)
-    with pytest.raises(ValueError):
-        missing.validate()
+    with pytest.raises(ValueError, match=r"^face \(1,\) of \(0, 1\) is missing from"):
+        persistence.build_boundary(missing)
 
 
 def test_maxmin_line_example():
@@ -540,6 +541,7 @@ def test_filtration_round_trip(tmp_path):
     assert back == f
     assert back.vertex_count == f.vertex_count
     assert back.max_dim == f.max_dim
+    assert f != 1
 
 
 def test_filtration_file_format(tmp_path):
@@ -671,7 +673,7 @@ def reference_read_filtration(path):
     for i, (start, size) in enumerate(zip(starts, sizes)):
         verts[i, :size] = labels[start:start + size]
     filtration = Filtration(values, np.array(sizes, dtype=np.int64) - 1, verts, vertex_count)
-    filtration._check_order()
+    filtration.validate()
     if filtration.max_dim != dim_max:
         raise ValueError(f"header of {path} gives dim_max {dim_max}, "
                          f"the simplices reach {filtration.max_dim}")
@@ -796,7 +798,7 @@ def test_read_filtration_memory_is_bounded(tmp_path, monkeypatch):
 
 def check_order_message(f):
     try:
-        f._check_order()
+        f.validate()
     except ValueError as exc:
         return str(exc)
 
@@ -842,10 +844,10 @@ def test_check_order_reports_the_first_fault_whatever_the_blocks():
 def test_check_order_memory_is_bounded(monkeypatch):
     f = complexes.vietoris_rips(np.random.default_rng(3).standard_normal((45, 3)), 2.4, 4)
     monkeypatch.setattr(linalg, "BLOCK_BYTES", 2**14)
-    f._check_order()  # keeps one-time imports and caches out of the trace
+    f.validate()  # keeps one-time imports and caches out of the trace
     tracemalloc.start()
     try:
-        f._check_order()
+        f.validate()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -29,6 +29,8 @@ def test_gram_schmidt_rejects_dependent_input():
     with pytest.raises(ValueError,
                        match=r"^expected stacks of 1 to n vectors in R\^n, got \(3, 2\)$"):
         linalg.gram_schmidt([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(ValueError, match=r"^expected a stack of square matrices, got \(2, 3\)$"):
+        linalg.random_orthogonal(np.zeros((2, 3)))
 
 
 def test_gram_schmidt_handles_nearly_dependent_vectors():
