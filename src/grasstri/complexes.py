@@ -132,19 +132,25 @@ class Filtration:
             raise ValueError(f"simplices out of order at position {i}")
 
 
+def _subset_keys(binom, n: int, j: int, count) -> np.ndarray:
+    """Lexicographic ranks of j-subsets of n labels, C(n, j) - 1 - sum_i C(c_i, j - i),
+    with ``count(i)`` the counts c_i of labels above member i, one member at a time,
+    and ``binom[j][c]`` = C(c, j). No partial sum leaves [0, C(n, j))."""
+    keys = math.comb(n, j) - 1 - np.take(binom[j], count(0))
+    for i in range(1, j):
+        keys -= np.take(binom[j - i], count(i))
+    return keys
+
+
 class FacetIndex:
     """The simplices below a filtration's top dimension, keyed to find facets.
 
-    A k-simplex's key is its position among the (k+1)-subsets of the n labels
-    in use in lexicographic order, the filtration's tie order, so that nearby
-    rows search nearby keys: C(n, k + 1) - 1 - sum_i C(c_i, k + 1 - i), with
-    c_0 > ... > c_k the counts of labels in use above its vertices (the
-    combinatorial number system). ``keys[k]`` holds the sorted keys of the
-    k-simplices and C(n, k + 1), ``rows[k]`` their rows and -1. Keys are int64
-    while every C(n, j), j <= top dimension, is below 2**63, else Python ints.
-    The counts form the int32 table ``above``, indexed by ``slots``: the labels,
-    or their ranks among the labels in use once the largest exceeds
-    ``verts.size``, so the table never outgrows the vertex matrix.
+    ``keys[k]`` holds the sorted ``_subset_keys`` of the k-simplices among the n labels
+    in use, then C(n, k + 1), and ``rows[k]`` their rows, then -1. Lexicographic keys
+    follow the filtration's tie order, so nearby rows search nearby keys. Keys are int64
+    while every C(n, j), j <= top dimension, is below 2**63, else Python ints. The int32
+    table ``above`` counts the labels in use above each slot: a label, or its rank among
+    those in use once the largest exceeds ``verts.size``, which bounds the table.
     """
 
     def __init__(self, filtration: Filtration):
@@ -164,30 +170,24 @@ class FacetIndex:
         self.keys, self.rows = [], []
         for k in range(top):
             rows_k = np.flatnonzero(filtration.dims == k)
-            keys = np.full(len(rows_k), math.comb(self.n, k + 1) - 1, dtype=self.binom[0].dtype)
-            for i in range(k + 1):
-                keys -= np.take(self.binom[k + 1 - i], np.take(self.above, self.slots[rows_k, i]))
+            keys = _subset_keys(self.binom, self.n, k + 1,
+                                lambda i: np.take(self.above, self.slots[rows_k, i]))
             order = np.argsort(keys)
             self.keys.append(np.r_[np.take(keys, order), math.comb(self.n, k + 1)])
             self.rows.append(np.r_[np.take(rows_k, order), -1])
 
     def facet_rows(self, d: int, cols: np.ndarray) -> np.ndarray:
-        """Filtration rows of the facets of the d-simplices at rows ``cols``, d >= 1.
-
-        Row i holds the facet rows of the i-th of those simplices, ascending.
-        Raises ValueError when a face is absent or listed at or after its
-        coface.
-        """
+        """Filtration rows of the facets of the d-simplices at rows ``cols``, d >= 1,
+        row i those of the i-th, ascending. Raises ValueError when a face is
+        absent or listed at or after its coface."""
         c = np.take(self.above, np.take(self.slots, cols, axis=0)[:, :d + 1].T)  # take: faster
-        # row p: the key of the facet without vertex p, C(n, d) - 1 minus sum_{i<p}
-        # C(c_i, d - i) and sum_{i>p} C(c_i, d + 1 - i), as running sums from each side
-        keys = np.full((d + 1, len(cols)), math.comb(self.n, d) - 1, dtype=self.binom[0].dtype)
-        for p in range(1, d + 1):
-            np.subtract(keys[p - 1], np.take(self.binom[d + 1 - p], c[p - 1]), out=keys[p])
-        right = 0
-        for p in range(d, 0, -1):
-            right = right + np.take(self.binom[d + 1 - p], c[p])
-            keys[p - 1] -= right
+        # row p: the key of the facet without vertex p, that is row p + 1 with vertex
+        # p + 1 in place of p, subtracted first so that no partial sum passes C(n, d)
+        keys = np.empty((d + 1, len(cols)), dtype=self.binom[0].dtype)
+        keys[d] = _subset_keys(self.binom, self.n, d, c.__getitem__)
+        for p in range(d - 1, -1, -1):
+            np.subtract(keys[p + 1], np.take(self.binom[d - p], c[p + 1]), out=keys[p])
+            keys[p] += np.take(self.binom[d - p], c[p])
         rowmat = np.empty((len(cols), d + 1), dtype=np.int64)
         for p in range(d + 1):  # -1 where the key is missing
             at = np.searchsorted(self.keys[d - 1], keys[p])
@@ -223,9 +223,7 @@ def _flag_expand(values: np.ndarray, within: np.ndarray, max_dim: int,
     rows: a simplex's new vertices are the columns where the ``within`` rows
     of all its vertices hold, above its last vertex. Jobs count them, the
     cap is checked and the dimension's arrays allocated here, then jobs fill
-    their slices. Taken row-major, they come out in lexicographic order
-    within each dimension, and dimension by dimension, so one stable sort by
-    value gives the canonical order.
+    their slices. Row-major, they come out lexicographic, as ``_canonical`` needs.
     """
     n = values.shape[0]
     if max_dim < 0:
@@ -263,17 +261,26 @@ def _flag_expand(values: np.ndarray, within: np.ndarray, max_dim: int,
         for _ in linalg.in_order(job, ((verts, vals, lo, [a[i:j] for a in levels[-1]])
                                        for lo, i, j in zip(starts, ends, ends[1:]))):
             pass
-    verts = None  # levels alone holds the rows, freed before the sort
-    sizes = [len(v) for v, _ in levels if len(v)]  # only the last can be empty
+    verts = vals = None  # levels alone holds the rows, freed before the sort
+    return _canonical(levels, n)
+
+
+def _canonical(levels: list, vertex_count: int) -> Filtration:
+    """The filtration of ``levels``, at position k the k-simplices' vertex rows in
+    lexicographic order and their values: one stable sort by value orders them,
+    with no vertex compared. Empties ``levels`` before the sort."""
+    while len(levels) > 1 and not len(levels[-1][1]):  # an empty top adds no column
+        levels.pop()
+    sizes = [len(val) for _, val in levels]
     vals = np.concatenate([val for _, val in levels])
     dims = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
     padded = np.full((len(vals), len(sizes)), -1, dtype=np.int32)
     for k, lo in enumerate(np.cumsum([0, *sizes[:-1]]).tolist()):
         padded[lo:lo + sizes[k], :k + 1] = levels[k][0]
-    levels.clear()  # free the levels before the sort
+    levels.clear()
     order = np.argsort(vals, kind="stable")
     # take gathers rows several times faster than indexing
-    return Filtration(vals[order], dims[order], np.take(padded, order, axis=0), n)
+    return Filtration(vals[order], dims[order], np.take(padded, order, axis=0), vertex_count)
 
 
 def _points(cloud, count: int = 1) -> np.ndarray:
@@ -336,6 +343,8 @@ def maxmin_landmarks(cloud, count: int, rng: np.random.Generator,
     the smallest index.
     """
     pts = _points(cloud, count)
+    if first is not None and not 0 <= first < len(pts):
+        raise ValueError(f"first landmark {first} outside [0, {len(pts)})")
     nxt = int(rng.integers(len(pts))) if first is None else first
     chosen = np.empty(count, dtype=np.int64)
     table = np.empty((count, len(pts)))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from grasstri import complexes, linalg, persistence
 from grasstri.complexes import Filtration, LandmarkSet, Simplex
+from test_acceptance import reference_reduce_columns
 
 
 def brute_force_rips(cloud, r_max, max_dim):
@@ -62,6 +63,60 @@ def test_flag_expand_matches_brute_force_cliques(monkeypatch, max_dim):
         expected = brute_force_cliques(values, within, max_dim)
         assert filtration_as_dict(f) == expected
         assert f.verts.shape[1] == max(len(c) for c in expected)
+
+
+def binomial_tables(n, top, dtype=np.int64):
+    """``tables[j][c]`` = C(c, j) for c < n and j <= top."""
+    return [np.array([math.comb(c, j) for c in range(n)], dtype=dtype) for j in range(top + 1)]
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_subset_keys_rank_subsets_lexicographically(dtype):
+    for n in range(1, 11):
+        binom = binomial_tables(n, 5, dtype)
+        for j in range(1, min(n, 5) + 1):
+            subsets = np.array(list(itertools.combinations(range(n), j)))
+            keys = complexes._subset_keys(binom, n, j, (n - 1 - subsets.T).__getitem__)
+            assert keys.dtype == dtype
+            assert keys.tolist() == list(range(math.comb(n, j)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 7), tops=st.integers(0, 6), repeats=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_keyed_minima_through_the_canonical_tail(n, tops, repeats, seed):
+    # a face-closed complex that need not be a flag complex, given as rows in
+    # any order with repeats: keyed per dimension, each simplex's least value
+    # taken by reduceat, and ordered by the tail, it is the filtration of the
+    # per-simplex minima
+    rng, top_dim = np.random.default_rng(seed), 4
+    closed = {(v,) for v in range(n)}
+    for _ in range(tops):
+        top = rng.choice(n, int(rng.integers(1, min(n, top_dim + 1) + 1)), replace=False)
+        closed |= {c for k in range(2, len(top) + 1)
+                   for c in itertools.combinations(sorted(top.tolist()), k)}
+    least = {}
+    for s in sorted(closed, key=len):  # values from a few levels, ties at 0 in every dimension
+        own = float(rng.choice([0.0, 0.5, 1.0])) if len(s) > 1 else 0.0
+        least[s] = max([own, *(least[f] for f in itertools.combinations(s, len(s) - 1) if f)])
+    rows = [(s, v + float(rng.choice([0.0, 0.5, 1.0])) * (i > 0))
+            for s, v in least.items() for i in range(int(rng.integers(1, repeats + 1)))]
+    random.Random(seed).shuffle(rows)
+    binom, levels = binomial_tables(n, top_dim + 1), []
+    for k in range(top_dim + 1):
+        verts = np.array([s for s, _ in rows if len(s) == k + 1], np.int32).reshape(-1, k + 1)
+        vals = np.array([v for s, v in rows if len(s) == k + 1])
+        keys = complexes._subset_keys(binom, n, k + 1, (n - 1 - verts.T).__getitem__)
+        order = np.argsort(keys)
+        starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
+        levels.append((verts[order[starts]], np.minimum.reduceat(vals[order], starts)))
+    f = complexes._canonical(levels, n)
+    assert not levels
+    assert f == Filtration.from_simplices([Simplex(s, v) for s, v in least.items()], n)
+    matrix = persistence.build_boundary(f)
+    pairing, naive = persistence.reduce_boundary(matrix), reference_reduce_columns(matrix)
+    assert np.array_equal(pairing.pairs, naive.pairs)
+    assert np.array_equal(pairing.essential, naive.essential)
 
 
 def test_two_points_single_edge():
@@ -224,6 +279,9 @@ def test_maxmin_count_edge_cases():
         complexes.maxmin_landmarks(cloud, 4, np.random.default_rng(1))
     with pytest.raises(ValueError, match="^need 1 <= count <= 3, got 0$"):
         complexes.maxmin_landmarks(cloud, 0, np.random.default_rng(1))
+    for first in (-1, 3):  # -1 would index from the end
+        with pytest.raises(ValueError, match=rf"^first landmark {first} outside \[0, 3\)$"):
+            complexes.maxmin_landmarks(cloud, 2, np.random.default_rng(1), first=first)
 
 
 def test_maxmin_greedy_property():

@@ -464,6 +464,24 @@ def test_reduce_memory_is_bounded(monkeypatch):
     assert np.array_equal(pairing.essential, naive.essential)
 
 
+def test_boundary_memory_is_bounded(monkeypatch):
+    # the Rips complex of test_reduce_memory_is_bounded: facet keys are
+    # computed a vertex column at a time, so the peak stays near the matrix
+    # and one int64 key and row per simplex below the top dimension
+    f = complexes.vietoris_rips(np.random.default_rng(5).standard_normal((36, 3)), 2.0, 5)
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", 2**14)
+    matrix = persistence.build_boundary(f)  # keeps one-time imports and caches out of the trace
+    m, nnz, below = len(f), len(matrix.col_rows), int(np.count_nonzero(f.dims < f.max_dim))
+    del matrix
+    tracemalloc.start()
+    try:
+        persistence.build_boundary(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.4 * (4 * nnz + 8 * m + 16 * below)
+
+
 def test_tetrahedron_barcode_exact():
     bc = persistence.barcodes(tetrahedron_filtration())
     assert bc.intervals(0) == [(0.0, 1.0), (0.0, 1.0), (0.0, 1.0), (0.0, INF)]
