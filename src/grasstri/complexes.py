@@ -142,22 +142,30 @@ def _subset_keys(binom, n: int, j: int, count) -> np.ndarray:
     return keys
 
 
+def _label_slots(verts: np.ndarray):
+    """Table slots of the labels of ``verts``, padding -1 kept, and the label of each
+    slot: the labels themselves while the largest is at most ``verts.size``, else their
+    ranks among those in use, so that a table indexed by slot stays within the matrix."""
+    if verts.max(initial=0) <= verts.size:
+        return verts, np.arange(verts.max(initial=-1) + 1)
+    used, ranks = np.unique(verts, return_inverse=True)
+    return (ranks.reshape(verts.shape) - (used[0] < 0)).astype(np.int32), used[used >= 0]
+
+
 class FacetIndex:
     """The simplices below a filtration's top dimension, keyed to find facets.
 
-    ``keys[k]`` holds the sorted ``_subset_keys`` of the k-simplices among the n labels
-    in use, then C(n, k + 1), and ``rows[k]`` their rows, then -1. Lexicographic keys
-    follow the filtration's tie order, so nearby rows search nearby keys. Keys are int64
-    while every C(n, j), j <= top dimension, is below 2**63, else Python ints. The int32
-    table ``above`` counts the labels in use above each slot: a label, or its rank among
-    those in use once the largest exceeds ``verts.size``, which bounds the table.
+    A k-simplex's key is its ``_subset_keys`` rank among the n labels in use. Where
+    C(n, k + 1) is at most the (k + 1)-simplices' boundary entries, ``rows[k]`` is an
+    int32 table of the k-simplices' rows by key, -1 where none, and ``keys[k]`` is None.
+    Elsewhere ``keys[k]`` holds their sorted keys, then C(n, k + 1), and ``rows[k]`` their
+    rows, then -1; lexicographic keys follow the tie order, so nearby rows search nearby
+    keys. Keys are int64 while every C(n, j), j <= top dimension, is below 2**63, else
+    Python ints. The int32 ``above`` counts the labels in use above each ``_label_slots`` slot.
     """
 
     def __init__(self, filtration: Filtration):
-        self.verts = self.slots = verts = filtration.verts
-        if verts.max(initial=0) > verts.size:
-            used, ranks = np.unique(verts, return_inverse=True)
-            self.slots = (ranks.reshape(verts.shape) - (used[0] < 0)).astype(np.int32)
+        self.verts, self.slots = filtration.verts, _label_slots(filtration.verts)[0]
         # the count of labels in use above each slot; padding -1 marks the last one
         self.above = np.zeros(int(self.slots.max(initial=0)) + 2, dtype=np.int32)
         self.above[self.slots] = 1
@@ -172,8 +180,14 @@ class FacetIndex:
             rows_k = np.flatnonzero(filtration.dims == k)
             keys = _subset_keys(self.binom, self.n, k + 1,
                                 lambda i: np.take(self.above, self.slots[rows_k, i]))
+            size, cofaces = math.comb(self.n, k + 1), np.count_nonzero(filtration.dims == k + 1)
+            if size <= (k + 2) * cofaces:  # a table no larger than the boundary entries it fills
+                self.keys.append(None)
+                self.rows.append(np.full(size, -1, dtype=np.int32))
+                self.rows[-1][keys.astype(np.int64, copy=False)] = rows_k
+                continue
             order = np.argsort(keys)
-            self.keys.append(np.r_[np.take(keys, order), math.comb(self.n, k + 1)])
+            self.keys.append(np.r_[np.take(keys, order), size])
             self.rows.append(np.r_[np.take(rows_k, order), -1])
 
     def facet_rows(self, d: int, cols: np.ndarray) -> np.ndarray:
@@ -190,8 +204,11 @@ class FacetIndex:
             keys[p] += np.take(self.binom[d - p], c[p])
         rowmat = np.empty((len(cols), d + 1), dtype=np.int64)
         for p in range(d + 1):  # -1 where the key is missing
-            at = np.searchsorted(self.keys[d - 1], keys[p])
-            rowmat[:, p] = np.where(self.keys[d - 1][at] == keys[p], self.rows[d - 1][at], -1)
+            if self.keys[d - 1] is None:  # a dense degree: gather from its table
+                rowmat[:, p] = np.take(self.rows[d - 1], keys[p].astype(np.int64, copy=False))
+            else:
+                at = np.searchsorted(self.keys[d - 1], keys[p])
+                rowmat[:, p] = np.where(self.keys[d - 1][at] == keys[p], self.rows[d - 1][at], -1)
         bad = np.argwhere((rowmat < 0) | (rowmat >= cols[:, None]))
         if len(bad):
             i, p = bad[0]
@@ -438,8 +455,8 @@ def write_filtration(path, filtration: Filtration) -> None:
 
     Values are written with ``%.17g``, so they read back exactly. Each block
     of ``BLOCK_BYTES // 128`` rows formats each run of values with one bit
-    pattern once (so ``-0.0`` stays ``-0``) and each label it uses once, as
-    NUL-padded byte strings, gathers them by row and writes all but the NULs.
+    pattern once (so ``-0.0`` stays ``-0``) and each ``_label_slots`` slot once,
+    as NUL-padded byte strings, gathers them by row and writes all but the NULs.
     """
     values, verts, rows = filtration.values, filtration.verts, max(1, linalg.BLOCK_BYTES // 128)
     with open(path, "wb") as fh:
@@ -448,10 +465,10 @@ def write_filtration(path, filtration: Filtration) -> None:
             vals, block = values[lo:lo + rows], verts[lo:lo + rows]
             new = np.r_[True, vals.view(np.int64)[1:] != vals.view(np.int64)[:-1]]
             texts = _float_texts(vals[new])
-            used, labels = np.unique(block, return_inverse=True)
-            names = np.array([b" %d" % v if v >= 0 else b"" for v in used.tolist()])
+            slots, labels = _label_slots(block)
+            names = np.array([b"", *(b" %d" % v for v in labels.tolist())])
             lines = np.column_stack([a.view(np.uint8).reshape(len(vals), -1) for a in (
-                texts[np.cumsum(new) - 1], names[labels], np.full(len(vals), b"\n"))])
+                texts[np.cumsum(new) - 1], np.take(names, slots + 1), np.full(len(vals), b"\n"))])
             fh.write(lines[lines != 0])
 
 

@@ -220,7 +220,9 @@ class Barcode:
 
 def barcodes(filtration: Filtration, max_dim: int | None = None) -> Barcode:
     """Persistent homology of the filtration in degrees 0..max_dim: the
-    intervals of the pairs of positive length and of the essential rows."""
+    intervals of the pairs of positive length and of the essential rows. The
+    default ``max_dim`` is ``filtration.max_dim``, whose cycles no coface can
+    kill; ``persist`` defaults to the top dimension - 1 and refuses more."""
     if max_dim is None:
         max_dim = filtration.max_dim
     if max_dim < 0:  # checked before the reduction

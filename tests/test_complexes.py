@@ -692,6 +692,22 @@ def test_write_filtration_edge_cases(tmp_path):
             assert_writes_reference(f, tmp_path, rows)
 
 
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("past", [0, 1], ids=["at-size", "past-size"])
+def test_write_filtration_at_the_label_rule_edge(tmp_path, rows, past):
+    # a block of `rows` rows of width 2 has 2 * rows entries: labels up to that
+    # many index the label texts directly, and one past it they are ranked
+    top = 2 * rows + past
+    f = Filtration.from_simplices([Simplex((0,), 0.0), Simplex((top,), 0.0),
+                                   Simplex((0, top), 1.0)], vertex_count=top + 1)
+    block = f.verts[-rows:]
+    assert block.max() == block.size + past
+    slots, labels = complexes._label_slots(block)
+    assert (slots is block) == (not past)
+    assert labels.tolist() == (list(range(top + 1)) if not past else [0, top])
+    assert_writes_reference(f, tmp_path, rows)
+
+
 def test_write_filtration_memory_is_bounded(tmp_path, monkeypatch):
     f = complexes.vietoris_rips(np.random.default_rng(3).standard_normal((40, 3)), 2.2, 4)
     assert 15_000 < len(f) < 30_000

@@ -182,6 +182,40 @@ def test_facet_keys_past_int64(count, wide):
     assert [matrix.column(j).tolist() for j in range(len(matrix))] == brute_force_facet_rows(f)
 
 
+def table_degrees(f):
+    """Per facet dimension, whether FacetIndex gathers from a table (else it searches keys)."""
+    return [keys is None for keys in complexes.FacetIndex(f).keys]
+
+
+@pytest.mark.parametrize("points, r_max, dense", [
+    # the complete complex: C(9, k + 1) <= (k + 2) C(9, k + 2) in every degree
+    (9, 2.0, True),
+    # few cofaces on many labels: (400, 73, 11, 1) simplices by dimension
+    (400, 0.06, False),
+])
+def test_facet_lookup_paths(points, r_max, dense):
+    f = complexes.vietoris_rips(np.random.default_rng(0).random((points, 3)), r_max, 3)
+    assert f.max_dim == 3
+    assert table_degrees(f) == [dense] * 3
+    matrix = persistence.build_boundary(f)
+    assert [matrix.column(j).tolist() for j in range(len(matrix))] == brute_force_facet_rows(f)
+
+
+def test_facet_table_with_wide_keys():
+    # 16,176 labels and a 5-simplex make the keys Python ints, yet a star of
+    # edges makes C(n, 1) at most twice the edge count, so degree 0 is a table
+    count = 16_176
+    top = (0, 1, count // 2, count - 3, count - 2, count - 1)
+    faces = {c for k in range(2, 7) for c in itertools.combinations(top, k)}
+    faces |= {(0, v) for v in range(1, count)}
+    f = Filtration.from_simplices([*(Simplex((v,), 0.0) for v in range(count)),
+                                   *(Simplex(c, 1.0) for c in faces)], count)
+    index = complexes.FacetIndex(f)
+    assert index.keys[0] is None and all(keys.dtype == object for keys in index.keys[1:])
+    matrix = persistence.build_boundary(f)
+    assert [matrix.column(j).tolist() for j in range(len(matrix))] == brute_force_facet_rows(f)
+
+
 def unchecked_filtration(rows):
     """The (vertices, value) rows as given, without the order check."""
     width = max(len(v) for v, _ in rows)
@@ -213,13 +247,28 @@ def test_first_bad_face_is_reported(rows, face):
         persistence.build_boundary(f)
 
 
-@pytest.mark.parametrize("rows, message", [
+BAD_FACES = pytest.mark.parametrize("rows, message", [
     ([((0,), 0), ((0, 1), 1)], r"^face \(1,\) of \(0, 1\) is missing from the filtration$"),
     ([((0,), 0), ((0, 1), 1), ((1,), 2)], r"^face \(1,\) of \(0, 1\) is listed at or after"),
 ], ids=["missing", "late"])
+
+
+@BAD_FACES
 def test_validate_leaves_faces_to_build_boundary(rows, message):
     f = unchecked_filtration(rows)
     f.validate()  # the order, labels and values hold
+    with pytest.raises(ValueError, match=message):
+        persistence.build_boundary(f)
+
+
+@pytest.mark.parametrize("isolated, dense", [((), True), ((2, 3), False)])
+@BAD_FACES
+def test_bad_faces_on_both_lookup_paths(rows, message, isolated, dense):
+    # isolated vertices raise the label count past twice the edge count, so
+    # degree 0 takes sorted keys instead of the table
+    f = unchecked_filtration(rows[:1] + [((v,), 0) for v in isolated] + rows[1:])
+    f.validate()
+    assert table_degrees(f) == [dense]
     with pytest.raises(ValueError, match=message):
         persistence.build_boundary(f)
 
