@@ -235,12 +235,13 @@ def _flag_expand(values: np.ndarray, within: np.ndarray, max_dim: int,
 
     ``values`` is the symmetric matrix of edge values and ``within`` the
     boolean matrix of pairs that are edges. A p-simplex is any (p+1)-clique;
-    its value is the maximum of its edge values. The (d+1)-simplices grow
-    from the d-simplices, starting at the vertices, in jobs of a block of
-    rows: a simplex's new vertices are the columns where the ``within`` rows
-    of all its vertices hold, above its last vertex. Jobs count them, the
-    cap is checked and the dimension's arrays allocated here, then jobs fill
-    their slices. Row-major, they come out lexicographic, as ``_canonical`` needs.
+    its value is the maximum of its edge values. Each dimension is one pass
+    over blocks of ``BLOCK_BYTES // (8 n)`` d-simplices: a simplex's new
+    vertices are the columns where the ``within`` rows of all its vertices
+    hold, above its last vertex. A block keeps them as int32 (row, vertex)
+    pairs once the cap admits them; then the (d+1)-simplices are allocated
+    and filled from the pairs. Row-major, they come out lexicographic, as
+    ``_canonical`` needs.
     """
     n = values.shape[0]
     if max_dim < 0:
@@ -249,36 +250,29 @@ def _flag_expand(values: np.ndarray, within: np.ndarray, max_dim: int,
         raise ValueError("max_simplices must be positive")
     if n > max_simplices:
         raise ResourceLimit(f"simplex count exceeds cap {max_simplices}")
-    above = np.triu(within, k=1)
-    rows = max(1, linalg.BLOCK_BYTES // (8 * n))  # an eighth of the budget in candidates
-
-    def job(verts, vals, lo, out=None):
-        """Count the cofaces of a level's rows from lo, or write them and their values to out."""
-        block = verts[lo:lo + rows]
-        cand = np.take(above, block[:, -1], axis=0)
-        for c in range(block.shape[1] - 1):
-            cand &= np.take(within, block[:, c], axis=0)
-        if out is None:
-            return np.count_nonzero(cand)
-        new_verts, new_vals = out
-        i, v = np.nonzero(cand)
-        new_verts[:, :-1], new_verts[:, -1] = np.take(block, i, axis=0), v
-        new_vals[:] = vals[lo + i]
-        for c in range(block.shape[1]):
-            np.maximum(new_vals, values[block[i, c], v], out=new_vals)
-
+    above, rows, count = np.triu(within, k=1), max(1, linalg.BLOCK_BYTES // (8 * n)), n
     levels = [(np.arange(n, dtype=np.int32)[:, None], np.zeros(n))]  # k-simplices at k
     while len(levels) <= max_dim and len(levels[-1][0]):
-        verts, vals = levels[-1]
-        starts = range(0, len(verts), rows)
-        ends = np.cumsum([0, *linalg.in_order(job, ((verts, vals, lo) for lo in starts))]).tolist()
-        if sum(len(v) for v, _ in levels) + ends[-1] > max_simplices:
-            raise ResourceLimit(f"simplex count exceeds cap {max_simplices}")
+        verts, vals, found = *levels[-1], []
+        for lo in range(0, len(verts), rows):
+            block = verts[lo:lo + rows]
+            cand = np.take(above, block[:, -1], axis=0)  # an eighth of the budget
+            for c in range(block.shape[1] - 1):
+                cand &= np.take(within, block[:, c], axis=0)
+            i, v = np.divmod(np.flatnonzero(cand), n)  # 2-d np.nonzero is several times slower
+            if (count := count + len(i)) > max_simplices:
+                raise ResourceLimit(f"simplex count exceeds cap {max_simplices}")
+            found.append(((lo + i).astype(np.int32), v.astype(np.int32)))
+        ends = np.cumsum([0, *(len(i) for i, _ in found)]).tolist()
         levels.append((np.empty((ends[-1], verts.shape[1] + 1), np.int32), np.empty(ends[-1])))
-        for _ in linalg.in_order(job, ((verts, vals, lo, [a[i:j] for a in levels[-1]])
-                                       for lo, i, j in zip(starts, ends, ends[1:]))):
-            pass
-    verts = vals = None  # levels alone holds the rows, freed before the sort
+        for (i, v), a, b in zip(found, ends, ends[1:]):
+            new_verts, new_vals = (x[a:b] for x in levels[-1])
+            new_verts[:, :-1], new_verts[:, -1] = np.take(verts, i, axis=0), v
+            new_vals[:] = np.take(vals, i)
+            for c in range(verts.shape[1]):
+                np.maximum(new_vals, values[new_verts[:, c], v], out=new_vals)
+    # levels alone holds the rows, freed before the sort
+    verts = vals = found = block = new_verts = new_vals = None
     return _canonical(levels, n)
 
 

@@ -43,8 +43,10 @@ def brute_force_cliques(values, within, max_dim):
     return out
 
 
-@pytest.mark.parametrize("max_dim", range(5))
-def test_flag_expand_matches_brute_force_cliques(monkeypatch, max_dim):
+@pytest.mark.parametrize("max_dim, block_rows", [
+    pytest.param(d, rows, id=f"{d}{tag}") for rows, tag in
+    ((2, ""), (1, "-1-row-blocks"), (None, "-default-blocks")) for d in range(5)])
+def test_flag_expand_matches_brute_force_cliques(monkeypatch, max_dim, block_rows):
     rng = np.random.default_rng(40 + max_dim)
     for trial in range(15):
         n = int(rng.integers(1, 11))
@@ -55,9 +57,10 @@ def test_flag_expand_matches_brute_force_cliques(monkeypatch, max_dim):
         upper = np.triu(rng.random((n, n)) < rng.uniform(0.3, 1.0), k=1)
         within = upper | upper.T
         np.fill_diagonal(within, trial % 2 == 0)
-        # two rows per job, so every dimension with 3 or more simplices
-        # is grown in several jobs
-        monkeypatch.setattr(linalg, "BLOCK_BYTES", 16 * n)
+        # 1- and 2-row blocks grow most dimensions in several blocks, some of
+        # which find no coface; None keeps the default budget
+        if block_rows:
+            monkeypatch.setattr(linalg, "BLOCK_BYTES", 8 * n * block_rows)
         f = complexes._flag_expand(values, within, max_dim, complexes.DEFAULT_MAX_SIMPLICES)
         f.validate()
         expected = brute_force_cliques(values, within, max_dim)
@@ -576,6 +579,27 @@ def test_builders_cap_at_the_default(kind):
     cap = complexes.DEFAULT_MAX_SIMPLICES
     with pytest.raises(complexes.ResourceLimit, match=f"exceeds cap {cap}$"):
         build(3)
+
+
+def test_cap_bounds_the_expansion_memory(monkeypatch):
+    # the complete graph on 40 vertices: 102,090 simplices in dimensions 0-3,
+    # and the cap is crossed inside its C(40, 5) = 658,008 four-simplices
+    values = np.random.default_rng(6).random((40, 40))
+    values = np.maximum(values, values.T)
+    np.fill_diagonal(values, 0.0)
+    within = np.ones((40, 40), dtype=bool)
+    cap = 110_000
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", 2**16)
+    assert len(complexes._flag_expand(values, within, 3, cap)) == 102_090
+    tracemalloc.start()
+    try:
+        with pytest.raises(complexes.ResourceLimit, match=f"exceeds cap {cap}$"):
+            complexes._flag_expand(values, within, 4, cap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the whole four-simplex level, rows and values, would take about 18 MB
+    assert peak < 64 * cap + 4 * linalg.BLOCK_BYTES
 
 
 def test_witness_filtration_nesting():

@@ -1,5 +1,7 @@
-"""The blocked jobs of linalg.in_order give the same results on any number of
-workers: filtrations, boundary matrices, pairings and errors."""
+"""Results do not depend on the number of workers or the block sizes: the
+facet lookups of build_boundary run as linalg.in_order jobs, and the clique
+expansion runs in blocks on the calling thread. Filtrations, boundary
+matrices, pairings and errors come out the same."""
 
 import os
 import subprocess
@@ -31,7 +33,8 @@ def results(build):
 
 
 def tiny_jobs(mp, workers):
-    """Jobs of at most 2 facet lookups or 7 expansion rows, on ``workers`` workers."""
+    """Jobs of at most 2 facet lookups on ``workers`` workers, and expansion
+    blocks of at most 7 rows."""
     mp.setattr(linalg, "WORKERS", workers)
     mp.setattr(linalg, "BLOCK_BYTES", 600)  # also coboundary blocks of 2-4 columns
 
