@@ -115,7 +115,7 @@ class Filtration:
                 ok &= (verts[:, p] > verts[:, p - 1]) | (dims < p)
             return ok
 
-        def in_order(values, dims, verts):  # "row i-1 < row i", folded from its last key
+        def ordered(values, dims, verts):  # "row i-1 < row i", folded from its last key
             less = False
             for key in [*verts.T[::-1], dims, values]:
                 less = (key[:-1] < key[1:]) | ((key[:-1] == key[1:]) & less)
@@ -128,7 +128,7 @@ class Filtration:
                              f"[0, {self.vertex_count}), padded with -1")
         if (i := first_bad(rising)) is not None:
             raise ValueError(f"simplex vertices must strictly increase: {self.simplex(i).vertices}")
-        if (i := first_bad(in_order)) is not None:
+        if (i := first_bad(ordered)) is not None:
             raise ValueError(f"simplices out of order at position {i}")
 
 
@@ -155,22 +155,19 @@ def _label_slots(verts: np.ndarray):
 class FacetIndex:
     """The simplices below a filtration's top dimension, keyed to find facets.
 
-    A k-simplex's key is its ``_subset_keys`` rank among the n labels in use. Where
+    A k-simplex's key is its ``_subset_keys`` rank among n slots: n is the largest
+    ``_label_slots`` slot + 1, and a vertex counts c = n - 1 - slot slots above it. Where
     C(n, k + 1) is at most the (k + 1)-simplices' boundary entries, ``rows[k]`` is an
     int32 table of the k-simplices' rows by key, -1 where none, and ``keys[k]`` is None.
     Elsewhere ``keys[k]`` holds their sorted keys, then C(n, k + 1), and ``rows[k]`` their
     rows, then -1; lexicographic keys follow the tie order, so nearby rows search nearby
     keys. Keys are int64 while every C(n, j), j <= top dimension, is below 2**63, else
-    Python ints. The int32 ``above`` counts the labels in use above each ``_label_slots`` slot.
+    Python ints.
     """
 
     def __init__(self, filtration: Filtration):
         self.verts, self.slots = filtration.verts, _label_slots(filtration.verts)[0]
-        # the count of labels in use above each slot; padding -1 marks the last one
-        self.above = np.zeros(int(self.slots.max(initial=0)) + 2, dtype=np.int32)
-        self.above[self.slots] = 1
-        self.n, top = int(np.cumsum(self.above, out=self.above)[-2]), filtration.max_dim
-        np.subtract(self.n, self.above, out=self.above)
+        self.n, top = int(self.slots.max(initial=-1)) + 1, filtration.max_dim
         wide = max(math.comb(self.n, j) for j in range(top + 1)) >= 2**63
         self.binom = [np.ones(self.n, dtype=object if wide else np.int64)]  # binom[j][c] = C(c, j)
         for j in range(1, top + 1):
@@ -179,7 +176,7 @@ class FacetIndex:
         for k in range(top):
             rows_k = np.flatnonzero(filtration.dims == k)
             keys = _subset_keys(self.binom, self.n, k + 1,
-                                lambda i: np.take(self.above, self.slots[rows_k, i]))
+                                lambda i: self.n - 1 - self.slots[rows_k, i])
             size, cofaces = math.comb(self.n, k + 1), np.count_nonzero(filtration.dims == k + 1)
             if size <= (k + 2) * cofaces:  # a table no larger than the boundary entries it fills
                 self.keys.append(None)
@@ -194,7 +191,7 @@ class FacetIndex:
         """Filtration rows of the facets of the d-simplices at rows ``cols``, d >= 1,
         row i those of the i-th, ascending. Raises ValueError when a face is
         absent or listed at or after its coface."""
-        c = np.take(self.above, np.take(self.slots, cols, axis=0)[:, :d + 1].T)  # take: faster
+        c = self.n - 1 - np.take(self.slots, cols, axis=0)[:, :d + 1].T
         # row p: the key of the facet without vertex p, that is row p + 1 with vertex
         # p + 1 in place of p, subtracted first so that no partial sum passes C(n, d)
         keys = np.empty((d + 1, len(cols)), dtype=self.binom[0].dtype)
@@ -209,9 +206,9 @@ class FacetIndex:
             else:
                 at = np.searchsorted(self.keys[d - 1], keys[p])
                 rowmat[:, p] = np.where(self.keys[d - 1][at] == keys[p], self.rows[d - 1][at], -1)
-        bad = np.argwhere((rowmat < 0) | (rowmat >= cols[:, None]))
+        bad = np.flatnonzero((rowmat < 0) | (rowmat >= cols[:, None]))
         if len(bad):
-            i, p = bad[0]
+            i, p = divmod(int(bad[0]), d + 1)
             simplex = tuple(int(v) for v in self.verts[cols[i], :d + 1])
             where = "missing from" if rowmat[i, p] < 0 else "listed at or after it in"
             raise ValueError(f"face {simplex[:p] + simplex[p + 1:]} of {simplex} "

@@ -1,4 +1,4 @@
-"""Dense real linear algebra for the manifold samplers, and a job runner.
+"""Dense real linear algebra for the manifold samplers.
 
 Every algebra function takes stacks of vectors or matrices with leading batch axes
 and is deterministic given its inputs; the samplers in ``grassmann`` make the
@@ -6,10 +6,6 @@ random draws.
 """
 
 from __future__ import annotations
-
-import functools
-import itertools
-import os
 
 import numpy as np
 
@@ -20,7 +16,6 @@ ORTHONORMAL_TOL = 1e-10
 PROJECTION_TOL = 1e-9
 DEPENDENCE_TOL = 1e-12  # gram_schmidt's least residual norm, relative to the vector's
 BLOCK_BYTES = 2**22  # the one block budget: each loop takes it over its bytes per item
-WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -120,26 +115,3 @@ def pairwise_distances(points: np.ndarray, others: np.ndarray | None = None) -> 
             diff = a[i:i + rows, None, :] - b[None, j:j + cols, :]
             out[i:i + rows, j:j + cols] = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
     return out
-
-
-@functools.cache
-def _pool(workers: int):
-    from concurrent.futures import ThreadPoolExecutor  # imported on first use: it is slow
-    return ThreadPoolExecutor(workers, thread_name_prefix="grasstri")
-
-
-def in_order(fn, jobs):
-    """Yield ``fn(*job)`` for each job in order, WORKERS jobs at a time: the
-    first of each batch here, the rest on a thread pool. Exceptions come in
-    job order, and no job outlives its batch. A job allocates only its own
-    temporaries: memory a pool thread allocates stays in its malloc arena
-    after the main thread frees it, and raises later peaks."""
-    jobs = iter(jobs)
-    while batch := list(itertools.islice(jobs, WORKERS)):
-        futures = [_pool(WORKERS - 1).submit(fn, *job) for job in batch[1:]]
-        try:
-            yield fn(*batch[0])
-            yield from (future.result() for future in futures)
-        finally:
-            for future in futures:
-                future.cancel() or future.exception()  # wait for a running job

@@ -51,23 +51,19 @@ class BoundaryMatrix:
 
 def build_boundary(filtration: Filtration) -> BoundaryMatrix:
     """Boundary columns, each sorted ascending: the face check. The matrix is
-    allocated, then ``linalg.in_order`` jobs of ``BLOCK_BYTES // (128 (d + 1))``
-    d-simplices look up their facets in one ``FacetIndex`` and fill their
-    columns; the first failing job raises its ValueError."""
+    allocated, then blocks of ``BLOCK_BYTES // (128 (d + 1))`` d-simplices look
+    up their facets in one ``FacetIndex`` and fill their columns, in order on
+    the calling thread; the first failing block raises its ValueError."""
     dims = filtration.dims
     col_ptr = np.zeros(len(filtration) + 1, dtype=np.int64)
     np.cumsum(np.where(dims > 0, dims + 1, 0), out=col_ptr[1:])
     col_rows = np.empty(int(col_ptr[-1]), dtype=np.int32)
     index = FacetIndex(filtration)
-
-    def fill(d, cols):
-        col_rows[col_ptr[cols, None] + np.arange(d + 1)] = index.facet_rows(d, cols)
-
     for d in range(1, filtration.max_dim + 1):
         cols, step = np.flatnonzero(dims == d), max(1, linalg.BLOCK_BYTES // (128 * (d + 1)))
-        jobs = ((d, cols[lo:lo + step]) for lo in range(0, len(cols), step))
-        for _ in linalg.in_order(fill, jobs):
-            pass
+        for lo in range(0, len(cols), step):
+            block = cols[lo:lo + step]
+            col_rows[col_ptr[block, None] + np.arange(d + 1)] = index.facet_rows(d, block)
     return BoundaryMatrix(col_ptr, col_rows, dims, filtration.values)
 
 

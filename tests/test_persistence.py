@@ -169,6 +169,27 @@ def test_build_boundary_matches_brute_force_facets(monkeypatch):
                           persistence.build_boundary(f).col_rows)
 
 
+@pytest.mark.parametrize("ranked", [False, True], ids=["direct-with-gaps", "ranked"])
+def test_slot_keyed_facets(ranked):
+    f = complexes.vietoris_rips(np.random.default_rng(2).standard_normal((9, 3)), 1.8, 3)
+    n = f.vertex_count
+    # v -> 3v + 1 leaves gaps below the matrix's size, so slots stay the labels and
+    # keys count every slot up to the largest; past its size, slots are ranks
+    base = f.verts.size + 1 if ranked else 1
+    relabelled = Filtration(f.values, f.dims, np.where(f.verts >= 0, base + 3 * f.verts, -1),
+                            base + 3 * n + 1)
+    relabelled.validate()
+    assert (complexes._label_slots(relabelled.verts)[0] is relabelled.verts) != ranked
+    assert complexes.FacetIndex(relabelled).n == (n if ranked else 3 * n - 1)
+    matrix = persistence.build_boundary(relabelled)
+    assert ([matrix.column(j).tolist() for j in range(len(matrix))]
+            == brute_force_facet_rows(relabelled))
+    got, want = (persistence.reduce_boundary(persistence.build_boundary(g))
+                 for g in (relabelled, f))
+    assert np.array_equal(got.pairs, want.pairs) and len(got.pairs)
+    assert np.array_equal(got.essential, want.essential)
+
+
 @pytest.mark.parametrize("count, wide", [(16_175, False), (16_176, True)])
 def test_facet_keys_past_int64(count, wide):
     # C(16176, 5) >= 2**63 > C(16175, 5): the 4-simplex keys fill int64 at
@@ -223,6 +244,16 @@ def unchecked_filtration(rows):
                       [[*v, *[-1] * (width - len(v))] for v, _ in rows], vertex_count=4)
 
 
+def raises_at_both_budgets(f, message):
+    """build_boundary raises ``message`` at the default block budget and with
+    blocks of one simplex, so the first fault is the same within and across blocks."""
+    for budget in (linalg.BLOCK_BYTES, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "BLOCK_BYTES", budget)
+            with pytest.raises(ValueError, match=message):
+                persistence.build_boundary(f)
+
+
 TRIANGLE = [((0,), 0), ((1,), 0), ((2,), 0), ((0, 1), 1), ((0, 1, 2), 2)]
 
 
@@ -242,9 +273,8 @@ TRIANGLE = [((0,), 0), ((1,), 0), ((2,), 0), ((0, 1), 1), ((0, 1, 2), 2)]
      "(0, 1, 3) of (0, 1, 2, 3) is missing from"),
 ], ids=["lowest-dim", "missing-then-late", "late-then-missing", "earliest-simplex", "facet"])
 def test_first_bad_face_is_reported(rows, face):
-    f = unchecked_filtration(rows)
-    with pytest.raises(ValueError, match=f"^face {re.escape(face)} the filtration$"):
-        persistence.build_boundary(f)
+    raises_at_both_budgets(unchecked_filtration(rows),
+                           f"^face {re.escape(face)} the filtration$")
 
 
 BAD_FACES = pytest.mark.parametrize("rows, message", [
@@ -257,8 +287,7 @@ BAD_FACES = pytest.mark.parametrize("rows, message", [
 def test_validate_leaves_faces_to_build_boundary(rows, message):
     f = unchecked_filtration(rows)
     f.validate()  # the order, labels and values hold
-    with pytest.raises(ValueError, match=message):
-        persistence.build_boundary(f)
+    raises_at_both_budgets(f, message)
 
 
 @pytest.mark.parametrize("isolated, dense", [((), True), ((2, 3), False)])
@@ -269,8 +298,7 @@ def test_bad_faces_on_both_lookup_paths(rows, message, isolated, dense):
     f = unchecked_filtration(rows[:1] + [((v,), 0) for v in isolated] + rows[1:])
     f.validate()
     assert table_degrees(f) == [dense]
-    with pytest.raises(ValueError, match=message):
-        persistence.build_boundary(f)
+    raises_at_both_budgets(f, message)
 
 
 def test_label_table_does_not_grow_with_the_largest_label():
