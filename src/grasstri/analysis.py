@@ -189,10 +189,8 @@ def sample_space(space: str, count: int, rng: np.random.Generator,
         return grassmann.sample_so3(count, rng)
     params = grassmann.GrassmannParams(*args)
     if proportions is not None:
-        points = grassmann.sample_biased(params, count, proportions, rng)
-    else:
-        points = grassmann.sample_uniform(params, count, rng)
-    return points.reshape(count, -1)
+        return grassmann.sample_biased(params, count, proportions, rng).reshape(count, -1)
+    return grassmann.sample_uniform(params, count, rng).reshape(count, -1)
 
 
 def build_complex(cloud, kind, r_max, max_dim, max_simplices=complexes.DEFAULT_MAX_SIMPLICES,

@@ -69,10 +69,8 @@ def _cmd_persist(args) -> int:
 
 def _cmd_window(args) -> int:
     barcode = persistence.read_barcode(args.barcode)
-    if args.target is not None:
-        target = _parse_list(args.target, int)
-    else:
-        target = analysis.target_profile(args.space, args.top_dim)
+    target = (_parse_list(args.target, int) if args.target is not None
+              else analysis.target_profile(args.space, args.top_dim))
     top_dim = args.top_dim if args.top_dim is not None else len(target) - 1
     report = analysis.matching_windows(barcode, target, top_dim)
     if args.out:

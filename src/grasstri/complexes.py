@@ -38,25 +38,31 @@ class Filtration:
     """Simplices ordered by (value, dim, lexicographic vertices).
 
     Stored as parallel arrays, given already in that order: ``values``
-    (float), ``dims`` (int), and ``verts``, an (m, width) int matrix padded
+    (float), ``dims`` (int32), and ``verts``, an (m, width) int32 matrix padded
     with -1 past each simplex's vertex count. The order guarantees every face
-    precedes its cofaces.
+    precedes its cofaces. Only the constructor narrows to int32: an array of another
+    type may hold only -1 and integers in [0, B), B = 2**31 for dimensions and
+    min(vertex_count, 2**31) for labels; a ValueError names its first other entry.
     """
 
     __slots__ = ("values", "dims", "verts", "vertex_count")
 
     def __init__(self, values: np.ndarray, dims: np.ndarray, verts: np.ndarray,
                  vertex_count: int):
-        self.values = np.ascontiguousarray(values, dtype=float)
-        self.dims = np.ascontiguousarray(dims, dtype=np.int32)
-        self.verts = np.ascontiguousarray(verts, dtype=np.int32)
-        self.vertex_count = int(vertex_count)
+        self.values, self.vertex_count = np.ascontiguousarray(values, float), int(vertex_count)
+        for name, what, a, top in (("dims", "simplex dimension", dims, 2**31),
+                                   ("verts", "vertex label", verts, min(self.vertex_count, 2**31))):
+            if (a := np.asarray(a)).dtype != np.int32:
+                inside = (a >= -1) & (a < top)  # nan is outside
+                if len(bad := np.flatnonzero(~inside | (np.where(inside, a, 0) % 1 != 0))):
+                    fault = "is not an integer" if inside.flat[bad[0]] else f"outside [0, {top})"
+                    raise ValueError(f"{what} {a.flat[bad[0]]} {fault}")
+            setattr(self, name, np.ascontiguousarray(a, np.int32))
 
     @classmethod
     def from_simplices(cls, simplices, vertex_count: int) -> "Filtration":
         """Filtration of Simplex items given in any order."""
         items = sorted(simplices, key=lambda s: (s.value, len(s.vertices), s.vertices))
-        _check_labels([v for s in items for v in s.vertices], vertex_count)
         width = max([len(s.vertices) for s in items], default=1)
         verts = [[*s.vertices, *[-1] * (width - len(s.vertices))] for s in items]
         filtration = cls([s.value for s in items], [len(s.vertices) - 1 for s in items],
@@ -76,8 +82,7 @@ class Filtration:
         return Simplex(tuple(int(v) for v in self.verts[i, :d + 1]), float(self.values[i]))
 
     def simplices(self) -> Iterator[Simplex]:
-        for i in range(len(self)):
-            yield self.simplex(i)
+        return map(self.simplex, range(len(self)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Filtration):
@@ -104,7 +109,7 @@ class Filtration:
                     return at.start + int(bad[0])
 
         def labelled(values, dims, verts):
-            ok = dims >= 0
+            ok = (dims >= 0) & (dims < width)
             for p, column in enumerate(verts.T):
                 ok &= ((column >= 0) & (column < self.vertex_count)) == (dims >= p)
             return ok
@@ -162,7 +167,7 @@ class FacetIndex:
     Elsewhere ``keys[k]`` holds their sorted keys, then C(n, k + 1), and ``rows[k]`` their
     rows, then -1; lexicographic keys follow the tie order, so nearby rows search nearby
     keys. Keys are int64 while every C(n, j), j <= top dimension, is below 2**63, else
-    Python ints.
+    Python ints. Each k-simplex must find its own row: one listed twice raises ValueError.
     """
 
     def __init__(self, filtration: Filtration):
@@ -182,10 +187,24 @@ class FacetIndex:
                 self.keys.append(None)
                 self.rows.append(np.full(size, -1, dtype=np.int32))
                 self.rows[-1][keys.astype(np.int64, copy=False)] = rows_k
-                continue
-            order = np.argsort(keys)
-            self.keys.append(np.r_[np.take(keys, order), size])
-            self.rows.append(np.r_[np.take(rows_k, order), -1])
+                twice = np.count_nonzero(self.rows[-1] >= 0) < len(rows_k)
+            else:
+                order = np.argsort(keys)
+                self.keys.append(np.r_[np.take(keys, order), size])
+                self.rows.append(np.r_[np.take(rows_k, order), -1])
+                twice = (self.keys[-1][1:] == self.keys[-1][:-1]).any()
+            if twice:  # name the first row whose key finds another row
+                bad = np.flatnonzero((found := self.find(k, keys)) != rows_k)[0]
+                i, j = sorted((int(found[bad]), int(rows_k[bad])))
+                raise ValueError(f"simplex {filtration.simplex(j).vertices} is listed twice, "
+                                 f"at positions {i} and {j}")
+
+    def find(self, k: int, keys: np.ndarray) -> np.ndarray:
+        """The rows of the k-simplices with these keys, in their shape, -1 where none."""
+        if self.keys[k] is None:  # a dense degree: gather from its table
+            return np.take(self.rows[k], keys.astype(np.int64, copy=False))
+        at = np.searchsorted(self.keys[k], keys)
+        return np.where(self.keys[k][at] == keys, self.rows[k][at], -1)
 
     def facet_rows(self, d: int, cols: np.ndarray) -> np.ndarray:
         """Filtration rows of the facets of the d-simplices at rows ``cols``, d >= 1,
@@ -199,13 +218,7 @@ class FacetIndex:
         for p in range(d - 1, -1, -1):
             np.subtract(keys[p + 1], np.take(self.binom[d - p], c[p + 1]), out=keys[p])
             keys[p] += np.take(self.binom[d - p], c[p])
-        rowmat = np.empty((len(cols), d + 1), dtype=np.int64)
-        for p in range(d + 1):  # -1 where the key is missing
-            if self.keys[d - 1] is None:  # a dense degree: gather from its table
-                rowmat[:, p] = np.take(self.rows[d - 1], keys[p].astype(np.int64, copy=False))
-            else:
-                at = np.searchsorted(self.keys[d - 1], keys[p])
-                rowmat[:, p] = np.where(self.keys[d - 1][at] == keys[p], self.rows[d - 1][at], -1)
+        rowmat = np.ascontiguousarray(self.find(d - 1, keys).T)  # -1 if missing; rows sort fast
         bad = np.flatnonzero((rowmat < 0) | (rowmat >= cols[:, None]))
         if len(bad):
             i, p = divmod(int(bad[0]), d + 1)
@@ -215,15 +228,6 @@ class FacetIndex:
                              f"is {where} the filtration")
         rowmat.sort(axis=1)
         return rowmat
-
-
-def _check_labels(labels, vertex_count: int) -> None:
-    """Reject labels outside [0, vertex_count) before they are narrowed to
-    int32, where an out-of-range label could wrap into range."""
-    bound = min(vertex_count, 2**31)
-    for v in labels:
-        if not 0 <= v < bound:
-            raise ValueError(f"vertex label {v} outside [0, {bound})")
 
 
 def _flag_expand(values: np.ndarray, within: np.ndarray, max_dim: int,
@@ -608,8 +612,9 @@ def read_filtration(path) -> Filtration:
             raise ValueError(f"malformed filtration header in {path}") from None
 
         def label(token):  # raises for a token _labels rejects
-            _check_labels([int(token)], vertex_count)
-            raise ValueError(f"{token!r} is not a label of ASCII decimal digits")
+            if (bound := min(vertex_count, 2**31)) > int(token) >= 0:
+                raise ValueError(f"{token!r} is not a label of ASCII decimal digits")
+            raise ValueError(f"vertex label {int(token)} outside [0, {bound})")
 
         chunks = _token_chunks(fh, 2)
         rows, size = next(chunks)

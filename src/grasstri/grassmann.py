@@ -91,8 +91,7 @@ def betti_mod2(params: GrassmannParams, top_dim: int | None = None) -> tuple[int
     The rank in degree r is the number of r-cells, i.e. the number of
     partitions of r into at most k parts each at most n - k.
     """
-    if top_dim is None:
-        top_dim = params.dimension
+    top_dim = params.dimension if top_dim is None else top_dim
     if not (0 <= top_dim <= params.dimension):
         raise ValueError(f"top_dim must lie in [0, {params.dimension}]")
     k, m = params.k, params.n - params.k

@@ -219,8 +219,7 @@ def barcodes(filtration: Filtration, max_dim: int | None = None) -> Barcode:
     intervals of the pairs of positive length and of the essential rows. The
     default ``max_dim`` is ``filtration.max_dim``, whose cycles no coface can
     kill; ``persist`` defaults to the top dimension - 1 and refuses more."""
-    if max_dim is None:
-        max_dim = filtration.max_dim
+    max_dim = filtration.max_dim if max_dim is None else max_dim
     if max_dim < 0:  # checked before the reduction
         raise ValueError(f"max_dim must be nonnegative, got {max_dim}")
     pairing = reduce_boundary(build_boundary(filtration))

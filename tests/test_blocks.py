@@ -38,7 +38,7 @@ def tiny_blocks(mp):
 
 
 @pytest.mark.parametrize("kind", ["rips", "witness"])
-def test_results_do_not_depend_on_workers(kind):
+def test_results_do_not_depend_on_block_sizes(kind):
     f, matrix, pairing = results(inputs()[kind])
     assert f.max_dim == 3 and len(pairing.pairs)
     with pytest.MonkeyPatch.context() as mp:
@@ -66,7 +66,7 @@ def broken(f):
 
 
 @pytest.mark.parametrize("kind", ["rips", "witness"])
-def test_missing_face_message_does_not_depend_on_workers(kind):
+def test_missing_face_message_does_not_depend_on_block_sizes(kind):
     f = inputs()[kind]()
     messages = {}
     for tiny in (False, True):
@@ -81,7 +81,7 @@ def test_missing_face_message_does_not_depend_on_workers(kind):
     assert len(messages["late"]) == 1 and "listed at or after" in messages["late"].pop()
 
 
-def test_resource_limit_does_not_depend_on_workers():
+def test_resource_limit_does_not_depend_on_block_sizes():
     rng = np.random.default_rng(3)
     dist = complexes.pairwise_distances(rng.standard_normal((12, 3)))
     np.fill_diagonal(dist, 0.0)

@@ -251,6 +251,82 @@ def test_filtration_from_simplices_sorts_canonically():
             Filtration.from_simplices([Simplex((label,), 0.0)], vertex_count=1)
 
 
+@pytest.mark.parametrize("label, message", [
+    (-1, "each simplex needs 1 to 1 vertex labels in [0, 3), padded with -1"),
+    (3, "vertex label 3 outside [0, 3)"),
+    (2**31, "vertex label 2147483648 outside [0, 3)"),
+    (2**32 + 1, "vertex label 4294967297 outside [0, 3)"),
+    (1.5, "vertex label 1.5 is not an integer"),
+    (10**30, f"vertex label {10**30} outside [0, 3)"),
+], ids=["minus-one", "vertex-count", "2**31", "2**32+1", "fraction", "10**30"])
+def test_from_simplices_refuses_labels_int32_would_change(label, message):
+    with pytest.raises(ValueError) as err:
+        Filtration.from_simplices([Simplex((0,), 0.0), Simplex((label,), 0.0)], vertex_count=3)
+    assert str(err.value) == message
+
+
+def test_constructor_narrows_no_label_or_dimension_silently():
+    # each of these once narrowed to a filtration that validate() passed
+    with pytest.raises(ValueError, match=r"^vertex label 4294967297 outside \[0, 3\)$"):
+        Filtration([0, 0, 0.5], [0, 0, 1],
+                   np.array([[0, -1], [2**32 + 1, -1], [0, 2**32 + 1]]), 3)
+    with pytest.raises(ValueError,
+                       match=r"^simplex dimension 4294967296 outside \[0, 2147483648\)$"):
+        Filtration([0, 0], np.array([0, 2**32]), [[0], [1]], 3)
+    with pytest.raises(ValueError, match=r"^simplex dimension 4294967296 outside"):
+        Filtration([0, 0], [0, 2**32], [[0], [1]], 3)  # a list: once an OverflowError
+    with pytest.raises(ValueError, match=r"^vertex label 1\.5 is not an integer$"):
+        Filtration([0, 0], [0, 0], [[0.0], [1.5]], 3)
+    # int32 arrays are taken as they are, for validate() to judge
+    f = Filtration([0.0], np.array([0], np.int32), np.array([[7]], np.int32), 3)
+    assert f.verts.tolist() == [[7]]
+    with pytest.raises(ValueError, match="vertex labels in"):
+        f.validate()
+
+
+def test_validate_refuses_a_dimension_past_the_vertex_columns():
+    f = Filtration([0.0], [2], [[0]], 3)
+    with pytest.raises(ValueError, match=r"^each simplex needs 1 to 1 vertex labels in \[0, 3\)"):
+        f.validate()
+
+
+def gate_entries(kind):
+    """Entries of one array kind: int64, float64 (some not integers) or Python ints
+    in an object array (some past int64)."""
+    ints = st.one_of(st.integers(-2, 9), st.sampled_from(
+        [2**31 - 1, 2**31, 2**32, 2**32 + 1, -2**31, -2**31 - 1, 2**63 - 1, -2**63]))
+    if kind == "float64":
+        return st.one_of(ints.map(float), st.sampled_from([0.5, 1.5, -0.5, 2.25, 1e300]))
+    return ints if kind == "int64" else st.one_of(ints, st.integers(-2**80, 2**80))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), kinds=st.tuples(*[st.sampled_from(["int64", "float64", "object"])] * 2),
+       m=st.integers(1, 5), vertex_count=st.sampled_from([4, 2**31 - 1, 2**40]))
+def test_constructor_keeps_every_entry_or_refuses(data, kinds, m, vertex_count):
+    arrays = [np.array(data.draw(st.lists(gate_entries(kind), min_size=size, max_size=size)),
+                       dtype=kind) for kind, size in zip(kinds, (m, m))]
+    dims, verts = arrays[0], arrays[1].reshape(m, 1)
+    bound = min(vertex_count, 2**31)
+
+    def first_bad(a, top):
+        bad = [x for x in a.ravel().tolist() if x != -1 and not (x == int(x) and 0 <= x < top)]
+        return bad[0] if bad else None
+
+    bad_dim, bad_label = first_bad(dims, 2**31), first_bad(verts, bound)
+    try:
+        f = Filtration(np.zeros(m), dims, verts, vertex_count)
+    except ValueError as err:
+        what, named = ("simplex dimension", bad_dim) if bad_dim is not None else (
+            "vertex label", bad_label)
+        assert named is not None, err
+        assert str(err).startswith(f"{what} {named}"), err
+        return
+    assert bad_dim is None and bad_label is None
+    assert f.dims.dtype == f.verts.dtype == np.int32
+    assert f.dims.tolist() == dims.tolist() and f.verts.tolist() == verts.tolist()
+
+
 def test_filtration_validate_catches_violations():
     bad = Filtration.from_simplices(
         [Simplex((0,), 0.0), Simplex((1,), 0.0), Simplex((0, 1), 1.0),

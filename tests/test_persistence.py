@@ -301,6 +301,43 @@ def test_bad_faces_on_both_lookup_paths(rows, message, isolated, dense):
     raises_at_both_budgets(f, message)
 
 
+@pytest.mark.parametrize("isolated, tables", [((), [True, True]), ((3,), [True, False])])
+def test_edge_listed_twice_is_refused_on_both_lookup_paths(isolated, tables):
+    # the two copies of (0, 1) are not adjacent rows, so the order check passes
+    # them; an isolated vertex sends the edges to sorted keys
+    vertices = [((v,), 0) for v in (0, 1, 2, *isolated)]
+    edges = [((0, 1), 0.1), ((0, 2), 0.1), ((1, 2), 0.1), ((0, 1), 0.15)]
+    f = unchecked_filtration(vertices + edges + [((0, 1, 2), 0.2)])
+    f.validate()
+    # the index of f refuses to be built; the paths depend on the label and coface counts
+    assert table_degrees(unchecked_filtration(vertices + edges[:3] + [((0, 1, 2), 0.2)])) == tables
+    first = len(vertices)
+    raises_at_both_budgets(f, re.escape(f"simplex (0, 1) is listed twice, at positions "
+                                        f"{first} and {first + 3}") + "$")
+
+
+@pytest.mark.parametrize("isolated, dense", [((), True), ((2, 3), False)])
+def test_vertex_listed_twice_is_refused_on_both_lookup_paths(isolated, dense):
+    rows = [((0,), 0), ((1,), 0), *(((v,), 0) for v in isolated), ((0, 1), 1)]
+    f = unchecked_filtration(rows + [((1,), 2)])
+    f.validate()
+    assert table_degrees(unchecked_filtration(rows)) == [dense]
+    last = len(f) - 1
+    raises_at_both_budgets(f, re.escape(f"simplex (1,) is listed twice, at positions 1 and "
+                                        f"{last}") + "$")
+
+
+def test_top_simplex_listed_twice_changes_only_the_top_degree():
+    # top simplices are not keyed: a second copy is a cycle of its own, born
+    # in the top degree, and every lower degree keeps its bars
+    rows = [((0,), 0), ((1,), 0), ((2,), 0), ((0, 1), 1), ((0, 2), 1), ((1, 2), 1),
+            ((0, 1, 2), 2)]
+    once, twice = unchecked_filtration(rows), unchecked_filtration(rows + [((0, 1, 2), 3)])
+    twice.validate()
+    assert persistence.barcodes(twice, 1) == persistence.barcodes(once, 1)
+    assert persistence.barcodes(twice).intervals(2) == [(3.0, INF)]
+
+
 def test_label_table_does_not_grow_with_the_largest_label():
     # labels past the vertex matrix's size are ranked, so the table stays small
     top = 10**7
