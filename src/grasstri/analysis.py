@@ -66,10 +66,11 @@ def matching_windows(barcode: persistence.Barcode, target, top_dim: int) -> Wind
     return WindowReport(target, top_dim, tuple(critical.tolist()), tuple(windows))
 
 
-def export_complex(filtration: complexes.Filtration, r: float) -> list[complexes.Simplex]:
-    """The triangulation at parameter r: all simplices with value <= r, in
-    order, which the canonical order makes a prefix."""
-    return [filtration.simplex(i) for i in range(simplex_count_at(filtration, r))]
+def export_complex(filtration: complexes.Filtration, r: float) -> complexes.Filtration:
+    """The triangulation at parameter r: the prefix of rows with value <= r, sharing the arrays."""
+    k = simplex_count_at(filtration, r)
+    return complexes.Filtration(filtration.values[:k], filtration.dims[:k],
+                                filtration.verts[:k], filtration.vertex_count)
 
 
 def simplex_count_at(filtration: complexes.Filtration, r: float) -> int:
@@ -153,7 +154,7 @@ def parse_space(space: str) -> tuple[str, tuple[int, ...]]:
     parts = s.split("-")
     if len(parts) == 3 and parts[0] in ("grassmann", "g"):
         try:
-            n, k = int(parts[1]), int(parts[2])
+            n, k = (int(persistence._ascii(part)) for part in parts[1:])
         except ValueError:
             raise ValueError(f"unknown space {space!r}") from None
         grassmann.GrassmannParams(n, k)

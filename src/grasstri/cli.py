@@ -19,6 +19,11 @@ from . import analysis, complexes, grassmann, persistence
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        for parse in (int, float):  # a flag's type stays int or float, and so its message
+            self.register("type", parse, lambda text, parse=parse: parse(persistence._ascii(text)))
+
     def error(self, message):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(2)
@@ -26,13 +31,16 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_list(raw: str, type) -> tuple:
     """Numbers separated by commas or whitespace."""
-    return tuple(type(t) for t in raw.replace(",", " ").split())
+    return tuple(type(t) for t in persistence._ascii(raw).replace(",", " ").split())
+
+
+def fractions(raw: str) -> tuple[float, ...]:
+    return _parse_list(raw, float)  # a type, so a config line names its error
 
 
 def _cmd_sample(args) -> int:
     rng = np.random.default_rng(args.seed)
-    proportions = None if args.proportions is None else _parse_list(args.proportions, float)
-    cloud = analysis.sample_space(args.space, args.count, rng, proportions)
+    cloud = analysis.sample_space(args.space, args.count, rng, args.proportions)
     grassmann.write_cloud(args.out, cloud)
     return 0
 
@@ -128,7 +136,6 @@ def _cmd_pipeline(parser, args) -> int:
     if not args.space:
         parser.error("--space (or --config) is required")
     args.output_dir = args.output_dir or f"grasstri-{args.space}-seed{args.seed}"
-    args.proportions = None if args.proportions is None else _parse_list(args.proportions, float)
     config = analysis.ExperimentConfig(**{dest: getattr(args, dest) for dest in options})
     result = analysis.run_pipeline(config)
     report = result.report
@@ -156,7 +163,7 @@ def build_parser() -> _Parser:
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--proportions",
+    p.add_argument("--proportions", type=fractions,
                    help="biased Grassmann sampling: one weight per cell dimension")
     p.set_defaults(func=_cmd_sample)
 
@@ -215,7 +222,7 @@ def build_parser() -> _Parser:
     flag("--seed", type=int, default=defaults.seed)
     flag("--landmark-count", type=int, default=None)
     flag("--landmark-method", choices=complexes.LANDMARKS, default=None)
-    flag("--proportions")
+    flag("--proportions", type=fractions)
     flag("--top-dim", type=int, default=None)
     flag("--max-simplices", type=int, default=complexes.DEFAULT_MAX_SIMPLICES)
     flag("--outdir", dest="output_dir", metavar="OUTDIR")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -25,24 +24,15 @@ class ResourceLimit(RuntimeError):
     """Simplex count exceeded the configured cap."""
 
 
-class Simplex(NamedTuple):
-    vertices: tuple[int, ...]
-    value: float
-
-    @property
-    def dim(self) -> int:
-        return len(self.vertices) - 1
-
-
 class Filtration:
-    """Simplices ordered by (value, dim, lexicographic vertices).
+    """Simplices ordered by (value, dim, lexicographic vertices), one per row.
 
-    Stored as parallel arrays, given already in that order: ``values``
-    (float), ``dims`` (int32), and ``verts``, an (m, width) int32 matrix padded
-    with -1 past each simplex's vertex count. The order guarantees every face
-    precedes its cofaces. Only the constructor narrows to int32: an array of another
-    type may hold only -1 and integers in [0, B), B = 2**31 for dimensions and
-    min(vertex_count, 2**31) for labels; a ValueError names its first other entry.
+    Stored as parallel arrays, given already in that order: ``values`` (float), ``dims``
+    (int32), and ``verts``, an (m, width) int32 matrix padded with -1 past each simplex's
+    vertex count. The order puts every face before its cofaces, so each prefix is a complex.
+    Only the constructor narrows to int32: an array of another type may hold only -1 and
+    integers in [0, B), B = 2**31 for dimensions and min(vertex_count, 2**31) for labels; a
+    ValueError names its first other entry.
     """
 
     __slots__ = ("values", "dims", "verts", "vertex_count")
@@ -59,30 +49,12 @@ class Filtration:
                     raise ValueError(f"{what} {a.flat[bad[0]]} {fault}")
             setattr(self, name, np.ascontiguousarray(a, np.int32))
 
-    @classmethod
-    def from_simplices(cls, simplices, vertex_count: int) -> "Filtration":
-        """Filtration of Simplex items given in any order."""
-        items = sorted(simplices, key=lambda s: (s.value, len(s.vertices), s.vertices))
-        width = max([len(s.vertices) for s in items], default=1)
-        verts = [[*s.vertices, *[-1] * (width - len(s.vertices))] for s in items]
-        filtration = cls([s.value for s in items], [len(s.vertices) - 1 for s in items],
-                         np.reshape(verts, (-1, width)), vertex_count)
-        filtration.validate()
-        return filtration
-
     def __len__(self) -> int:
         return len(self.values)
 
     @property
     def max_dim(self) -> int:
         return int(self.dims.max()) if len(self.dims) else 0
-
-    def simplex(self, i: int) -> Simplex:
-        d = int(self.dims[i])
-        return Simplex(tuple(int(v) for v in self.verts[i, :d + 1]), float(self.values[i]))
-
-    def simplices(self) -> Iterator[Simplex]:
-        return map(self.simplex, range(len(self)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Filtration):
@@ -132,7 +104,8 @@ class Filtration:
             raise ValueError(f"each simplex needs 1 to {width} vertex labels in "
                              f"[0, {self.vertex_count}), padded with -1")
         if (i := first_bad(rising)) is not None:
-            raise ValueError(f"simplex vertices must strictly increase: {self.simplex(i).vertices}")
+            raise ValueError("simplex vertices must strictly increase: "
+                             f"{tuple(self.verts[i, :self.dims[i] + 1].tolist())}")
         if (i := first_bad(ordered)) is not None:
             raise ValueError(f"simplices out of order at position {i}")
 
@@ -196,8 +169,8 @@ class FacetIndex:
             if twice:  # name the first row whose key finds another row
                 bad = np.flatnonzero((found := self.find(k, keys)) != rows_k)[0]
                 i, j = sorted((int(found[bad]), int(rows_k[bad])))
-                raise ValueError(f"simplex {filtration.simplex(j).vertices} is listed twice, "
-                                 f"at positions {i} and {j}")
+                raise ValueError(f"simplex {tuple(self.verts[j, :k + 1].tolist())} is listed "
+                                 f"twice, at positions {i} and {j}")
 
     def find(self, k: int, keys: np.ndarray) -> np.ndarray:
         """The rows of the k-simplices with these keys, in their shape, -1 where none."""
@@ -325,18 +298,19 @@ def vietoris_rips(cloud, r_max: float, max_dim: int,
 
 @dataclass(frozen=True)
 class LandmarkSet:
-    """Chosen landmark indices plus their distance table to the whole cloud."""
+    """Distinct integer landmark indices, kept as int64, plus their distance table to the cloud."""
 
     indices: np.ndarray
     distances: np.ndarray  # shape (len(indices), cloud size)
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        if len(set(idx.tolist())) != len(idx):
+        if (idx := np.asarray(self.indices)).dtype.kind not in "iu":
+            raise ValueError(f"landmark indices must be integers, not {idx.dtype}")
+        if (np.diff(np.sort(idx)) == 0).any():  # np.unique would import numpy.ma, 1 MB
             raise ValueError("landmark indices must be distinct")
         if self.distances.shape[0] != len(idx):
             raise ValueError("distance table row count must match landmark count")
-        object.__setattr__(self, "indices", idx)
+        object.__setattr__(self, "indices", idx.astype(np.int64, copy=False))
 
     def __len__(self) -> int:
         return len(self.indices)

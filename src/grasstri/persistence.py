@@ -45,9 +45,6 @@ class BoundaryMatrix:
     def __len__(self) -> int:
         return len(self.col_ptr) - 1
 
-    def column(self, j: int) -> np.ndarray:
-        return self.col_rows[self.col_ptr[j]:self.col_ptr[j + 1]]
-
 
 def build_boundary(filtration: Filtration) -> BoundaryMatrix:
     """Boundary columns, each sorted ascending: the face check. The matrix is
@@ -244,12 +241,6 @@ def betti_profile(barcode: Barcode, points, top_dim: int) -> np.ndarray:
     return profile
 
 
-def betti_at(barcode: Barcode, r: float, top_dim: int | None = None) -> tuple[int, ...]:
-    """Betti numbers at parameter r: intervals with birth <= r < death."""
-    top = int(barcode.dims.max(initial=0)) if top_dim is None else top_dim
-    return tuple(betti_profile(barcode, [r], top)[0].tolist())
-
-
 def write_barcode(path, barcode: Barcode) -> None:
     """CSV rows ``degree,birth,death``; ``%.17g`` writes an essential bar's death as inf."""
     rows = zip(barcode.dims.tolist(), barcode.births.tolist(), barcode.deaths.tolist())
@@ -258,7 +249,15 @@ def write_barcode(path, barcode: Barcode) -> None:
         fh.write("".join(map("%d,%.17g,%.17g\n".__mod__, rows)))
 
 
+def _ascii(text: str) -> str:
+    """``text`` if ASCII without ``_``; ``int()`` and ``float()`` read other digits, and ``_``."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"{text!r} has a character not ASCII, or '_'")
+    return text
+
+
 def read_barcode(path) -> Barcode:
+    """Rows of ``_ascii`` text that ``int()`` and ``float()`` read; errors name PATH:LINE."""
     rows = []
     with open(path) as fh:
         header = fh.readline().strip()
@@ -266,7 +265,7 @@ def read_barcode(path) -> Barcode:
             raise ValueError(f"unexpected barcode header: {header!r}")
         for lineno, line in enumerate(fh, 2):
             try:
-                if line.strip():
+                if _ascii(line.rstrip("\n")).strip():
                     degree, birth, death = line.strip().split(",")
                     rows.append((int(degree), float(birth), float(death)))
             except ValueError as exc:  # also a row without three fields

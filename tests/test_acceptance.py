@@ -15,6 +15,7 @@ import pytest
 
 from grasstri import analysis, complexes, grassmann, linalg, persistence
 from grasstri.persistence import INF
+from simplices import Simplex, betti_at, from_simplices, simplex
 
 RP2_R4_SEEDS = (0, 2, 3, 5, 8)
 RP2_R4_RMAX = 0.95
@@ -49,7 +50,7 @@ def gf2_rank_profile(filtration, top_dim):
         r = float(values[i])
         j = i
         while j < m and float(values[j]) == r:
-            s = filtration.simplex(j)
+            s = simplex(filtration, j)
             position[s.vertices] = j
             counts[s.dim] = counts.get(s.dim, 0) + 1
             if s.dim >= 1:
@@ -230,20 +231,20 @@ def test_schubert_betti_tables():
 
 
 def test_tetrahedron_barcode():
-    simplices = [complexes.Simplex((v,), 0.0) for v in range(4)]
-    simplices += [complexes.Simplex(e, 1.0)
+    simplices = [Simplex((v,), 0.0) for v in range(4)]
+    simplices += [Simplex(e, 1.0)
                   for e in itertools.combinations(range(4), 2)]
     for stage, tri in zip((2.0, 3.0, 4.0, 5.0),
                           itertools.combinations(range(4), 3)):
-        simplices.append(complexes.Simplex(tri, stage))
-    filtration = complexes.Filtration.from_simplices(simplices, vertex_count=4)
+        simplices.append(Simplex(tri, stage))
+    filtration = from_simplices(simplices, vertex_count=4)
     barcode = persistence.barcodes(filtration)
     assert barcode.intervals(0) == [(0.0, 1.0)] * 3 + [(0.0, INF)]
     assert barcode.intervals(1) == [(1.0, 2.0), (1.0, 3.0), (1.0, 4.0)]
     assert barcode.intervals(2) == [(5.0, INF)]
-    assert persistence.betti_at(barcode, 0.5, 2) == (4, 0, 0)
-    assert persistence.betti_at(barcode, 1.5, 2) == (1, 3, 0)
-    assert persistence.betti_at(barcode, 5.0, 2) == (1, 0, 1)
+    assert betti_at(barcode, 0.5, 2) == (4, 0, 0)
+    assert betti_at(barcode, 1.5, 2) == (1, 3, 0)
+    assert betti_at(barcode, 5.0, 2) == (1, 0, 1)
 
 
 def test_reduction_agreement(small_vr_filtrations):
@@ -256,7 +257,7 @@ def test_reduction_agreement(small_vr_filtrations):
         assert np.array_equal(optimized.essential, naive.essential)
         barcode = persistence.barcodes(filtration)
         for r, expected in gf2_rank_profile(filtration, 2):
-            assert persistence.betti_at(barcode, r, 2) == expected
+            assert betti_at(barcode, r, 2) == expected
     assert time.time() - start < 30.0
 
 
@@ -348,7 +349,7 @@ def test_grassmann_witness_window():
         hits += bool(good)
         outcomes.append(
             f"seed {seed}: windows {report.windows} qualifying {good} "
-            f"betti@0.15 {persistence.betti_at(barcode, 0.15, 4)}"
+            f"betti@0.15 {betti_at(barcode, 0.15, 4)}"
         )
     assert hits >= 3, (
         "fewer than 3 of 5 trials produced a target-profile window with "
@@ -371,7 +372,7 @@ def test_witness_membership_formula():
 
         built = {}
         for i in range(len(filtration)):
-            s = filtration.simplex(i)
+            s = simplex(filtration, i)
             built[s.vertices] = s.value
         for vertices, value in built.items():
             assert value == expected[vertices]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from grasstri import analysis, complexes, grassmann, persistence
+from simplices import simplex, simplices
 from test_persistence import brute_betti, make_barcode
 
 INF = math.inf
@@ -125,13 +126,16 @@ def test_export_prefix_at_each_critical_value():
     values = sorted(set(float(v) for v in filtration.values))
     for r in values:
         exported = analysis.export_complex(filtration, r)
-        assert len(exported) == analysis.simplex_count_at(filtration, r)
-        assert [s.vertices for s in exported] == [
-            filtration.simplex(i).vertices
-            for i in range(len(exported))
+        k = analysis.simplex_count_at(filtration, r)
+        assert exported == complexes.Filtration(filtration.values[:k], filtration.dims[:k],
+                                                filtration.verts[:k], filtration.vertex_count)
+        exported.validate()
+        assert [s.vertices for s in simplices(exported)] == [
+            simplex(filtration, i).vertices
+            for i in range(k)
         ]
-        present = {s.vertices for s in exported}
-        for s in exported:
+        present = {s.vertices for s in simplices(exported)}
+        for s in simplices(exported):
             for skip in range(len(s.vertices)):
                 face = s.vertices[:skip] + s.vertices[skip + 1:]
                 if face:
@@ -142,9 +146,9 @@ def test_export_threshold_is_inclusive():
     filtration = triangle_filtration()
     edge_value = float(np.min(filtration.values[filtration.dims == 1]))
     exported = analysis.export_complex(filtration, edge_value)
-    assert any(len(s.vertices) == 2 for s in exported)
+    assert (exported.dims == 1).any()
     below = analysis.export_complex(filtration, edge_value - 1e-9)
-    assert all(len(s.vertices) == 1 for s in below)
+    assert (below.dims == 0).all()
 
 
 def test_export_rejects_negative_radius():
@@ -158,7 +162,7 @@ def test_export_and_count_reject_nan_radius():
         with pytest.raises(ValueError, match="^r must be nonnegative$"):
             at(filtration, math.nan)
     assert analysis.simplex_count_at(filtration, math.inf) == len(filtration)
-    assert analysis.export_complex(filtration, math.inf) == list(filtration.simplices())
+    assert analysis.export_complex(filtration, math.inf) == filtration
 
 
 def test_simplex_count_monotone():
@@ -186,7 +190,9 @@ def test_parse_space_grassmann():
 
 
 def test_parse_space_rejects_unknown():
-    for bad in ("torus", "grassmann-4", "grassmann-x-2", "grassmann-2-3", "rp4"):
+    # int() alone reads the last two as G_2(R^4) and G_2(R^10)
+    for bad in ("torus", "grassmann-4", "grassmann-x-2", "grassmann-2-3", "rp4",
+                "grassmann-\u0664-2", "g-1_0-2"):
         with pytest.raises(ValueError):
             analysis.parse_space(bad)
 

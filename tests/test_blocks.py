@@ -14,6 +14,7 @@ import pytest
 import grasstri
 from grasstri import complexes, linalg, persistence
 from grasstri.complexes import Filtration
+from simplices import column
 
 
 def inputs():
@@ -55,7 +56,7 @@ def test_results_do_not_depend_on_block_sizes(kind):
 def broken(f):
     """``f`` without the youngest facet of its last tetrahedron, and with that
     facet listed after all its cofaces: the faults lie in late blocks."""
-    face = int(persistence.build_boundary(f).column(np.flatnonzero(f.dims == 3)[-1])[-1])
+    face = int(column(persistence.build_boundary(f), np.flatnonzero(f.dims == 3)[-1])[-1])
     keep = np.arange(len(f)) != face
     gone = Filtration(f.values[keep], f.dims[keep], f.verts[keep], f.vertex_count)
     values = f.values.copy()

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from grasstri import analysis, cli, complexes, grassmann, persistence
+from simplices import simplex
 
 
 def run(argv):
@@ -51,7 +52,7 @@ BUILD_OPTIONS = {"--cloud": REQUIRED_STR, "--r-max": (False, math.inf, float, No
 OPTIONS = {
     "sample": {"--space": REQUIRED_STR, "--count": (True, None, int, None),
                "--seed": (True, None, int, None), "--out": REQUIRED_STR,
-               "--proportions": OPTIONAL_STR},
+               "--proportions": (False, None, cli.fractions, None)},
     "betti": {"--n": (True, None, int, None), "--k": (True, None, int, None),
               "--top-dim": OPTIONAL_INT},
     "rips": BUILD_OPTIONS,
@@ -68,7 +69,7 @@ OPTIONS = {
                  "--r-max": (False, math.inf, float, None), "--max-dim": (False, 2, int, None),
                  "--seed": (False, 0, int, None), "--landmark-count": OPTIONAL_INT,
                  "--landmark-method": (False, None, None, ("maxmin", "random")),
-                 "--proportions": OPTIONAL_STR, "--top-dim": OPTIONAL_INT,
+                 "--proportions": (False, None, cli.fractions, None), "--top-dim": OPTIONAL_INT,
                  "--max-simplices": (False, 5_000_000, int, None), "--outdir": OPTIONAL_STR},
 }
 
@@ -164,7 +165,7 @@ def test_rips_matches_library(tmp_path):
     direct = complexes.vietoris_rips(cloud, 1.0, 2)
     assert len(stored) == len(direct)
     assert np.array_equal(stored.values, direct.values)
-    assert all(stored.simplex(i).vertices == direct.simplex(i).vertices
+    assert all(simplex(stored, i).vertices == simplex(direct, i).vertices
                for i in range(len(direct)))
 
 
@@ -518,7 +519,13 @@ def test_window_rejects_negative_degree(tmp_path, capsys):
     ("1.0,0.5,0.9", "invalid literal for int() with base 10: '1.0'"),
     ("1,x,0.9", "could not convert string to float: 'x'"),
     ("1,0.5,x", "could not convert string to float: 'x'"),
-], ids=["short", "four-fields", "float-degree", "bad-birth", "bad-death"])
+    # int() and float() read these as 1, 0.1 and 10; the file rule does not
+    ("\u0661,0.5,0.9", "'\u0661,0.5,0.9' has a character not ASCII, or '_'"),
+    ("1,0.\u0661,0.9", "'1,0.\u0661,0.9' has a character not ASCII, or '_'"),
+    ("1_0,0.5,0.9", "'1_0,0.5,0.9' has a character not ASCII, or '_'"),
+    ("1,0.5,1_0", "'1,0.5,1_0' has a character not ASCII, or '_'"),
+], ids=["short", "four-fields", "float-degree", "bad-birth", "bad-death",
+        "arabic-indic-degree", "arabic-indic-birth", "underscore-degree", "underscore-death"])
 def test_window_locates_bad_barcode_row(tmp_path, capsys, row, message):
     path, out = tmp_path / "barcode.csv", tmp_path / "report.txt"
     path.write_text(f"degree,birth,death\n0,0,inf\n\n{row}\n1,0.2,0.4\n")
@@ -649,6 +656,13 @@ def test_pipeline_config_value_parsed_by_its_flag(tmp_path, capsys):
     ("seed = x", "seed: argument --seed: invalid int value: 'x'"),
     ("sample_size =", "sample_size: argument --points: invalid int value: ''"),
     ("r_max = wide", "r_max: argument --r-max: invalid float value: 'wide'"),
+    ("sample_size = \u0663\u0660", "sample_size: argument --points: invalid int value: "
+                                   "'\u0663\u0660'"),
+    ("r_max = 1_0", "r_max: argument --r-max: invalid float value: '1_0'"),
+    ("proportions = 1,x,1,1,1",
+     "proportions: argument --proportions: invalid fractions value: '1,x,1,1,1'"),
+    ("proportions = 1,1_0,1,1,1",
+     "proportions: argument --proportions: invalid fractions value: '1,1_0,1,1,1'"),
 ])
 def test_pipeline_config_bad_value_names_file_line_and_key(tmp_path, capsys, line, message):
     config = valid_config(tmp_path)
@@ -789,9 +803,23 @@ LINE_20 = "".join(f"{i} 0\n" for i in range(20))  # 20 distinct points
      "grasstri pipeline: error: --config and --seed are mutually exclusive\n"),
     (["pipeline", "--points", "12"], {},
      "grasstri pipeline: error: --space (or --config) is required\n"),
+    # numeric flags take ASCII without '_', though int() and float() read more
+    (["pipeline", "--space", "rp2-r4", "--points", "\u0663\u0660", "--max-dim", "1"], {},
+     "grasstri pipeline: error: argument --points: invalid int value: '\u0663\u0660'\n"),
+    (["pipeline", "--space", "rp2-r4", "--points", "30", "--r-max", "1_0", "--max-dim", "1"],
+     {}, "grasstri pipeline: error: argument --r-max: invalid float value: '1_0'\n"),
+    (["window", "--barcode", "b.csv", "--target", "1,\u0661"],
+     {"b.csv": "degree,birth,death\n0,0,inf\n"},
+     "grasstri: error: '1,\u0661' has a character not ASCII, or '_'\n"),
+    (["sample", "--space", "grassmann-4-2", "--count", "5", "--seed", "0",
+      "--proportions", "1,1_0,1,1,1", "--out", "c.txt"],
+     {}, "grasstri sample: error: argument --proportions: invalid fractions value: "
+         "'1,1_0,1,1,1'\n"),
 ], ids=["empty-cloud", "count-too-large", "too-few-landmarks", "missing-face",
         "value-arabic-indic-digit", "cloud-arabic-indic-digit",
-        "negative-fraction", "no-such-cell", "config-and-flag", "no-space"])
+        "negative-fraction", "no-such-cell", "config-and-flag", "no-space",
+        "points-arabic-indic-digit", "r-max-underscore", "target-arabic-indic-digit",
+        "proportions-underscore"])
 def test_library_error_message_exits_2(tmp_path, monkeypatch, capsys, argv, inputs, stderr):
     monkeypatch.chdir(tmp_path)
     for name, text in inputs.items():

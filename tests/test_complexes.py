@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grasstri import complexes, linalg, persistence
-from grasstri.complexes import Filtration, LandmarkSet, Simplex
+from grasstri.complexes import Filtration, LandmarkSet
+from simplices import Simplex, from_simplices, simplex, simplices
 from test_acceptance import reference_reduce_columns
 
 
@@ -29,7 +30,7 @@ def brute_force_rips(cloud, r_max, max_dim):
 
 
 def filtration_as_dict(filtration):
-    return {s.vertices: s.value for s in filtration.simplices()}
+    return {s.vertices: s.value for s in simplices(filtration)}
 
 
 def brute_force_cliques(values, within, max_dim):
@@ -115,7 +116,7 @@ def test_keyed_minima_through_the_canonical_tail(n, tops, repeats, seed):
         levels.append((verts[order[starts]], np.minimum.reduceat(vals[order], starts)))
     f = complexes._canonical(levels, n)
     assert not levels
-    assert f == Filtration.from_simplices([Simplex(s, v) for s, v in least.items()], n)
+    assert f == from_simplices([Simplex(s, v) for s, v in least.items()], n)
     matrix = persistence.build_boundary(f)
     pairing, naive = persistence.reduce_boundary(matrix), reference_reduce_columns(matrix)
     assert np.array_equal(pairing.pairs, naive.pairs)
@@ -188,7 +189,7 @@ def test_rips_canonical_order():
     builds = [complexes.vietoris_rips(cloud, 2.5, 3), complexes.vietoris_rips(tripled, 1.5, 3),
               complexes.witness_filtration(landmarks, 0.5, 3)]
     for f in builds:
-        keys = [(s.value, s.dim, s.vertices) for s in f.simplices()]
+        keys = [(s.value, s.dim, s.vertices) for s in simplices(f)]
         assert keys == sorted(keys)
         f.validate()
         persistence.build_boundary(f)
@@ -237,18 +238,18 @@ def test_rips_simplex_cap():
 
 
 def test_filtration_from_simplices_sorts_canonically():
-    f = Filtration.from_simplices(
+    f = from_simplices(
         [Simplex((0, 1), 2.0), Simplex((0,), 0.0), Simplex((1,), 0.0),
          Simplex((2,), 1.0), Simplex((1, 2), 2.0)],
         vertex_count=3)
-    assert [s.vertices for s in f.simplices()] == [(0,), (1,), (2,), (0, 1), (1, 2)]
+    assert [s.vertices for s in simplices(f)] == [(0,), (1,), (2,), (0, 1), (1, 2)]
     f.validate()
     with pytest.raises(ValueError):
-        Filtration.from_simplices([Simplex((1, 0), 1.0)], vertex_count=2)
+        from_simplices([Simplex((1, 0), 1.0)], vertex_count=2)
     # labels beyond int32, also ones that would wrap to 0 when narrowed
     for label in (99999999999, 2**32, np.int64(2**32), 10**30):
         with pytest.raises(ValueError, match=r"outside \[0, 1\)"):
-            Filtration.from_simplices([Simplex((label,), 0.0)], vertex_count=1)
+            from_simplices([Simplex((label,), 0.0)], vertex_count=1)
 
 
 @pytest.mark.parametrize("label, message", [
@@ -261,7 +262,7 @@ def test_filtration_from_simplices_sorts_canonically():
 ], ids=["minus-one", "vertex-count", "2**31", "2**32+1", "fraction", "10**30"])
 def test_from_simplices_refuses_labels_int32_would_change(label, message):
     with pytest.raises(ValueError) as err:
-        Filtration.from_simplices([Simplex((0,), 0.0), Simplex((label,), 0.0)], vertex_count=3)
+        from_simplices([Simplex((0,), 0.0), Simplex((label,), 0.0)], vertex_count=3)
     assert str(err.value) == message
 
 
@@ -328,7 +329,7 @@ def test_constructor_keeps_every_entry_or_refuses(data, kinds, m, vertex_count):
 
 
 def test_filtration_validate_catches_violations():
-    bad = Filtration.from_simplices(
+    bad = from_simplices(
         [Simplex((0,), 0.0), Simplex((1,), 0.0), Simplex((0, 1), 1.0),
          Simplex((2,), 2.0)],
         vertex_count=3)
@@ -404,6 +405,16 @@ def test_landmark_set_validation():
         LandmarkSet(np.array([0, 0]), np.zeros((2, 5)))
     with pytest.raises(ValueError):
         LandmarkSet(np.array([0, 1]), np.zeros((3, 5)))
+
+
+def test_landmark_set_refuses_non_integer_indices():
+    # refused, not truncated: [0.5, 1.7] would index points 0 and 1
+    for indices in (np.array([0.5, 1.7]), np.array([0.0, 1.0]), np.array([True, False])):
+        with pytest.raises(ValueError, match=f"^landmark indices must be integers, "
+                                             f"not {indices.dtype}$"):
+            LandmarkSet(indices, np.zeros((2, 3)))
+    kept = LandmarkSet(np.array([2, 0], dtype=np.uint8), np.zeros((2, 3))).indices
+    assert kept.dtype == np.int64 and kept.tolist() == [2, 0]
 
 
 def brute_force_witness_value(dist, a, b):
@@ -703,7 +714,7 @@ def test_filtration_round_trip(tmp_path):
 
 
 def test_filtration_file_format(tmp_path):
-    f = Filtration.from_simplices(
+    f = from_simplices(
         [Simplex((0,), 0.0), Simplex((1,), 0.0), Simplex((0, 1), 0.25)],
         vertex_count=2)
     path = tmp_path / "f.txt"
@@ -758,7 +769,7 @@ def test_write_filtration_matches_reference(tmp_path_factory, kind, points, max_
 
 def test_write_filtration_edge_cases(tmp_path):
     top = 2**31 - 1
-    f = Filtration.from_simplices(
+    f = from_simplices(
         [Simplex((v,), 0.0) for v in (0, 7, top - 1, top)]
         + [Simplex((0, 7), 5e-324), Simplex((0, top), 1e-300), Simplex((7, top), 0.1),
            Simplex((0, 7, top), 1 / 3), Simplex((top - 1, top), 1.0),
@@ -771,15 +782,15 @@ def test_write_filtration_edge_cases(tmp_path):
         "0.10000000000000001 7 2147483647", "0.33333333333333331 0 7 2147483647",
         "1 2147483646 2147483647", "1.0000000000000001e+300 0 2147483646"]
 
-    empty = assert_writes_reference(Filtration.from_simplices([], vertex_count=3), tmp_path)
+    empty = assert_writes_reference(from_simplices([], vertex_count=3), tmp_path)
     assert empty.read_text() == "0 3\n"
-    vertices = Filtration.from_simplices([Simplex((v,), 0.0) for v in range(7)], vertex_count=9)
+    vertices = from_simplices([Simplex((v,), 0.0) for v in range(7)], vertex_count=9)
     path = assert_writes_reference(vertices, tmp_path)
     assert path.read_text() == "0 9\n" + "".join(f"0 {v}\n" for v in range(7))
 
     # -0.0 and 0.0 compare equal, so they share a block and interleave in
     # it; each keeps its own text
-    signed = Filtration.from_simplices(
+    signed = from_simplices(
         [Simplex((0,), -0.0), Simplex((1,), 0.0), Simplex((2,), -0.0), Simplex((0, 1), -0.0),
          Simplex((0, 2), 0.0), Simplex((1, 2), 0.5)], vertex_count=3)
     path = assert_writes_reference(signed, tmp_path)
@@ -798,8 +809,8 @@ def test_write_filtration_at_the_label_rule_edge(tmp_path, rows, past):
     # a block of `rows` rows of width 2 has 2 * rows entries: labels up to that
     # many index the label texts directly, and one past it they are ranked
     top = 2 * rows + past
-    f = Filtration.from_simplices([Simplex((0,), 0.0), Simplex((top,), 0.0),
-                                   Simplex((0, top), 1.0)], vertex_count=top + 1)
+    f = from_simplices([Simplex((0,), 0.0), Simplex((top,), 0.0),
+                        Simplex((0, top), 1.0)], vertex_count=top + 1)
     block = f.verts[-rows:]
     assert block.max() == block.size + past
     slots, labels = complexes._label_slots(block)
@@ -913,7 +924,7 @@ def test_read_filtration_matches_reference(tmp_path_factory, kind, points, max_d
         "label-above-int32", "label-count", "label-above-count", "label-float"])
 def test_read_filtration_locates_bad_token_after_chunk_boundary(tmp_path, read_bytes, line,
                                                                 message):
-    vertices = Filtration.from_simplices([Simplex((v,), 0.0) for v in range(300)], 300)
+    vertices = from_simplices([Simplex((v,), 0.0) for v in range(300)], 300)
     path = tmp_path / "f.txt"
     complexes.write_filtration(path, vertices)
     lines = path.read_text().splitlines(keepends=True)
@@ -940,7 +951,7 @@ def test_read_filtration_reports_first_bad_token_of_a_chunk(tmp_path):
 def test_read_filtration_whitespace_and_label_syntax(tmp_path):
     path = tmp_path / "f.txt"
     path.write_bytes(b"1  3\r\n\n \t0\v0\f\r\n0 0001\n\n0\t00000000002\n0.5 0 1")
-    assert complexes.read_filtration(path) == Filtration.from_simplices(
+    assert complexes.read_filtration(path) == from_simplices(
         [Simplex((0,), 0.0), Simplex((1,), 0.0), Simplex((2,), 0.0), Simplex((0, 1), 0.5)], 3)
     path.write_bytes(b"1 3\n0 0\n0 1\n0 2\n0.5 0 1 2\n")
     with pytest.raises(ValueError, match="gives dim_max 1, the simplices reach 2"):
@@ -998,7 +1009,7 @@ def test_check_order_reports_the_first_fault_whatever_the_blocks():
     cases = [
         (broken(m - 1, value=np.nan), f"filtration value nan at position {m - 1} is not finite"),
         (broken(last, label=-1), f"each simplex needs 1 to {width} vertex labels"),
-        (repeated, f"simplex vertices must strictly increase: {repeated.simplex(last).vertices}"),
+        (repeated, f"simplex vertices must strictly increase: {simplex(repeated, last).vertices}"),
         (broken(last, swap=True), f"simplices out of order at position {last}"),
         (broken(m - 1, swap=True), f"simplices out of order at position {m - 1}"),
         # a fault of higher precedence wins though it comes later

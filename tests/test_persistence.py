@@ -10,19 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grasstri import analysis, complexes, linalg, persistence
-from grasstri.complexes import Filtration, Simplex
+from grasstri.complexes import Filtration
 from grasstri.persistence import INF
+from simplices import Simplex, betti_at, column, from_simplices, simplex, simplices
 from test_acceptance import gf2_rank_profile, reference_reduce_columns
 
 
 def tetrahedron_filtration():
     """Four vertices, then all edges, then the four triangles one at a time."""
-    simplices = [Simplex((v,), 0.0) for v in range(4)]
-    simplices += [Simplex(e, 1.0) for e in itertools.combinations(range(4), 2)]
+    items = [Simplex((v,), 0.0) for v in range(4)]
+    items += [Simplex(e, 1.0) for e in itertools.combinations(range(4), 2)]
     triangles = list(itertools.combinations(range(4), 3))
     for stage, tri in zip((2.0, 3.0, 4.0, 5.0), triangles):
-        simplices.append(Simplex(tri, stage))
-    return Filtration.from_simplices(simplices, vertex_count=4)
+        items.append(Simplex(tri, stage))
+    return from_simplices(items, vertex_count=4)
 
 
 def gf2_rank(columns):
@@ -49,7 +50,7 @@ def rank_oracle_betti(filtration, r, top_dim):
     position = {}
     included = []
     for i in range(len(filtration)):
-        s = filtration.simplex(i)
+        s = simplex(filtration, i)
         if s.value <= r:
             position[s.vertices] = len(included)
             included.append(s)
@@ -106,18 +107,18 @@ def test_build_boundary_tetrahedron():
     matrix = persistence.build_boundary(f)
     assert len(matrix) == 14
     for j in range(4):
-        assert matrix.column(j).size == 0
+        assert column(matrix, j).size == 0
     for j in range(4, 10):
-        col = matrix.column(j)
+        col = column(matrix, j)
         assert col.size == 2
         assert set(col.tolist()) <= set(range(4))
     for j in range(10, 14):
-        col = matrix.column(j)
+        col = column(matrix, j)
         assert col.size == 3
         assert set(col.tolist()) <= set(range(4, 10))
         # rows must be the positions of exactly the simplex's edges
-        tri = f.simplex(j).vertices
-        expected = {f.simplex(int(r)).vertices for r in col}
+        tri = simplex(f, j).vertices
+        expected = {simplex(f, int(r)).vertices for r in col}
         assert expected == set(itertools.combinations(tri, 2))
 
 
@@ -127,7 +128,7 @@ def test_build_boundary_rows_sorted_and_below_diagonal():
     f = complexes.vietoris_rips(cloud, 2.0, 3)
     matrix = persistence.build_boundary(f)
     for j in range(len(matrix)):
-        col = matrix.column(j)
+        col = column(matrix, j)
         assert np.all(np.diff(col) > 0)
         assert np.all(col < j)
         d = int(matrix.dims[j])
@@ -135,7 +136,7 @@ def test_build_boundary_rows_sorted_and_below_diagonal():
 
 
 def test_build_boundary_missing_face():
-    bad = Filtration.from_simplices(
+    bad = from_simplices(
         [Simplex((0,), 0.0), Simplex((0, 1), 1.0)], vertex_count=2)
     with pytest.raises(ValueError,
                        match=r"^face \(1,\) of \(0, 1\) is missing from the filtration$"):
@@ -144,9 +145,9 @@ def test_build_boundary_missing_face():
 
 def brute_force_facet_rows(filtration):
     """Sorted facet rows of every column, looked up in a dict of vertex tuples."""
-    row_of = {s.vertices: i for i, s in enumerate(filtration.simplices())}
+    row_of = {s.vertices: i for i, s in enumerate(simplices(filtration))}
     return [sorted(row_of[s.vertices[:p] + s.vertices[p + 1:]] for p in range(s.dim + 1))
-            if s.dim else [] for s in filtration.simplices()]
+            if s.dim else [] for s in simplices(filtration)]
 
 
 def test_build_boundary_matches_brute_force_facets(monkeypatch):
@@ -163,7 +164,7 @@ def test_build_boundary_matches_brute_force_facets(monkeypatch):
     wide.validate()
     for filtration in (f, wide):
         matrix = persistence.build_boundary(filtration)
-        columns = [matrix.column(j).tolist() for j in range(len(matrix))]
+        columns = [column(matrix, j).tolist() for j in range(len(matrix))]
         assert columns == brute_force_facet_rows(filtration)
     assert np.array_equal(persistence.build_boundary(wide).col_rows,
                           persistence.build_boundary(f).col_rows)
@@ -182,7 +183,7 @@ def test_slot_keyed_facets(ranked):
     assert (complexes._label_slots(relabelled.verts)[0] is relabelled.verts) != ranked
     assert complexes.FacetIndex(relabelled).n == (n if ranked else 3 * n - 1)
     matrix = persistence.build_boundary(relabelled)
-    assert ([matrix.column(j).tolist() for j in range(len(matrix))]
+    assert ([column(matrix, j).tolist() for j in range(len(matrix))]
             == brute_force_facet_rows(relabelled))
     got, want = (persistence.reduce_boundary(persistence.build_boundary(g))
                  for g in (relabelled, f))
@@ -196,11 +197,11 @@ def test_facet_keys_past_int64(count, wide):
     # 16,175 vertices and need Python ints from 16,176 on
     top = (0, 1, count // 2, count - 3, count - 2, count - 1)
     faces = [Simplex(c, 1.0) for k in range(2, 7) for c in itertools.combinations(top, k)]
-    f = Filtration.from_simplices([*(Simplex((v,), 0.0) for v in range(count)), *faces], count)
+    f = from_simplices([*(Simplex((v,), 0.0) for v in range(count)), *faces], count)
     index = complexes.FacetIndex(f)
     assert [keys.dtype == object for keys in index.keys] == [wide] * 5
     matrix = persistence.build_boundary(f)
-    assert [matrix.column(j).tolist() for j in range(len(matrix))] == brute_force_facet_rows(f)
+    assert [column(matrix, j).tolist() for j in range(len(matrix))] == brute_force_facet_rows(f)
 
 
 def table_degrees(f):
@@ -219,7 +220,7 @@ def test_facet_lookup_paths(points, r_max, dense):
     assert f.max_dim == 3
     assert table_degrees(f) == [dense] * 3
     matrix = persistence.build_boundary(f)
-    assert [matrix.column(j).tolist() for j in range(len(matrix))] == brute_force_facet_rows(f)
+    assert [column(matrix, j).tolist() for j in range(len(matrix))] == brute_force_facet_rows(f)
 
 
 def test_facet_table_with_wide_keys():
@@ -229,12 +230,12 @@ def test_facet_table_with_wide_keys():
     top = (0, 1, count // 2, count - 3, count - 2, count - 1)
     faces = {c for k in range(2, 7) for c in itertools.combinations(top, k)}
     faces |= {(0, v) for v in range(1, count)}
-    f = Filtration.from_simplices([*(Simplex((v,), 0.0) for v in range(count)),
-                                   *(Simplex(c, 1.0) for c in faces)], count)
+    f = from_simplices([*(Simplex((v,), 0.0) for v in range(count)),
+                        *(Simplex(c, 1.0) for c in faces)], count)
     index = complexes.FacetIndex(f)
     assert index.keys[0] is None and all(keys.dtype == object for keys in index.keys[1:])
     matrix = persistence.build_boundary(f)
-    assert [matrix.column(j).tolist() for j in range(len(matrix))] == brute_force_facet_rows(f)
+    assert [column(matrix, j).tolist() for j in range(len(matrix))] == brute_force_facet_rows(f)
 
 
 def unchecked_filtration(rows):
@@ -341,7 +342,7 @@ def test_top_simplex_listed_twice_changes_only_the_top_degree():
 def test_label_table_does_not_grow_with_the_largest_label():
     # labels past the vertex matrix's size are ranked, so the table stays small
     top = 10**7
-    f = Filtration.from_simplices(
+    f = from_simplices(
         [Simplex((0,), 0.0), Simplex((top,), 0.0), Simplex((0, top), 1.0)], top + 1)
     tracemalloc.start()
     try:
@@ -349,7 +350,7 @@ def test_label_table_does_not_grow_with_the_largest_label():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert matrix.column(2).tolist() == [0, 1]
+    assert column(matrix, 2).tolist() == [0, 1]
     assert peak < 10**6
 
 
@@ -367,7 +368,7 @@ def test_facet_index_property(tmp_path_factory, kind, points, max_dim, r_max, se
         f = complexes.witness_filtration(landmarks, r_max, max_dim)
     f.validate()
     matrix = persistence.build_boundary(f)
-    columns = [matrix.column(j).tolist() for j in range(len(matrix))]
+    columns = [column(matrix, j).tolist() for j in range(len(matrix))]
     assert columns == brute_force_facet_rows(f)
     # an increasing relabel keeps the canonical order, so the rows must not change
     labels = np.sort(rng.choice(10**6, size=f.vertex_count, replace=False))
@@ -387,10 +388,10 @@ def test_facet_index_property(tmp_path_factory, kind, points, max_dim, r_max, se
     # numbers agree at every value of the filtration
     signs = (-1) ** f.dims
     for r in np.unique(f.values):
-        betti = persistence.betti_at(barcode, r, f.max_dim)
+        betti = betti_at(barcode, r, f.max_dim)
         assert sum((-1) ** d * b for d, b in enumerate(betti)) == signs[f.values <= r].sum()
     for r, expected in gf2_rank_profile(f, f.max_dim):
-        assert persistence.betti_at(barcode, r, f.max_dim) == expected
+        assert betti_at(barcode, r, f.max_dim) == expected
     # the windows of a profile the filtration attains hold exactly where the
     # pointwise Betti numbers equal it
     distinct = np.unique(f.values)
@@ -415,7 +416,7 @@ def test_facet_index_property(tmp_path_factory, kind, points, max_dim, r_max, se
     if not len(cofaces):
         return
     j = int(cofaces[pick % len(cofaces)])
-    face = int(matrix.column(j)[pick % (int(f.dims[j]) + 1)])
+    face = int(column(matrix, j)[pick % (int(f.dims[j]) + 1)])
     # the face enters after its coface: the canonical order lists it later
     values = f.values.copy()
     values[face] = f.values[j] + 1.0
@@ -431,7 +432,7 @@ def test_facet_index_property(tmp_path_factory, kind, points, max_dim, r_max, se
 
 def flag_closure_differs(f):
     """Whether some clique of the 1-skeleton, up to f.max_dim, is no simplex of f."""
-    present = {s.vertices for s in f.simplices()}
+    present = {s.vertices for s in simplices(f)}
     edges = {v for v in present if len(v) == 2}
     labels = sorted({v[0] for v in present if len(v) == 1})
     return any(all(e in edges for e in itertools.combinations(c, 2)) and c not in present
@@ -443,41 +444,41 @@ def non_flag_complexes():
     def tri(a, b, c):
         return [(a, b), (a, c), (b, c)]
 
-    simplices = [Simplex((v,), 0.0) for v in range(4)]
-    simplices += [Simplex(e, 1.0 + i) for i, e in enumerate(itertools.combinations(range(4), 2))]
-    simplices += [Simplex(t, 7.0 + i) for i, t in enumerate(itertools.combinations(range(4), 3))]
-    yield "hollow tetrahedron", Filtration.from_simplices(simplices, vertex_count=4)
+    items = [Simplex((v,), 0.0) for v in range(4)]
+    items += [Simplex(e, 1.0 + i) for i, e in enumerate(itertools.combinations(range(4), 2))]
+    items += [Simplex(t, 7.0 + i) for i, t in enumerate(itertools.combinations(range(4), 3))]
+    yield "hollow tetrahedron", from_simplices(items, vertex_count=4)
 
     # a filled triangle, a hollow square whose edges have no cofacets, a lone vertex
-    simplices = [Simplex((v,), 0.1 * v) for v in range(8)]
-    simplices += [Simplex(e, 1.0) for e in tri(0, 1, 2)] + [Simplex((0, 1, 2), 2.0)]
-    simplices += [Simplex(e, 1.5) for e in ((3, 4), (4, 5), (5, 6), (3, 6))]
-    yield "no cofacets", Filtration.from_simplices(simplices, vertex_count=8)
+    items = [Simplex((v,), 0.1 * v) for v in range(8)]
+    items += [Simplex(e, 1.0) for e in tri(0, 1, 2)] + [Simplex((0, 1, 2), 2.0)]
+    items += [Simplex(e, 1.5) for e in ((3, 4), (4, 5), (5, 6), (3, 6))]
+    yield "no cofacets", from_simplices(items, vertex_count=8)
 
-    yield "edges only", Filtration.from_simplices(
+    yield "edges only", from_simplices(
         [Simplex((v,), 0.0) for v in range(4)] + [Simplex(e, 1.0) for e in tri(0, 1, 2)],
         vertex_count=4)
-    yield "vertices only", Filtration.from_simplices(
+    yield "vertices only", from_simplices(
         [Simplex((v,), 0.5) for v in range(3)], vertex_count=3)
 
     # degree 0, where the younger of two merging components dies: vertices
     # entering at distinct and tied nonzero values, three components joined
     # late, edges tied with their vertices, an isolated vertex entering last
     entry = [0.4, 0.0, 0.3, 0.1, 0.2, 0.3, 0.3, 0.9]
-    simplices = [Simplex((v,), t) for v, t in enumerate(entry)]
-    simplices += [Simplex(e, t) for e, t in (((0, 1), 0.5), ((1, 2), 0.5), ((3, 4), 0.2),
-                                             ((5, 6), 0.3), ((2, 3), 0.6), ((4, 5), 0.7),
-                                             ((0, 6), 0.8), ((0, 2), 0.5))]
-    simplices.append(Simplex((0, 1, 2), 0.5))
-    yield "components", Filtration.from_simplices(simplices, vertex_count=8)
+    items = [Simplex((v,), t) for v, t in enumerate(entry)]
+    items += [Simplex(e, t) for e, t in (((0, 1), 0.5), ((1, 2), 0.5), ((3, 4), 0.2),
+                                         ((5, 6), 0.3), ((2, 3), 0.6), ((4, 5), 0.7),
+                                         ((0, 6), 0.8), ((0, 2), 0.5))]
+    items.append(Simplex((0, 1, 2), 0.5))
+    yield "components", from_simplices(items, vertex_count=8)
     graphs = np.random.default_rng(8)
     for trial in range(30):
         n = int(graphs.integers(2, 10))
         entry = graphs.integers(0, 4, n) / 2.0
-        simplices = [Simplex((v,), float(t)) for v, t in enumerate(entry)]
-        simplices += [Simplex(e, float(max(entry[list(e)]) + graphs.integers(0, 3) / 2.0))
-                      for e in itertools.combinations(range(n), 2) if graphs.random() < 0.4]
-        yield f"graph {trial}", Filtration.from_simplices(simplices, vertex_count=n)
+        items = [Simplex((v,), float(t)) for v, t in enumerate(entry)]
+        items += [Simplex(e, float(max(entry[list(e)]) + graphs.integers(0, 3) / 2.0))
+                  for e in itertools.combinations(range(n), 2) if graphs.random() < 0.4]
+        yield f"graph {trial}", from_simplices(items, vertex_count=n)
 
     rng = np.random.default_rng(7)
     for trial in range(40):
@@ -488,8 +489,8 @@ def non_flag_complexes():
         values = f.values
         if trial % 2:
             values = np.floor(values * 2.0) / 2.0  # ties between dimensions and faces
-        yield f"rips {trial}", Filtration.from_simplices(
-            [s._replace(value=float(v)) for s, v, k in zip(f.simplices(), values, keep) if k],
+        yield f"rips {trial}", from_simplices(
+            [s._replace(value=float(v)) for s, v, k in zip(simplices(f), values, keep) if k],
             vertex_count=n)
 
 
@@ -513,7 +514,7 @@ def brute_force_coboundary(matrix):
     """Row r's cofacets: the columns that contain r, ascending."""
     cofacets = [[] for _ in range(len(matrix))]
     for j in range(len(matrix)):
-        for r in matrix.column(j).tolist():
+        for r in column(matrix, j).tolist():
             cofacets[r].append(j)
     return cofacets
 
@@ -528,10 +529,10 @@ def transpose_inputs():
     # more vertices than one default block has edge columns, so rank * block
     # overflows int32 in degree 0 and the sort keys are int64
     n = linalg.BLOCK_BYTES // 128 + 3
-    simplices = [Simplex((v,), 0.0) for v in range(n)]
-    simplices += [Simplex(e, 1.0) for e in ((0, 1), (0, 2), (1, 2), (n - 2, n - 1))]
-    simplices.append(Simplex((0, 1, 2), 2.0))
-    yield "vertex block", Filtration.from_simplices(simplices, vertex_count=n)
+    items = [Simplex((v,), 0.0) for v in range(n)]
+    items += [Simplex(e, 1.0) for e in ((0, 1), (0, 2), (1, 2), (n - 2, n - 1))]
+    items.append(Simplex((0, 1, 2), 2.0))
+    yield "vertex block", from_simplices(items, vertex_count=n)
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, None, pytest.param(2**31, id="int64-keys")])
@@ -606,14 +607,14 @@ def test_tetrahedron_barcode_exact():
 
 def test_tetrahedron_betti_profiles():
     bc = persistence.barcodes(tetrahedron_filtration())
-    assert persistence.betti_at(bc, 0.5) == (4, 0, 0)
-    assert persistence.betti_at(bc, 1.0) == (1, 3, 0)
-    assert persistence.betti_at(bc, 1.5) == (1, 3, 0)
-    assert persistence.betti_at(bc, 2.5) == (1, 2, 0)
-    assert persistence.betti_at(bc, 4.5) == (1, 0, 0)
-    assert persistence.betti_at(bc, 5.0) == (1, 0, 1)
-    assert persistence.betti_at(bc, 100.0) == (1, 0, 1)
-    assert persistence.betti_at(bc, -1.0) == (0, 0, 0)
+    assert betti_at(bc, 0.5) == (4, 0, 0)
+    assert betti_at(bc, 1.0) == (1, 3, 0)
+    assert betti_at(bc, 1.5) == (1, 3, 0)
+    assert betti_at(bc, 2.5) == (1, 2, 0)
+    assert betti_at(bc, 4.5) == (1, 0, 0)
+    assert betti_at(bc, 5.0) == (1, 0, 1)
+    assert betti_at(bc, 100.0) == (1, 0, 1)
+    assert betti_at(bc, -1.0) == (0, 0, 0)
 
 
 # endpoints on a coarse grid, so that births and deaths tie within and
@@ -638,7 +639,7 @@ def test_betti_profile_and_windows_match_brute_force(rows, top_dim, pick, attain
     assert profile.shape == (len(points), top_dim + 1)
     assert [tuple(row) for row in profile.tolist()] == \
         [brute_betti(bc, r, top_dim) for r in points]
-    assert persistence.betti_at(bc, points[pick % len(points)], top_dim) == \
+    assert betti_at(bc, points[pick % len(points)], top_dim) == \
         brute_betti(bc, points[pick % len(points)], top_dim)
 
     if attained:
@@ -652,7 +653,7 @@ def test_betti_profile_and_windows_match_brute_force(rows, top_dim, pick, attain
 
 
 def test_vertices_only_all_essential():
-    f = Filtration.from_simplices(
+    f = from_simplices(
         [Simplex((v,), float(v)) for v in range(5)], vertex_count=5)
     pairing = persistence.reduce_boundary(persistence.build_boundary(f))
     assert len(pairing.pairs) == 0
@@ -662,7 +663,7 @@ def test_vertices_only_all_essential():
 
 
 def test_empty_filtration():
-    f = Filtration.from_simplices([], vertex_count=0)
+    f = from_simplices([], vertex_count=0)
     pairing = persistence.reduce_boundary(persistence.build_boundary(f))
     assert pairing.pairs.shape == (0, 2) and pairing.pairs.dtype == np.int64
     assert pairing.essential.shape == (0,) and pairing.essential.dtype == np.int64
@@ -671,7 +672,7 @@ def test_empty_filtration():
 
 
 def test_single_point_barcode():
-    f = Filtration.from_simplices([Simplex((0,), 0.0)], vertex_count=1)
+    f = from_simplices([Simplex((0,), 0.0)], vertex_count=1)
     bc = persistence.barcodes(f)
     assert bc.intervals(0) == [(0.0, INF)]
 
@@ -721,7 +722,7 @@ def test_betti_matches_rank_oracle():
         top = int(f.max_dim)
         bc = persistence.barcodes(f, top)
         for r in sorted(set(f.values.tolist())):
-            assert persistence.betti_at(bc, r, top) == rank_oracle_betti(f, r, top)
+            assert betti_at(bc, r, top) == rank_oracle_betti(f, r, top)
 
 
 def test_euler_characteristic_identity():
@@ -731,7 +732,7 @@ def test_euler_characteristic_identity():
         top = int(f.max_dim)
         bc = persistence.barcodes(f, top)
         for r in sorted(set(f.values.tolist())):
-            betti = persistence.betti_at(bc, r, top)
+            betti = betti_at(bc, r, top)
             chi_h = sum((-1) ** d * b for d, b in enumerate(betti))
             included = f.values <= r
             chi_s = 0
@@ -749,7 +750,7 @@ def test_circle_has_one_prominent_loop():
     assert sum(1 for _, e in bc.intervals(0) if e == INF) == 1
     # between the one-step and two-step chord lengths the graph is a 20-cycle
     mid = 0.45
-    assert persistence.betti_at(bc, mid, 1) == (1, 1)
+    assert betti_at(bc, mid, 1) == (1, 1)
     assert rank_oracle_betti(f, mid, 1) == (1, 1)
     loops_at_mid = [b for b, e in bc.intervals(1) if b <= mid < e]
     assert len(loops_at_mid) == 1
@@ -769,7 +770,7 @@ def test_duplicate_point_keeps_positive_bars():
 
 def test_zero_length_intervals_dropped():
     # two vertices joined immediately: the merge has no persistence
-    f = Filtration.from_simplices(
+    f = from_simplices(
         [Simplex((0,), 0.0), Simplex((1,), 0.0), Simplex((0, 1), 0.0)],
         vertex_count=2)
     bc = persistence.barcodes(f)
@@ -781,7 +782,7 @@ def test_barcode_max_dim_cutoff():
     f = tetrahedron_filtration()
     bc = persistence.barcodes(f, 1)
     assert bc.degrees() == [0, 1]
-    assert persistence.betti_at(bc, 5.0, 2) == (1, 0, 0)
+    assert betti_at(bc, 5.0, 2) == (1, 0, 0)
 
 
 def test_barcode_class_validation():
@@ -793,7 +794,7 @@ def test_barcode_class_validation():
     assert repr(persistence.Barcode([0, 0, 1], [0, 0, 1], [1, INF, 2])) == "Barcode(H0:2, H1:1)"
     assert bc != 1
     # without top_dim, betti_at reads degrees up to the barcode's highest
-    assert persistence.betti_at(bc, 0.5) == (0, 2)
+    assert betti_at(bc, 0.5) == (0, 2)
 
 
 def test_barcode_csv_round_trip(tmp_path):
