@@ -296,9 +296,9 @@ def vietoris_rips(cloud, r_max: float, max_dim: int,
     return _flag_expand(dist, dist < r_max, max_dim, max_simplices)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LandmarkSet:
-    """Distinct integer landmark indices, kept as int64, plus their distance table to the cloud."""
+    """Distinct integer landmark indices into the cloud, as int64, plus their distance table."""
 
     indices: np.ndarray
     distances: np.ndarray  # shape (len(indices), cloud size)
@@ -306,32 +306,27 @@ class LandmarkSet:
     def __post_init__(self):
         if (idx := np.asarray(self.indices)).dtype.kind not in "iu":
             raise ValueError(f"landmark indices must be integers, not {idx.dtype}")
+        if len(bad := idx[(idx < 0) | (idx >= self.distances.shape[1])]):
+            raise ValueError(f"landmark index {bad[0]} outside [0, {self.distances.shape[1]})")
         if (np.diff(np.sort(idx)) == 0).any():  # np.unique would import numpy.ma, 1 MB
             raise ValueError("landmark indices must be distinct")
         if self.distances.shape[0] != len(idx):
             raise ValueError("distance table row count must match landmark count")
         object.__setattr__(self, "indices", idx.astype(np.int64, copy=False))
 
-    def __len__(self) -> int:
-        return len(self.indices)
-
 
 def _distance_rows(pts: np.ndarray, indices) -> np.ndarray:
     return pairwise_distances(pts[np.asarray(indices, dtype=np.int64)], pts)
 
 
-def maxmin_landmarks(cloud, count: int, rng: np.random.Generator,
-                     first: int | None = None) -> LandmarkSet:
+def maxmin_landmarks(cloud, count: int, rng: np.random.Generator) -> LandmarkSet:
     """Greedy landmark selection maximizing distance to the chosen set.
 
-    The first landmark is drawn uniformly (or given explicitly); each later
-    one is the cloud point farthest from all landmarks so far, ties going to
-    the smallest index.
+    The first landmark is drawn uniformly; each later one is the cloud point
+    farthest from all landmarks so far, ties going to the smallest index.
     """
     pts = _points(cloud, count)
-    if first is not None and not 0 <= first < len(pts):
-        raise ValueError(f"first landmark {first} outside [0, {len(pts)})")
-    nxt = int(rng.integers(len(pts))) if first is None else first
+    nxt = int(rng.integers(len(pts)))
     chosen = np.empty(count, dtype=np.int64)
     table = np.empty((count, len(pts)))
     masked = np.full(len(pts), np.inf)

@@ -134,11 +134,10 @@ def sample_biased(params: GrassmannParams, count: int, proportions,
                   rng: np.random.Generator) -> np.ndarray:
     """Sample with prescribed fractions of points per Schubert-cell dimension.
 
-    proportions is either a mapping from cell dimension to fraction or a
-    sequence indexed by dimension. Per-dimension counts come from
-    largest-remainder rounding of count * fraction, so they always sum to
-    ``count`` exactly. Within a dimension each point picks one of that
-    dimension's cells uniformly.
+    proportions is a sequence of fractions indexed by cell dimension.
+    Per-dimension counts come from largest-remainder rounding of count *
+    fraction, so they always sum to ``count`` exactly. Within a dimension
+    each point picks one of that dimension's cells uniformly.
 
     A point of cell e(sigma) starts from the echelon matrix B of
     ``cell_matrix``. B is orthonormalized column by column (which keeps the
@@ -155,8 +154,8 @@ def sample_biased(params: GrassmannParams, count: int, proportions,
     """
     if count < 1:
         raise ValueError("count must be positive")
-    if not hasattr(proportions, "items"):
-        proportions = {d: float(f) for d, f in enumerate(proportions)}
+    # a mapping raises TypeError here, rather than have its keys read as fractions
+    proportions = dict(enumerate(np.asarray(proportions, dtype=float).tolist()))
     cells_by_dim: dict[int, list[tuple[int, ...]]] = {}
     for sym in schubert_symbols(params):
         cells_by_dim.setdefault(cell_dimension(sym), []).append(sym)

@@ -193,13 +193,6 @@ class Barcode:
             raise ValueError(f"degree {d} interval ({b}, {e}) needs a finite birth at most "
                              f"its death and a degree of at least 0")
 
-    def degrees(self) -> list[int]:
-        return np.unique(self.dims).tolist()
-
-    def intervals(self, degree: int) -> list[tuple[float, float]]:
-        mine = self.dims == degree
-        return list(zip(self.births[mine].tolist(), self.deaths[mine].tolist()))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Barcode):
             return NotImplemented
@@ -207,16 +200,16 @@ class Barcode:
                 and np.array_equal(self.deaths, other.deaths))
 
     def __repr__(self) -> str:
-        parts = [f"H{d}:{np.count_nonzero(self.dims == d)}" for d in self.degrees()]
+        dims = self.dims.tolist()
+        parts = [f"H{d}:{dims.count(d)}" for d in sorted(set(dims))]
         return f"Barcode({', '.join(parts)})"
 
 
-def barcodes(filtration: Filtration, max_dim: int | None = None) -> Barcode:
+def barcodes(filtration: Filtration, max_dim: int) -> Barcode:
     """Persistent homology of the filtration in degrees 0..max_dim: the
-    intervals of the pairs of positive length and of the essential rows. The
-    default ``max_dim`` is ``filtration.max_dim``, whose cycles no coface can
-    kill; ``persist`` defaults to the top dimension - 1 and refuses more."""
-    max_dim = filtration.max_dim if max_dim is None else max_dim
+    intervals of the pairs of positive length and of the essential rows.
+    No coface can kill a cycle of degree ``filtration.max_dim``, so ``persist``
+    refuses that degree and the pipeline builds one dimension above its own."""
     if max_dim < 0:  # checked before the reduction
         raise ValueError(f"max_dim must be nonnegative, got {max_dim}")
     pairing = reduce_boundary(build_boundary(filtration))
@@ -284,9 +277,10 @@ def write_barcode_svg(path, barcode: Barcode) -> None:
 
     rows = []
     y = 10.0
-    for d in barcode.degrees():
+    for d in sorted(set(barcode.dims.tolist())):
         color = _SVG_COLORS[d % len(_SVG_COLORS)]
-        bars = barcode.intervals(d)
+        mine = barcode.dims == d
+        bars = list(zip(barcode.births[mine].tolist(), barcode.deaths[mine].tolist()))
         rows.append(f'<text x="8" y="{y + 14:.1f}" font-size="13" '
                     f'fill="{color}">H{d} ({len(bars)})</text>')
         y += panel_pad - 8

@@ -3,7 +3,8 @@
 The library holds a simplex only as a row of ``Filtration.values``, ``dims``
 and ``verts``, and a boundary column only as a slice of ``col_rows``. Tests
 that state small cases by hand, or compare with a brute-force oracle, read
-and build them through these helpers.
+and build them through these helpers, and read a barcode one degree at a
+time.
 """
 
 from typing import NamedTuple
@@ -48,6 +49,16 @@ def betti_at(barcode: persistence.Barcode, r: float, top_dim: int | None = None)
     """Betti numbers at parameter r: intervals with birth <= r < death."""
     top = int(barcode.dims.max(initial=0)) if top_dim is None else top_dim
     return tuple(persistence.betti_profile(barcode, [r], top)[0].tolist())
+
+
+def degrees(barcode: persistence.Barcode) -> list[int]:
+    return sorted(set(barcode.dims.tolist()))
+
+
+def intervals(barcode: persistence.Barcode, degree: int) -> list[tuple[float, float]]:
+    """The (birth, death) pairs of one degree, in the barcode's order."""
+    mine = barcode.dims == degree
+    return list(zip(barcode.births[mine].tolist(), barcode.deaths[mine].tolist()))
 
 
 def column(matrix: persistence.BoundaryMatrix, j: int) -> np.ndarray:

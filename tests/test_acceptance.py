@@ -15,7 +15,7 @@ import pytest
 
 from grasstri import analysis, complexes, grassmann, linalg, persistence
 from grasstri.persistence import INF
-from simplices import Simplex, betti_at, from_simplices, simplex
+from simplices import Simplex, betti_at, from_simplices, intervals, simplex
 
 RP2_R4_SEEDS = (0, 2, 3, 5, 8)
 RP2_R4_RMAX = 0.95
@@ -160,7 +160,7 @@ def assert_euler_identity(filtration, barcode):
         sign = 1 if d % 2 == 0 else -1
         chi += sign * np.searchsorted(np.sort(values[dims == d]), crit,
                                       side="right")
-        bars = barcode.intervals(d)
+        bars = intervals(barcode, d)
         births = np.sort(np.array([b for b, _ in bars], dtype=float))
         deaths = np.sort(np.array([e for _, e in bars if e != INF],
                                   dtype=float))
@@ -194,7 +194,7 @@ def rp2_r4_runs():
         cloud = analysis.sample_space("rp2-r4", 200, np.random.default_rng(seed))
         filtration = complexes.vietoris_rips(cloud, RP2_R4_RMAX, 3,
                                              max_simplices=8_000_000)
-        barcode = persistence.barcodes(filtration)
+        barcode = persistence.barcodes(filtration, filtration.max_dim)
         runs.append((seed, filtration, barcode))
     return runs
 
@@ -205,7 +205,7 @@ def rp2_r5_run():
                                   np.random.default_rng(RP2_R5_SEED))
     filtration = complexes.vietoris_rips(cloud, RP2_R5_RMAX, 3,
                                          max_simplices=8_000_000)
-    return filtration, persistence.barcodes(filtration)
+    return filtration, persistence.barcodes(filtration, filtration.max_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -238,10 +238,10 @@ def test_tetrahedron_barcode():
                           itertools.combinations(range(4), 3)):
         simplices.append(Simplex(tri, stage))
     filtration = from_simplices(simplices, vertex_count=4)
-    barcode = persistence.barcodes(filtration)
-    assert barcode.intervals(0) == [(0.0, 1.0)] * 3 + [(0.0, INF)]
-    assert barcode.intervals(1) == [(1.0, 2.0), (1.0, 3.0), (1.0, 4.0)]
-    assert barcode.intervals(2) == [(5.0, INF)]
+    barcode = persistence.barcodes(filtration, filtration.max_dim)
+    assert intervals(barcode, 0) == [(0.0, 1.0)] * 3 + [(0.0, INF)]
+    assert intervals(barcode, 1) == [(1.0, 2.0), (1.0, 3.0), (1.0, 4.0)]
+    assert intervals(barcode, 2) == [(5.0, INF)]
     assert betti_at(barcode, 0.5, 2) == (4, 0, 0)
     assert betti_at(barcode, 1.5, 2) == (1, 3, 0)
     assert betti_at(barcode, 5.0, 2) == (1, 0, 1)
@@ -255,7 +255,7 @@ def test_reduction_agreement(small_vr_filtrations):
         naive = reference_reduce_columns(matrix)
         assert np.array_equal(optimized.pairs, naive.pairs)
         assert np.array_equal(optimized.essential, naive.essential)
-        barcode = persistence.barcodes(filtration)
+        barcode = persistence.barcodes(filtration, filtration.max_dim)
         for r, expected in gf2_rank_profile(filtration, 2):
             assert betti_at(barcode, r, 2) == expected
     assert time.time() - start < 30.0
@@ -388,7 +388,7 @@ def test_witness_membership_formula():
 def test_euler_characteristic_identity(small_vr_filtrations, rp2_r4_runs,
                                        rp2_r5_run):
     for filtration in small_vr_filtrations:
-        assert_euler_identity(filtration, persistence.barcodes(filtration))
+        assert_euler_identity(filtration, persistence.barcodes(filtration, filtration.max_dim))
     for _, filtration, barcode in rp2_r4_runs:
         assert_euler_identity(filtration, barcode)
     filtration, barcode = rp2_r5_run

@@ -101,7 +101,7 @@ def test_barcodes_starts_no_thread():
         tiny_blocks(mp)
         # every facet dimension takes several blocks of at most 2 columns
         assert all(np.count_nonzero(f.dims == d) > 2 for d in range(1, f.max_dim + 1))
-        persistence.barcodes(f)
+        persistence.barcodes(f, f.max_dim)
     assert [t.name for t in threading.enumerate() if t.name.startswith("grasstri")] == []
 
 

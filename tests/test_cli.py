@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import inspect
 import math
 import re
 from pathlib import Path
@@ -88,6 +89,21 @@ def test_option_inventory():
                 assert option not in found, f"{command} {option} declared twice"
                 found[option] = (action.required, action.default, action.type, choices)
         assert found == OPTIONS[command], command
+
+
+def test_library_option_inventory():
+    """The library takes the options its commands pass, and no option only tests used."""
+    empty = inspect.Parameter.empty
+    for func, params in ((persistence.barcodes, {"filtration": empty, "max_dim": empty}),
+                         (complexes.maxmin_landmarks,
+                          {"cloud": empty, "count": empty, "rng": empty}),
+                         (grassmann.sample_biased,
+                          {"params": empty, "count": empty, "proportions": empty,
+                           "rng": empty})):
+        got = {p.name: p.default for p in inspect.signature(func).parameters.values()}
+        assert got == params, func.__name__
+    assert not {"intervals", "degrees"} & set(dir(persistence.Barcode))
+    assert not hasattr(complexes.LandmarkSet, "__len__")
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +414,7 @@ def test_persist_rejects_uncertified_degrees(tmp_path, monkeypatch, capsys):
                 "--r-max", "inf", "--max-dim", "3", "--out", "f.txt"]) == 0
     filtration = complexes.read_filtration("f.txt")
     assert filtration.max_dim == 3
-    assert np.count_nonzero(persistence.barcodes(filtration).dims == 3) > 0
+    assert np.count_nonzero(persistence.barcodes(filtration, filtration.max_dim).dims == 3) > 0
     Path("vertices.txt").write_text("0 2\n0 0\n0 1\n")
     capsys.readouterr()
     for argv, top, degree in ((["--filtration", "f.txt", "--max-dim", "3"], 3, 3),

@@ -341,9 +341,19 @@ def test_filtration_validate_catches_violations():
         persistence.build_boundary(missing)
 
 
+class FirstDraw:
+    """A generator stand-in whose ``integers`` draws ``index``: maxmin's first landmark."""
+
+    def __init__(self, index: int):
+        self.index = index
+
+    def integers(self, high: int) -> int:
+        return self.index
+
+
 def test_maxmin_line_example():
     cloud = np.array([[0.0], [1.0], [10.0]])
-    lm = complexes.maxmin_landmarks(cloud, 3, np.random.default_rng(0), first=0)
+    lm = complexes.maxmin_landmarks(cloud, 3, FirstDraw(0))
     assert lm.indices.tolist() == [0, 2, 1]
     assert lm.distances.shape == (3, 3)
     assert lm.distances[0].tolist() == [0.0, 1.0, 10.0]
@@ -351,7 +361,7 @@ def test_maxmin_line_example():
 
 def test_maxmin_count_edge_cases():
     cloud = np.array([[0.0], [1.0], [10.0]])
-    one = complexes.maxmin_landmarks(cloud, 1, np.random.default_rng(1), first=2)
+    one = complexes.maxmin_landmarks(cloud, 1, FirstDraw(2))
     assert one.indices.tolist() == [2]
     full = complexes.maxmin_landmarks(cloud, 3, np.random.default_rng(1))
     assert sorted(full.indices.tolist()) == [0, 1, 2]
@@ -359,9 +369,6 @@ def test_maxmin_count_edge_cases():
         complexes.maxmin_landmarks(cloud, 4, np.random.default_rng(1))
     with pytest.raises(ValueError, match="^need 1 <= count <= 3, got 0$"):
         complexes.maxmin_landmarks(cloud, 0, np.random.default_rng(1))
-    for first in (-1, 3):  # -1 would index from the end
-        with pytest.raises(ValueError, match=rf"^first landmark {first} outside \[0, 3\)$"):
-            complexes.maxmin_landmarks(cloud, 2, np.random.default_rng(1), first=first)
 
 
 def test_maxmin_greedy_property():
@@ -383,10 +390,9 @@ def test_maxmin_permutation_equivariance():
     cloud = rng.standard_normal((25, 4))
     perm = rng.permutation(25)
     shuffled = cloud[perm]
-    base = complexes.maxmin_landmarks(cloud, 8, np.random.default_rng(0), first=3)
+    base = complexes.maxmin_landmarks(cloud, 8, FirstDraw(3))
     where = np.argsort(perm)
-    moved = complexes.maxmin_landmarks(shuffled, 8, np.random.default_rng(0),
-                                       first=int(where[3]))
+    moved = complexes.maxmin_landmarks(shuffled, 8, FirstDraw(int(where[3])))
     assert [int(perm[i]) for i in moved.indices] == base.indices.tolist()
 
 
@@ -394,7 +400,7 @@ def test_random_landmarks():
     rng = np.random.default_rng(6)
     cloud = rng.standard_normal((30, 2))
     lm = complexes.random_landmarks(cloud, 12, np.random.default_rng(7))
-    assert len(lm) == 12
+    assert len(lm.indices) == 12
     assert len(set(lm.indices.tolist())) == 12
     for row, idx in zip(lm.distances, lm.indices):
         assert row[idx] == 0.0
@@ -415,6 +421,17 @@ def test_landmark_set_refuses_non_integer_indices():
             LandmarkSet(indices, np.zeros((2, 3)))
     kept = LandmarkSet(np.array([2, 0], dtype=np.uint8), np.zeros((2, 3))).indices
     assert kept.dtype == np.int64 and kept.tolist() == [2, 0]
+
+
+def test_landmark_set_refuses_indices_outside_the_cloud():
+    # -1 would index the last point, and uint64 2**63 would wrap to -2**63 as int64
+    for indices, bad in ((np.array([-1, 2]), -1), (np.array([0, 3]), 3),
+                         (np.array([0, 2**63], dtype=np.uint64), 2**63)):
+        with pytest.raises(ValueError, match=rf"^landmark index {bad} outside \[0, 3\)$"):
+            LandmarkSet(indices, np.zeros((2, 3)))
+    kept = LandmarkSet(np.array([2, 0]), np.zeros((2, 3)))
+    # compared by identity, as arrays give no single truth value
+    assert kept == kept and kept != LandmarkSet(np.array([2, 0]), np.zeros((2, 3)))
 
 
 def brute_force_witness_value(dist, a, b):
@@ -446,7 +463,7 @@ def test_witness_line_example():
 
 def test_witness_two_landmarks_edge_at_zero():
     cloud = np.array([[0.0], [3.0], [7.0]])
-    lm = complexes.maxmin_landmarks(cloud, 2, np.random.default_rng(0), first=0)
+    lm = complexes.maxmin_landmarks(cloud, 2, FirstDraw(0))
     f = complexes.witness_filtration(lm, 0.0, 1)
     got = filtration_as_dict(f)
     assert got[(0, 1)] == 0.0
@@ -744,6 +761,8 @@ def assert_writes_reference(filtration, directory, rows=3):
     split dimensions and mix them; 128 budget bytes a row) gives the
     reference writer's bytes."""
     ours, ref = directory / "block.txt", directory / "reference.txt"
+    for path in (ours, ref):
+        path.unlink(missing_ok=True)  # ext4 flushes a file written over when it is closed
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "BLOCK_BYTES", 128 * rows)
         complexes.write_filtration(ours, filtration)
@@ -764,7 +783,7 @@ def test_write_filtration_matches_reference(tmp_path_factory, kind, points, max_
         cloud = rng.standard_normal((4 * points + 4, 3))
         landmarks = complexes.maxmin_landmarks(cloud, points + 1, rng)
         f = complexes.witness_filtration(landmarks, r_max, max_dim)
-    assert_writes_reference(f, tmp_path_factory.mktemp("write"))
+    assert_writes_reference(f, tmp_path_factory.getbasetemp())  # not a directory an example
 
 
 def test_write_filtration_edge_cases(tmp_path):
@@ -897,8 +916,10 @@ def respace(text: str, rng) -> bytes:
 def test_read_filtration_matches_reference(tmp_path_factory, kind, points, max_dim, r_max,
                                            seed, read_bytes):
     f = random_filtration(kind, points, max_dim, r_max, seed)
-    directory = tmp_path_factory.mktemp("read")
+    directory = tmp_path_factory.getbasetemp()  # one pair of files, not a directory an example
     plain, spaced = directory / "plain.txt", directory / "spaced.txt"
+    for path in (plain, spaced):
+        path.unlink(missing_ok=True)  # ext4 flushes a file written over when it is closed
     complexes.write_filtration(plain, f)
     spaced.write_bytes(respace(plain.read_text(), random.Random(seed)))
     with pytest.MonkeyPatch.context() as mp:

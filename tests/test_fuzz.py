@@ -49,9 +49,17 @@ def mutated(rng, text: bytes, sep: bytes, first: int) -> bytes:
     return b"\n".join(lines)
 
 
+def fresh(path):
+    """``path``, unlinked. On ext4 a write over an existing file is flushed when
+    it is closed (30-80 ms a case), and the write of a new one is not. A new
+    name each case would leave pytest thousands of files to delete later."""
+    path.unlink(missing_ok=True)
+    return path
+
+
 def run(capsys, argv, out):
     """Exit code and stdout of ``argv``; ``out`` is gone before it runs."""
-    out.unlink(missing_ok=True)
+    fresh(out)
     code = cli.main([str(a) for a in argv])
     return code, capsys.readouterr().out
 
@@ -124,7 +132,7 @@ def test_window_agrees_with_barcode_oracle(tmp_path, capsys):
     path, out = tmp_path / "barcode.csv", tmp_path / "report.txt"
     for _ in range(cases):
         data = mutated(rng, valid_barcode(rng), b",", 1)
-        path.write_bytes(data)
+        fresh(path).write_bytes(data)
         code, _ = run(capsys, ["window", "--barcode", path, "--target", "1,1", "--out", out],
                       out)
         bars = barcode_oracle(data)
@@ -212,7 +220,7 @@ def naive_bars(rows):
 
 def valid_filtration(rng, path) -> bytes:
     cloud = rng.integers(0, 3, (int(rng.integers(4, 7)), 2)).astype(float)
-    complexes.write_filtration(path, complexes.vietoris_rips(cloud, INF, 2))
+    complexes.write_filtration(fresh(path), complexes.vietoris_rips(cloud, INF, 2))
     return path.read_bytes()
 
 
@@ -230,7 +238,7 @@ def test_persist_agrees_with_filtration_oracle(tmp_path, capsys):
         elif head == 2:
             del lines[0]
         data = mutated(rng, b"\n".join(lines), b" ", 1)
-        path.write_bytes(data)
+        fresh(path).write_bytes(data)
         code, _ = run(capsys, ["persist", "--filtration", path, "--out-csv", out], out)
         rows = filtration_oracle(data)
         outcomes.append(rows is not None)
@@ -267,9 +275,9 @@ def test_rips_agrees_with_cloud_oracle(tmp_path, capsys):
     rng, outcomes, cases = np.random.default_rng(3), [], 200
     path, out = tmp_path / "cloud.txt", tmp_path / "filtration.txt"
     for _ in range(cases):
-        grassmann.write_cloud(path, rng.integers(-4, 5, (int(rng.integers(3, 7)), 2)) / 4)
+        grassmann.write_cloud(fresh(path), rng.integers(-4, 5, (int(rng.integers(3, 7)), 2)) / 4)
         data = mutated(rng, path.read_bytes(), b" ", 0)
-        path.write_bytes(data)
+        fresh(path).write_bytes(data)
         code, _ = run(capsys, ["rips", "--cloud", path, "--max-dim", "2", "--out", out], out)
         cloud = cloud_oracle(data)
         outcomes.append(cloud is not None)
@@ -342,7 +350,7 @@ def test_pipeline_config_agrees_with_config_oracle(tmp_path, monkeypatch, capsys
              b"output_dir = out\n")
     for _ in range(cases):
         data = mutated(rng, valid, b"=", 0)
-        path.write_bytes(data)
+        fresh(path).write_bytes(data)
         code = cli.main(["pipeline", "--config", str(path)])
         capsys.readouterr()
         expected = config_oracle(data)

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from grasstri import analysis, complexes, linalg, persistence
 from grasstri.complexes import Filtration
 from grasstri.persistence import INF
-from simplices import Simplex, betti_at, column, from_simplices, simplex, simplices
+from simplices import (Simplex, betti_at, column, degrees, from_simplices, intervals, simplex,
+                       simplices)
 from test_acceptance import gf2_rank_profile, reference_reduce_columns
 
 
@@ -80,14 +81,14 @@ def make_barcode(intervals):
 
 def brute_betti(barcode, r, top_dim):
     """Betti numbers at r by a loop over every bar: the reference for betti_profile."""
-    return tuple(sum(1 for b, e in barcode.intervals(d) if b <= r < e)
+    return tuple(sum(1 for b, e in intervals(barcode, d) if b <= r < e)
                  for d in range(top_dim + 1))
 
 
 def brute_windows(barcode, target, top_dim):
     """Maximal windows by a scan of the pieces between critical values, each
     classified by brute_betti at its left end."""
-    ends = {x for d in range(top_dim + 1) for bar in barcode.intervals(d) for x in bar}
+    ends = {x for d in range(top_dim + 1) for bar in intervals(barcode, d) for x in bar}
     points = sorted(ends - {INF})
     if not points or points[0] > 0.0:
         points.insert(0, 0.0)
@@ -336,7 +337,7 @@ def test_top_simplex_listed_twice_changes_only_the_top_degree():
     once, twice = unchecked_filtration(rows), unchecked_filtration(rows + [((0, 1, 2), 3)])
     twice.validate()
     assert persistence.barcodes(twice, 1) == persistence.barcodes(once, 1)
-    assert persistence.barcodes(twice).intervals(2) == [(3.0, INF)]
+    assert intervals(persistence.barcodes(twice, twice.max_dim), 2) == [(3.0, INF)]
 
 
 def test_label_table_does_not_grow_with_the_largest_label():
@@ -380,7 +381,7 @@ def test_facet_index_property(tmp_path_factory, kind, points, max_dim, r_max, se
         # blocks of at most 3 columns build each degree's coboundary
         mp.setattr(linalg, "BLOCK_BYTES", 128 * 3)
         optimized = persistence.reduce_boundary(matrix)
-        barcode = persistence.barcodes(f)
+        barcode = persistence.barcodes(f, f.max_dim)
     naive = reference_reduce_columns(matrix)
     assert np.array_equal(optimized.pairs, naive.pairs)
     assert np.array_equal(optimized.essential, naive.essential)
@@ -406,6 +407,8 @@ def test_facet_index_property(tmp_path_factory, kind, points, max_dim, r_max, se
 
     first = tmp_path_factory.getbasetemp() / "facet_property_1.txt"
     second = tmp_path_factory.getbasetemp() / "facet_property_2.txt"
+    for path in (first, second):
+        path.unlink(missing_ok=True)  # ext4 flushes a file written over when it is closed
     complexes.write_filtration(first, f)
     back = complexes.read_filtration(first)
     assert back == f
@@ -598,15 +601,15 @@ def test_boundary_memory_is_bounded(monkeypatch):
 
 
 def test_tetrahedron_barcode_exact():
-    bc = persistence.barcodes(tetrahedron_filtration())
-    assert bc.intervals(0) == [(0.0, 1.0), (0.0, 1.0), (0.0, 1.0), (0.0, INF)]
-    assert bc.intervals(1) == [(1.0, 2.0), (1.0, 3.0), (1.0, 4.0)]
-    assert bc.intervals(2) == [(5.0, INF)]
-    assert bc.degrees() == [0, 1, 2]
+    bc = persistence.barcodes(tetrahedron_filtration(), 2)
+    assert intervals(bc, 0) == [(0.0, 1.0), (0.0, 1.0), (0.0, 1.0), (0.0, INF)]
+    assert intervals(bc, 1) == [(1.0, 2.0), (1.0, 3.0), (1.0, 4.0)]
+    assert intervals(bc, 2) == [(5.0, INF)]
+    assert degrees(bc) == [0, 1, 2]
 
 
 def test_tetrahedron_betti_profiles():
-    bc = persistence.barcodes(tetrahedron_filtration())
+    bc = persistence.barcodes(tetrahedron_filtration(), 2)
     assert betti_at(bc, 0.5) == (4, 0, 0)
     assert betti_at(bc, 1.0) == (1, 3, 0)
     assert betti_at(bc, 1.5) == (1, 3, 0)
@@ -658,8 +661,8 @@ def test_vertices_only_all_essential():
     pairing = persistence.reduce_boundary(persistence.build_boundary(f))
     assert len(pairing.pairs) == 0
     assert np.array_equal(pairing.essential, (0, 1, 2, 3, 4))
-    bc = persistence.barcodes(f)
-    assert bc.intervals(0) == [(float(v), INF) for v in range(5)]
+    bc = persistence.barcodes(f, f.max_dim)
+    assert intervals(bc, 0) == [(float(v), INF) for v in range(5)]
 
 
 def test_empty_filtration():
@@ -668,13 +671,13 @@ def test_empty_filtration():
     assert pairing.pairs.shape == (0, 2) and pairing.pairs.dtype == np.int64
     assert pairing.essential.shape == (0,) and pairing.essential.dtype == np.int64
     assert pairing.size == 0
-    assert len(persistence.barcodes(f).dims) == 0
+    assert len(persistence.barcodes(f, f.max_dim).dims) == 0
 
 
 def test_single_point_barcode():
     f = from_simplices([Simplex((0,), 0.0)], vertex_count=1)
-    bc = persistence.barcodes(f)
-    assert bc.intervals(0) == [(0.0, INF)]
+    bc = persistence.barcodes(f, f.max_dim)
+    assert intervals(bc, 0) == [(0.0, INF)]
 
 
 def random_filtration(rng, max_points=8, max_dim=3, limit=40):
@@ -746,13 +749,13 @@ def test_circle_has_one_prominent_loop():
     cloud = np.column_stack([np.cos(angles), np.sin(angles)])
     f = complexes.vietoris_rips(cloud, 1.5, 1)
     bc = persistence.barcodes(f, 1)
-    assert len(bc.intervals(0)) >= 1
-    assert sum(1 for _, e in bc.intervals(0) if e == INF) == 1
+    assert len(intervals(bc, 0)) >= 1
+    assert sum(1 for _, e in intervals(bc, 0) if e == INF) == 1
     # between the one-step and two-step chord lengths the graph is a 20-cycle
     mid = 0.45
     assert betti_at(bc, mid, 1) == (1, 1)
     assert rank_oracle_betti(f, mid, 1) == (1, 1)
-    loops_at_mid = [b for b, e in bc.intervals(1) if b <= mid < e]
+    loops_at_mid = [b for b, e in intervals(bc, 1) if b <= mid < e]
     assert len(loops_at_mid) == 1
 
 
@@ -765,7 +768,7 @@ def test_duplicate_point_keeps_positive_bars():
     bc_a = persistence.barcodes(complexes.vietoris_rips(cloud, 1.6, 3), 2)
     bc_b = persistence.barcodes(complexes.vietoris_rips(doubled, 1.6, 3), 2)
     for d in (1, 2):
-        assert bc_a.intervals(d) == bc_b.intervals(d)
+        assert intervals(bc_a, d) == intervals(bc_b, d)
 
 
 def test_zero_length_intervals_dropped():
@@ -773,15 +776,15 @@ def test_zero_length_intervals_dropped():
     f = from_simplices(
         [Simplex((0,), 0.0), Simplex((1,), 0.0), Simplex((0, 1), 0.0)],
         vertex_count=2)
-    bc = persistence.barcodes(f)
-    assert bc.intervals(0) == [(0.0, INF)]
-    assert bc.intervals(1) == []
+    bc = persistence.barcodes(f, f.max_dim)
+    assert intervals(bc, 0) == [(0.0, INF)]
+    assert intervals(bc, 1) == []
 
 
 def test_barcode_max_dim_cutoff():
     f = tetrahedron_filtration()
     bc = persistence.barcodes(f, 1)
-    assert bc.degrees() == [0, 1]
+    assert degrees(bc) == [0, 1]
     assert betti_at(bc, 5.0, 2) == (1, 0, 0)
 
 
@@ -790,7 +793,7 @@ def test_barcode_class_validation():
         with pytest.raises(ValueError, match="finite birth at most its death"):
             persistence.Barcode([0], [birth], [death])
     bc = persistence.Barcode([1, 1], [0.5, 0.25], [2.0, 1.0])
-    assert bc.intervals(1) == [(0.25, 1.0), (0.5, 2.0)]
+    assert intervals(bc, 1) == [(0.25, 1.0), (0.5, 2.0)]
     assert repr(persistence.Barcode([0, 0, 1], [0, 0, 1], [1, INF, 2])) == "Barcode(H0:2, H1:1)"
     assert bc != 1
     # without top_dim, betti_at reads degrees up to the barcode's highest
@@ -798,7 +801,7 @@ def test_barcode_class_validation():
 
 
 def test_barcode_csv_round_trip(tmp_path):
-    bc = persistence.barcodes(tetrahedron_filtration())
+    bc = persistence.barcodes(tetrahedron_filtration(), 2)
     path = tmp_path / "barcode.csv"
     persistence.write_barcode(path, bc)
     lines = path.read_text().splitlines()
@@ -817,7 +820,7 @@ def test_read_barcode_rejects_bad_header(tmp_path):
 
 
 def test_barcode_svg_output(tmp_path):
-    bc = persistence.barcodes(tetrahedron_filtration())
+    bc = persistence.barcodes(tetrahedron_filtration(), 2)
     path_a = tmp_path / "a.svg"
     path_b = tmp_path / "b.svg"
     persistence.write_barcode_svg(path_a, bc)
@@ -834,3 +837,33 @@ def test_barcode_svg_output(tmp_path):
     # background plus one rect per interval
     assert len(bars) == 1 + 4 + 3 + 1
     assert "&#8734;" in text
+
+
+SVG_GOLDEN = """\
+<svg xmlns="http://www.w3.org/2000/svg" width="900" height="176" viewBox="0 0 900 176">
+<rect width="900" height="176" fill="white"/>
+<line x1="60.0" y1="154.0" x2="880.0" y2="154.0" stroke="#333"/>
+<line x1="60.00" y1="154.0" x2="60.00" y2="159.0" stroke="#333"/>\
+<text x="60.00" y="170.0" font-size="10" text-anchor="middle" fill="#333">0</text>\
+<line x1="470.00" y1="154.0" x2="470.00" y2="159.0" stroke="#333"/>\
+<text x="470.00" y="170.0" font-size="10" text-anchor="middle" fill="#333">0.525</text>\
+<line x1="880.00" y1="154.0" x2="880.00" y2="159.0" stroke="#333"/>\
+<text x="880.00" y="170.0" font-size="10" text-anchor="middle" fill="#333">1.05</text>
+<text x="8" y="24.0" font-size="13" fill="#1f6f8b">H0 (2)</text>
+<rect x="60.00" y="30.00" width="390.48" height="6.0" fill="#1f6f8b"/>
+<rect x="60.00" y="40.00" width="820.00" height="6.0" fill="#1f6f8b"/>
+<text x="882.0" y="46.0" font-size="9" fill="#1f6f8b">&#8734;</text>
+<text x="8" y="92.0" font-size="13" fill="#3d7a3d">H2 (2)</text>
+<rect x="255.24" y="98.00" width="1.00" height="6.0" fill="#3d7a3d"/>
+<rect x="450.48" y="108.00" width="390.48" height="6.0" fill="#3d7a3d"/>
+</svg>
+"""
+
+
+def test_barcode_svg_golden_bytes(tmp_path):
+    """Two degrees with no H1 between them, an essential bar, and a bar of zero
+    width (drawn 1 px wide), given out of order."""
+    bc = persistence.Barcode([2, 0, 2, 0], [0.25, 0.0, 0.5, 0.0], [0.25, INF, 1.0, 0.5])
+    path = tmp_path / "barcode.svg"
+    persistence.write_barcode_svg(path, bc)
+    assert path.read_bytes() == SVG_GOLDEN.encode()
