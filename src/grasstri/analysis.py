@@ -111,14 +111,14 @@ class ExperimentConfig:
     max_simplices: int = complexes.DEFAULT_MAX_SIMPLICES
 
     def __post_init__(self):
-        parse_space(self.space)
+        family, params = parse_space(self.space)
         if self.sample_size < 1:
             raise ValueError("sample_size must be positive")
         if self.max_dim < 0:
             raise ValueError("max_dim must be nonnegative")
         if self.max_simplices < 1:
             raise ValueError("max_simplices must be positive")
-        bound = min(self.max_dim, space_dimension(self.space))
+        bound = min(self.max_dim, params.dimension)
         if self.top_dim is None:
             object.__setattr__(self, "top_dim", bound)
         elif not 0 <= self.top_dim <= bound:
@@ -141,45 +141,36 @@ class ExperimentConfig:
                 raise ValueError("r_max must be positive")
             if self.landmark_count is not None or self.landmark_method is not None:
                 raise ValueError("landmark options only apply to witness experiments")
-        if self.proportions is not None and parse_space(self.space)[0] != "grassmann":
+        if self.proportions is not None and family != "grassmann":
             raise ValueError("proportions only apply to Grassmann spaces")
         if self.proportions is not None and not len(self.proportions):
             raise ValueError("proportions need at least one fraction")
 
 
-def parse_space(space: str) -> tuple[str, tuple[int, ...]]:
+def parse_space(space: str) -> tuple[str, grassmann.GrassmannParams]:
+    """The family of a space name and the Grassmannian G_k(R^n) it stands for;
+    RP^m is G_1(R^(m+1))."""
     s = space.strip().lower()
     if s in _SPACES:
-        return s, ()
+        return s, grassmann.GrassmannParams(*_SPACES[s])
     parts = s.split("-")
     if len(parts) == 3 and parts[0] in ("grassmann", "g"):
         try:
             n, k = (int(persistence._ascii(part)) for part in parts[1:])
         except ValueError:
             raise ValueError(f"unknown space {space!r}") from None
-        grassmann.GrassmannParams(n, k)
-        return "grassmann", (n, k)
+        return "grassmann", grassmann.GrassmannParams(n, k)
     raise ValueError(f"unknown space {space!r}")
-
-
-def grassmannian(space: str) -> grassmann.GrassmannParams:
-    """The Grassmannian G_k(R^n) a space name stands for; RP^m is G_1(R^(m+1))."""
-    family, args = parse_space(space)
-    return grassmann.GrassmannParams(*(args or _SPACES[family]))
-
-
-def space_dimension(space: str) -> int:
-    return grassmannian(space).dimension
 
 
 def target_profile(space: str, top_dim: int | None = None) -> BettiProfile:
     """Mod-2 Betti numbers of the space's Grassmannian in degrees 0..top_dim."""
-    return grassmann.betti_mod2(grassmannian(space), top_dim)
+    return grassmann.betti_mod2(parse_space(space)[1], top_dim)
 
 
 def sample_space(space: str, count: int, rng: np.random.Generator,
                  proportions=None) -> np.ndarray:
-    family, args = parse_space(space)
+    family, params = parse_space(space)
     if proportions is not None and family != "grassmann":
         raise ValueError("proportions only apply to Grassmann spaces")
     if family == "rp2-r4":
@@ -188,7 +179,6 @@ def sample_space(space: str, count: int, rng: np.random.Generator,
         return grassmann.rp2_embed_r5(grassmann.sample_sphere(count, rng))
     if family == "rp3":
         return grassmann.sample_so3(count, rng)
-    params = grassmann.GrassmannParams(*args)
     if proportions is not None:
         return grassmann.sample_biased(params, count, proportions, rng).reshape(count, -1)
     return grassmann.sample_uniform(params, count, rng).reshape(count, -1)

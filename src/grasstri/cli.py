@@ -46,9 +46,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_betti(args) -> int:
-    params = grassmann.GrassmannParams(args.n, args.k)
-    profile = grassmann.betti_mod2(params, args.top_dim)
-    print(" ".join(str(b) for b in profile))
+    print(*grassmann.betti_mod2(grassmann.GrassmannParams(args.n, args.k), args.top_dim))
     return 0
 
 
@@ -84,10 +82,15 @@ def _cmd_window(args) -> int:
     if args.out:
         analysis.write_window_report(args.out, report)
     else:
-        print(f"target: {' '.join(str(t) for t in report.target)}")
-        for a, b in report.windows:
-            print(f"window: [{analysis.format_r(a)}, {analysis.format_r(b)})")
+        _print_windows(report)
     return 0 if report.windows else 3
+
+
+def _print_windows(report: analysis.WindowReport, *lines: str) -> None:
+    """The target line, then ``lines``, then one line per window."""
+    print(f"target: {' '.join(str(t) for t in report.target)}", *lines, sep="\n")
+    for a, b in report.windows:
+        print(f"window: [{analysis.format_r(a)}, {analysis.format_r(b)})")
 
 
 class _Given(argparse._StoreAction):
@@ -138,13 +141,9 @@ def _cmd_pipeline(parser, args) -> int:
     args.output_dir = args.output_dir or f"grasstri-{args.space}-seed{args.seed}"
     config = analysis.ExperimentConfig(**{dest: getattr(args, dest) for dest in options})
     result = analysis.run_pipeline(config)
-    report = result.report
-    print(f"target: {' '.join(str(t) for t in report.target)}")
-    print(f"simplices: {len(result.filtration)}")
-    for a, b in report.windows:
-        print(f"window: [{analysis.format_r(a)}, {analysis.format_r(b)})")
+    _print_windows(result.report, f"simplices: {len(result.filtration)}")
     print(f"artifacts: {config.output_dir}")
-    return 0 if report.windows else 3
+    return 0 if result.report.windows else 3
 
 
 def build_parser() -> _Parser:

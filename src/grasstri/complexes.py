@@ -40,6 +40,8 @@ class Filtration:
     def __init__(self, values: np.ndarray, dims: np.ndarray, verts: np.ndarray,
                  vertex_count: int):
         self.values, self.vertex_count = np.ascontiguousarray(values, float), int(vertex_count)
+        if self.vertex_count < 0:
+            raise ValueError(f"vertex_count {self.vertex_count} is negative")
         for name, what, a, top in (("dims", "simplex dimension", dims, 2**31),
                                    ("verts", "vertex label", verts, min(self.vertex_count, 2**31))):
             if (a := np.asarray(a)).dtype != np.int32:
@@ -292,7 +294,6 @@ def vietoris_rips(cloud, r_max: float, max_dim: int,
     if not r_max > 0:  # also rejects nan
         raise ValueError("r_max must be positive")
     dist = pairwise_distances(pts)
-    np.fill_diagonal(dist, 0.0)
     return _flag_expand(dist, dist < r_max, max_dim, max_simplices)
 
 
@@ -315,10 +316,6 @@ class LandmarkSet:
         object.__setattr__(self, "indices", idx.astype(np.int64, copy=False))
 
 
-def _distance_rows(pts: np.ndarray, indices) -> np.ndarray:
-    return pairwise_distances(pts[np.asarray(indices, dtype=np.int64)], pts)
-
-
 def maxmin_landmarks(cloud, count: int, rng: np.random.Generator) -> LandmarkSet:
     """Greedy landmark selection maximizing distance to the chosen set.
 
@@ -332,7 +329,7 @@ def maxmin_landmarks(cloud, count: int, rng: np.random.Generator) -> LandmarkSet
     masked = np.full(len(pts), np.inf)
     for i in range(count):
         chosen[i] = nxt
-        table[i] = _distance_rows(pts, [nxt])[0]
+        table[i] = pairwise_distances(pts[nxt:nxt + 1], pts)[0]
         np.minimum(masked, table[i], out=masked)
         masked[nxt] = -1.0
         nxt = int(np.argmax(masked))
@@ -343,7 +340,7 @@ def random_landmarks(cloud, count: int, rng: np.random.Generator) -> LandmarkSet
     """Landmarks drawn uniformly without replacement."""
     pts = _points(cloud, count)
     idx = rng.choice(len(pts), size=count, replace=False)
-    return LandmarkSet(idx, _distance_rows(pts, idx))
+    return LandmarkSet(idx, pairwise_distances(pts[idx], pts))
 
 
 LANDMARKS = ("maxmin", "random")  # methods; callers look up <method>_landmarks at call time
@@ -577,6 +574,8 @@ def read_filtration(path) -> Filtration:
     with open(path, "rb") as fh:
         try:
             dim_max, vertex_count = map(int, fh.readline().split())
+            if min(dim_max, vertex_count) < 0:
+                raise ValueError
         except ValueError:
             raise ValueError(f"malformed filtration header in {path}") from None
 
@@ -590,7 +589,7 @@ def read_filtration(path) -> Filtration:
         values, dims = np.empty(rows), np.empty(rows, np.int32)
         # a row of k labels takes 2k + 1 bytes or more, so size // 2 + 1
         # columns hold every row; a larger dim_max is wrong anyway
-        verts = np.full((rows, min(max(dim_max, 0), size // 2) + 1), -1, np.int32)
+        verts = np.full((rows, min(dim_max, size // 2) + 1), -1, np.int32)
         count = top = 0
         for chunk in chunks:
             text, _, starts, ends, heads = chunk

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -74,28 +73,25 @@ def _check_symbol(sigma: tuple[int, ...], n: int | None = None) -> None:
         raise ValueError(f"symbol entry {sigma[-1]} exceeds ambient dimension {n}")
 
 
-@lru_cache(maxsize=None)
-def _partitions_in_box(r: int, parts: int, largest: int) -> int:
-    """Partitions of r into at most ``parts`` parts, each at most ``largest``."""
-    if r == 0:
-        return 1
-    if r < 0 or parts == 0 or largest == 0:
-        return 0
-    return (_partitions_in_box(r, parts, largest - 1)
-            + _partitions_in_box(r - largest, parts - 1, largest))
-
-
 def betti_mod2(params: GrassmannParams, top_dim: int | None = None) -> tuple[int, ...]:
     """Mod-2 Betti numbers of G_k(R^n) for degrees 0..top_dim.
 
-    The rank in degree r is the number of r-cells, i.e. the number of
-    partitions of r into at most k parts each at most n - k.
+    The rank in degree r is the number of r-cells, the coefficient of q^r in
+    the Gaussian binomial [n choose k]_q, the product over i = 1..k of
+    (1 - q^(n-k+i)) / (1 - q^i). Each factor's constant term is 1, so the
+    coefficients up to top_dim need none above it.
     """
     top_dim = params.dimension if top_dim is None else top_dim
     if not (0 <= top_dim <= params.dimension):
         raise ValueError(f"top_dim must lie in [0, {params.dimension}]")
     k, m = params.k, params.n - params.k
-    return tuple(_partitions_in_box(r, k, m) for r in range(top_dim + 1))
+    coeffs = [1] + [0] * top_dim
+    for i in range(1, k + 1):
+        for r in range(top_dim, m + i - 1, -1):  # times 1 - q^(m+i), from the old terms
+            coeffs[r] -= coeffs[r - m - i]
+        for r in range(i, top_dim + 1):  # divided by 1 - q^i, from the new terms
+            coeffs[r] += coeffs[r - i]
+    return tuple(coeffs)
 
 
 def sample_uniform(params: GrassmannParams, count: int,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from grasstri import analysis, complexes, grassmann, persistence
+from grasstri.grassmann import GrassmannParams
 from simplices import simplex, simplices
 from test_persistence import brute_betti, make_barcode
 
@@ -175,18 +176,18 @@ def test_simplex_count_monotone():
 
 
 # ---------------------------------------------------------------------------
-# parse_space / space_dimension / target_profile
+# parse_space / target_profile
 
 
 def test_parse_space_fixed_names():
-    assert analysis.parse_space("rp2-r4") == ("rp2-r4", ())
-    assert analysis.parse_space(" RP3 ") == ("rp3", ())
-    assert analysis.parse_space("rp2-R5") == ("rp2-r5", ())
+    assert analysis.parse_space("rp2-r4") == ("rp2-r4", GrassmannParams(3, 1))
+    assert analysis.parse_space(" RP3 ") == ("rp3", GrassmannParams(4, 1))
+    assert analysis.parse_space("rp2-R5") == ("rp2-r5", GrassmannParams(3, 1))
 
 
 def test_parse_space_grassmann():
-    assert analysis.parse_space("grassmann-4-2") == ("grassmann", (4, 2))
-    assert analysis.parse_space("g-5-2") == ("grassmann", (5, 2))
+    assert analysis.parse_space("grassmann-4-2") == ("grassmann", GrassmannParams(4, 2))
+    assert analysis.parse_space("g-5-2") == ("grassmann", GrassmannParams(5, 2))
 
 
 def test_parse_space_rejects_unknown():
@@ -198,11 +199,11 @@ def test_parse_space_rejects_unknown():
 
 
 def test_space_dimension():
-    assert analysis.space_dimension("rp2-r4") == 2
-    assert analysis.space_dimension("rp2-r5") == 2
-    assert analysis.space_dimension("rp3") == 3
-    assert analysis.space_dimension("grassmann-4-2") == 4
-    assert analysis.space_dimension("grassmann-5-2") == 6
+    assert analysis.parse_space("rp2-r4")[1].dimension == 2
+    assert analysis.parse_space("rp2-r5")[1].dimension == 2
+    assert analysis.parse_space("rp3")[1].dimension == 3
+    assert analysis.parse_space("grassmann-4-2")[1].dimension == 4
+    assert analysis.parse_space("grassmann-5-2")[1].dimension == 6
 
 
 def test_target_profiles():
@@ -432,18 +433,18 @@ def test_pipeline_respects_simplex_cap(tmp_path):
 # window report files
 
 
-def test_window_report_round_trip(tmp_path):
+def test_window_report_round_trip(shared_dir):
     report = analysis.WindowReport((1, 1, 1), 2, (0.1, 0.2, 0.7),
                                    ((0.2, 0.7), (0.9, INF)))
-    path = tmp_path / "report.txt"
+    path = shared_dir / "report.txt"
     analysis.write_window_report(path, report)
     assert path.read_text() == ("target: 1 1 1\ntop_dim: 2\ncritical_values: 3\n"
                                 "windows: 2\nwindow: [0.2, 0.7)\nwindow: [0.9, inf)\n")
 
 
-def test_window_report_file_layout(tmp_path):
+def test_window_report_file_layout(shared_dir):
     report = analysis.WindowReport((1,), 0, (0.5,), ((0.5, INF),))
-    path = tmp_path / "report.txt"
+    path = shared_dir / "report.txt"
     analysis.write_window_report(path, report)
     lines = path.read_text().splitlines()
     assert lines[0] == "target: 1"

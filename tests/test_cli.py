@@ -110,8 +110,8 @@ def test_library_option_inventory():
 # sample
 
 
-def test_sample_writes_reproducible_cloud(tmp_path, capsys):
-    out = tmp_path / "cloud.txt"
+def test_sample_writes_reproducible_cloud(shared_dir, capsys):
+    out = shared_dir / "cloud.txt"
     code = run(["sample", "--space", "rp2-r4", "--count", "9",
                 "--seed", "3", "--out", str(out)])
     assert code == 0
@@ -120,8 +120,8 @@ def test_sample_writes_reproducible_cloud(tmp_path, capsys):
     assert np.array_equal(cloud, expected)
 
 
-def test_sample_biased_grassmann(tmp_path):
-    out = tmp_path / "cloud.txt"
+def test_sample_biased_grassmann(shared_dir):
+    out = shared_dir / "cloud.txt"
     code = run(["sample", "--space", "grassmann-4-2", "--count", "6",
                 "--seed", "1", "--proportions", "0,0,1,0,0",
                 "--out", str(out)])
@@ -132,17 +132,17 @@ def test_sample_biased_grassmann(tmp_path):
     assert np.array_equal(cloud, expected)
 
 
-def test_sample_rejects_proportions_off_grassmann(tmp_path, capsys):
-    out = tmp_path / "x.txt"
+def test_sample_rejects_proportions_off_grassmann(shared_dir, capsys):
+    out = shared_dir / "x.txt"
     assert run(["sample", "--space", "rp3", "--count", "5", "--seed", "0",
                 "--out", str(out), "--proportions", "1"]) == 2
     assert "proportions only apply to Grassmann spaces" in capsys.readouterr().err
     assert not out.exists()
 
 
-def test_sample_rejects_unknown_space(tmp_path, capsys):
+def test_sample_rejects_unknown_space(shared_dir, capsys):
     code = run(["sample", "--space", "mobius", "--count", "3",
-                "--seed", "0", "--out", str(tmp_path / "c.txt")])
+                "--seed", "0", "--out", str(shared_dir / "c.txt")])
     assert code == 2
     assert "error" in capsys.readouterr().err
 
@@ -161,6 +161,11 @@ def test_betti_top_dim(capsys):
     assert capsys.readouterr().out.strip() == "1 1 2"
 
 
+def test_betti_of_a_large_grassmannian(capsys):
+    assert run(["betti", "--n", "497", "--k", "1", "--top-dim", "2"]) == 0
+    assert capsys.readouterr().out == "1 1 1\n"
+
+
 def test_betti_rejects_bad_params(capsys):
     assert run(["betti", "--n", "2", "--k", "3"]) == 2
 
@@ -169,11 +174,11 @@ def test_betti_rejects_bad_params(capsys):
 # rips
 
 
-def test_rips_matches_library(tmp_path):
+def test_rips_matches_library(shared_dir):
     cloud = circle_cloud()
-    cloud_path = tmp_path / "cloud.txt"
+    cloud_path = shared_dir / "cloud.txt"
     grassmann.write_cloud(cloud_path, cloud)
-    out = tmp_path / "filt.txt"
+    out = shared_dir / "filt.txt"
     code = run(["rips", "--cloud", str(cloud_path), "--r-max", "1.0",
                 "--max-dim", "2", "--out", str(out)])
     assert code == 0
@@ -185,45 +190,45 @@ def test_rips_matches_library(tmp_path):
                for i in range(len(direct)))
 
 
-def test_rips_cap_exits_4(tmp_path, capsys):
-    cloud_path = tmp_path / "cloud.txt"
+def test_rips_cap_exits_4(shared_dir, capsys):
+    cloud_path = shared_dir / "cloud.txt"
     grassmann.write_cloud(cloud_path, circle_cloud(20))
     code = run(["rips", "--cloud", str(cloud_path), "--r-max", "2.5",
                 "--max-dim", "3", "--max-simplices", "10",
-                "--out", str(tmp_path / "f.txt")])
+                "--out", str(shared_dir / "f.txt")])
     assert code == 4
     assert "resource limit" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cap", ["0", "-1"])
 @pytest.mark.parametrize("command", ["rips", "witness", "pipeline"])
-def test_max_simplices_below_1_writes_nothing(tmp_path, capsys, command, cap):
-    cloud_path = tmp_path / "cloud.txt"
+def test_max_simplices_below_1_writes_nothing(shared_dir, capsys, command, cap):
+    cloud_path = shared_dir / "cloud.txt"
     grassmann.write_cloud(cloud_path, circle_cloud(20))
-    build = ["--cloud", str(cloud_path), "--max-dim", "2", "--out", str(tmp_path / "f.txt")]
+    build = ["--cloud", str(cloud_path), "--max-dim", "2", "--out", str(shared_dir / "f.txt")]
     argv = {
         "rips": ["rips", *build],
         "witness": ["witness", *build, "--landmark-count", "5", "--seed", "0",
-                    "--landmarks-out", str(tmp_path / "landmarks.txt")],
+                    "--landmarks-out", str(shared_dir / "landmarks.txt")],
         "pipeline": ["pipeline", "--space", "rp2-r4", "--points", "20",
-                     "--outdir", str(tmp_path / "run")],
+                     "--outdir", str(shared_dir / "run")],
     }[command]
     assert run([*argv, "--max-simplices", cap]) == 2
     assert "max_simplices must be positive" in capsys.readouterr().err
-    assert [p.name for p in tmp_path.iterdir()] == ["cloud.txt"]
+    assert [p.name for p in shared_dir.iterdir()] == ["cloud.txt"]
 
 
-def test_rips_missing_cloud_exits_2(tmp_path, capsys):
-    code = run(["rips", "--cloud", str(tmp_path / "absent.txt"),
-                "--max-dim", "2", "--out", str(tmp_path / "f.txt")])
+def test_rips_missing_cloud_exits_2(shared_dir, capsys):
+    code = run(["rips", "--cloud", str(shared_dir / "absent.txt"),
+                "--max-dim", "2", "--out", str(shared_dir / "f.txt")])
     assert code == 2
 
 
 @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
-def test_rips_rejects_non_finite_cloud(tmp_path, capsys, token):
-    cloud_path = tmp_path / "cloud.txt"
+def test_rips_rejects_non_finite_cloud(shared_dir, capsys, token):
+    cloud_path = shared_dir / "cloud.txt"
     cloud_path.write_text(f"0 0\n1 0\n0 {token}\n")
-    out = tmp_path / "f.txt"
+    out = shared_dir / "f.txt"
     code = run(["rips", "--cloud", str(cloud_path), "--r-max", "2.0",
                 "--max-dim", "1", "--out", str(out)])
     assert code == 2
@@ -232,10 +237,10 @@ def test_rips_rejects_non_finite_cloud(tmp_path, capsys, token):
 
 
 @pytest.mark.parametrize("command", ["rips", "witness"])
-def test_malformed_cloud_names_file_and_line(tmp_path, capsys, command):
-    cloud_path = tmp_path / "cloud.txt"
+def test_malformed_cloud_names_file_and_line(shared_dir, capsys, command):
+    cloud_path = shared_dir / "cloud.txt"
     cloud_path.write_text("0.1 0.2\n\n0.3 x\n")
-    out = tmp_path / "f.txt"
+    out = shared_dir / "f.txt"
     argv = {"rips": ["rips", "--r-max", "2.0"],
             "witness": ["witness", "--landmark-count", "2", "--seed", "0"]}
     code = run([*argv[command], "--cloud", str(cloud_path), "--max-dim", "1", "--out", str(out)])
@@ -245,31 +250,31 @@ def test_malformed_cloud_names_file_and_line(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["rips", "witness", "pipeline", "pipeline-witness"])
-def test_nan_r_max_exits_2(tmp_path, capsys, command):
-    cloud_path = tmp_path / "cloud.txt"
+def test_nan_r_max_exits_2(shared_dir, capsys, command):
+    cloud_path = shared_dir / "cloud.txt"
     grassmann.write_cloud(cloud_path, analysis.sample_space(
         "rp2-r4", 30, np.random.default_rng(0)))
-    out = tmp_path / "f.txt"
+    out = shared_dir / "f.txt"
     argv = {
         "rips": ["rips", "--cloud", str(cloud_path), "--max-dim", "2", "--out", str(out)],
         "witness": ["witness", "--cloud", str(cloud_path), "--landmark-count", "8",
                     "--seed", "1", "--max-dim", "2", "--out", str(out)],
         "pipeline": ["pipeline", "--space", "rp2-r4", "--points", "30",
-                     "--outdir", str(tmp_path / "run")],
+                     "--outdir", str(shared_dir / "run")],
         "pipeline-witness": ["pipeline", "--space", "rp2-r4", "--points", "30",
                              "--complex", "witness", "--landmark-count", "8",
-                             "--outdir", str(tmp_path / "run")],
+                             "--outdir", str(shared_dir / "run")],
     }[command]
     assert run(argv + ["--r-max", "nan"]) == 2
     assert "r_max" in capsys.readouterr().err
     assert not out.exists()
-    assert not (tmp_path / "run" / "filtration.txt").exists()
+    assert not (shared_dir / "run" / "filtration.txt").exists()
 
 
 @pytest.mark.parametrize("complex_kind, r_max", [
     ("rips", "nan"), ("rips", "-1"), ("rips", "0"), ("witness", "nan"), ("witness", "-1")])
-def test_pipeline_bad_r_max_writes_nothing(tmp_path, capsys, complex_kind, r_max):
-    outdir = tmp_path / "run"
+def test_pipeline_bad_r_max_writes_nothing(shared_dir, capsys, complex_kind, r_max):
+    outdir = shared_dir / "run"
     argv = ["pipeline", "--space", "rp2-r4", "--points", "30", "--complex", complex_kind,
             "--r-max", r_max, "--outdir", str(outdir)]
     if complex_kind == "witness":
@@ -289,8 +294,8 @@ def test_pipeline_bad_r_max_writes_nothing(tmp_path, capsys, complex_kind, r_max
       "--landmark-count", "50"], "landmark_count"),
 ], ids=["top-dim-above-max-dim", "negative-max-dim", "top-dim-above-both",
         "landmarks-exceed-points"])
-def test_pipeline_bad_options_write_nothing(tmp_path, capsys, options, message):
-    outdir = tmp_path / "run"
+def test_pipeline_bad_options_write_nothing(shared_dir, capsys, options, message):
+    outdir = shared_dir / "run"
     assert run(["pipeline", *options, "--outdir", str(outdir)]) == 2
     assert re.search(message, capsys.readouterr().err)
     assert not outdir.exists() or not any(outdir.iterdir())
@@ -300,12 +305,12 @@ def test_pipeline_bad_options_write_nothing(tmp_path, capsys, options, message):
 # witness
 
 
-def test_witness_matches_library(tmp_path):
+def test_witness_matches_library(shared_dir):
     cloud = circle_cloud(30, seed=5)
-    cloud_path = tmp_path / "cloud.txt"
+    cloud_path = shared_dir / "cloud.txt"
     grassmann.write_cloud(cloud_path, cloud)
-    filt_path = tmp_path / "filt.txt"
-    marks_path = tmp_path / "landmarks.txt"
+    filt_path = shared_dir / "filt.txt"
+    marks_path = shared_dir / "landmarks.txt"
     code = run(["witness", "--cloud", str(cloud_path),
                 "--landmark-count", "8", "--seed", "2",
                 "--r-max", "0.6", "--max-dim", "2",
@@ -319,11 +324,11 @@ def test_witness_matches_library(tmp_path):
     assert np.array_equal(stored.values, direct.values)
 
 
-def test_witness_random_method(tmp_path):
+def test_witness_random_method(shared_dir):
     cloud = circle_cloud(20, seed=6)
-    cloud_path = tmp_path / "cloud.txt"
+    cloud_path = shared_dir / "cloud.txt"
     grassmann.write_cloud(cloud_path, cloud)
-    filt_path = tmp_path / "filt.txt"
+    filt_path = shared_dir / "filt.txt"
     code = run(["witness", "--cloud", str(cloud_path),
                 "--landmark-count", "5", "--landmark-method", "random",
                 "--seed", "3", "--r-max", "0.5", "--max-dim", "1",
@@ -339,13 +344,13 @@ def test_witness_random_method(tmp_path):
 # persist
 
 
-def test_persist_matches_library(tmp_path):
+def test_persist_matches_library(shared_dir):
     cloud = circle_cloud()
     filtration = complexes.vietoris_rips(cloud, 1.2, 2)
-    filt_path = tmp_path / "filt.txt"
+    filt_path = shared_dir / "filt.txt"
     complexes.write_filtration(filt_path, filtration)
-    csv_path = tmp_path / "barcode.csv"
-    svg_path = tmp_path / "barcode.svg"
+    csv_path = shared_dir / "barcode.csv"
+    svg_path = shared_dir / "barcode.svg"
     code = run(["persist", "--filtration", str(filt_path), "--max-dim", "1",
                 "--out-csv", str(csv_path), "--out-svg", str(svg_path)])
     assert code == 0
@@ -377,26 +382,30 @@ def test_persist_matches_library(tmp_path):
     ("0 11\n0 0\n0 1_0\n", "filt.txt:3: '1_0' is not a label of ASCII decimal digits"),
     ("0 1\n0 000002147483648\n", "filt.txt:2: vertex label 2147483648 outside [0, 1)"),
     ("0 2\n0 0\n0 5\n", "filt.txt:3: vertex label 5 outside [0, 2)"),
+    ("0 -3\n", "malformed filtration header"),
+    ("0 -3\n0 0\n", "malformed filtration header"),
+    ("-1 0\n", "malformed filtration header"),
 ], ids=["unsorted-vertices", "label-range", "row-order", "duplicate-row", "header-dim",
         "edge-before-vertices", "missing-vertex", "missing-edge", "label-above-int32",
         "label-wraps-to-zero", "label-above-int64", "label-not-int", "label-float",
         "value-not-float", "header-not-int", "value-inf", "value-minus-inf",
         "label-plus-sign", "label-minus-sign", "label-underscore", "label-zero-padded",
-        "label-above-count"])
-def test_persist_rejects_malformed_filtration(tmp_path, capsys, text, message):
-    filt_path = tmp_path / "filt.txt"
+        "label-above-count", "header-negative-count", "header-negative-count-with-rows",
+        "header-negative-dim"])
+def test_persist_rejects_malformed_filtration(shared_dir, capsys, text, message):
+    filt_path = shared_dir / "filt.txt"
     filt_path.write_text(text)
     code = run(["persist", "--filtration", str(filt_path),
-                "--out-csv", str(tmp_path / "barcode.csv")])
+                "--out-csv", str(shared_dir / "barcode.csv")])
     assert code == 2
     assert message in capsys.readouterr().err
 
 
-def test_persist_default_max_dim(tmp_path):
+def test_persist_default_max_dim(shared_dir):
     filtration = complexes.vietoris_rips(circle_cloud(6), 2.5, 2)
-    filt_path = tmp_path / "filt.txt"
+    filt_path = shared_dir / "filt.txt"
     complexes.write_filtration(filt_path, filtration)
-    csv_path = tmp_path / "barcode.csv"
+    csv_path = shared_dir / "barcode.csv"
     assert run(["persist", "--filtration", str(filt_path),
                 "--out-csv", str(csv_path)]) == 0
     stored = persistence.read_barcode(csv_path)
@@ -404,10 +413,10 @@ def test_persist_default_max_dim(tmp_path):
     assert stored == persistence.barcodes(filtration, 1)
 
 
-def test_persist_rejects_uncertified_degrees(tmp_path, monkeypatch, capsys):
+def test_persist_rejects_uncertified_degrees(shared_dir, monkeypatch, capsys):
     # a witness filtration up to dimension 3 certifies degrees 0-2 only: its
     # 3-cycles have no 4-simplices to kill them, and read as essential bars
-    monkeypatch.chdir(tmp_path)
+    monkeypatch.chdir(shared_dir)
     assert run(["sample", "--space", "rp3", "--count", "50", "--seed", "0",
                 "--out", "cloud.txt"]) == 0
     assert run(["witness", "--cloud", "cloud.txt", "--landmark-count", "10", "--seed", "1",
@@ -423,7 +432,7 @@ def test_persist_rejects_uncertified_degrees(tmp_path, monkeypatch, capsys):
         assert run(["persist", *argv, "--out-csv", "b.csv", "--out-svg", "b.svg"]) == 2
         assert capsys.readouterr().err == (f"grasstri: error: {argv[1]} ends at dimension "
                                            f"{top}, too low for degree {degree}\n")
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["cloud.txt", "f.txt",
+        assert sorted(p.name for p in shared_dir.iterdir()) == ["cloud.txt", "f.txt",
                                                                 "vertices.txt"]
     # the default and the largest accepted degree are one below the top dimension
     for max_dim in ([], ["--max-dim", "2"]):
@@ -431,32 +440,32 @@ def test_persist_rejects_uncertified_degrees(tmp_path, monkeypatch, capsys):
         assert persistence.read_barcode("b.csv") == persistence.barcodes(filtration, 2)
 
 
-def test_persist_largest_label(tmp_path):
+def test_persist_largest_label(shared_dir):
     # the facet lookup's label table is sized by the labels in use, not the largest
-    filt_path = tmp_path / "filt.txt"
+    filt_path = shared_dir / "filt.txt"
     filt_path.write_text("1 2147483648\n0 0\n0 2147483647\n1 0 2147483647\n")
-    csv_path = tmp_path / "barcode.csv"
+    csv_path = shared_dir / "barcode.csv"
     assert run(["persist", "--filtration", str(filt_path), "--out-csv", str(csv_path)]) == 0
     assert csv_path.read_text() == "degree,birth,death\n0,0,1\n0,0,inf\n"
 
 
-def test_persist_empty_filtration(tmp_path):
-    filt_path = tmp_path / "filt.txt"
+def test_persist_empty_filtration(shared_dir):
+    filt_path = shared_dir / "filt.txt"
     filt_path.write_text("0 0\n")
-    csv_path = tmp_path / "barcode.csv"
+    csv_path = shared_dir / "barcode.csv"
     assert run(["persist", "--filtration", str(filt_path),
                 "--out-csv", str(csv_path)]) == 0
     assert csv_path.read_text() == "degree,birth,death\n"
 
 
-def test_persist_negative_max_dim_writes_nothing(tmp_path, capsys):
-    filt_path = tmp_path / "filt.txt"
+def test_persist_negative_max_dim_writes_nothing(shared_dir, capsys):
+    filt_path = shared_dir / "filt.txt"
     complexes.write_filtration(filt_path, complexes.vietoris_rips(circle_cloud(6), 2.5, 2))
-    csv_path = tmp_path / "barcode.csv"
+    csv_path = shared_dir / "barcode.csv"
     assert run(["persist", "--filtration", str(filt_path), "--max-dim", "-1",
-                "--out-csv", str(csv_path), "--out-svg", str(tmp_path / "b.svg")]) == 2
+                "--out-csv", str(csv_path), "--out-svg", str(shared_dir / "b.svg")]) == 2
     assert "max_dim must be nonnegative" in capsys.readouterr().err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["filt.txt"]
+    assert sorted(p.name for p in shared_dir.iterdir()) == ["filt.txt"]
 
 
 # ---------------------------------------------------------------------------
@@ -470,8 +479,8 @@ def barcode_file(tmp_path):
     return path
 
 
-def test_window_with_target_match(tmp_path, capsys):
-    code = run(["window", "--barcode", str(barcode_file(tmp_path)),
+def test_window_with_target_match(shared_dir, capsys):
+    code = run(["window", "--barcode", str(barcode_file(shared_dir)),
                 "--target", "1,1"])
     assert code == 0
     out = capsys.readouterr().out
@@ -479,49 +488,56 @@ def test_window_with_target_match(tmp_path, capsys):
     assert "window: [0.3, 0.9)" in out
 
 
-def test_window_no_match_exits_3(tmp_path, capsys):
-    code = run(["window", "--barcode", str(barcode_file(tmp_path)),
+def test_window_no_match_exits_3(shared_dir, capsys):
+    code = run(["window", "--barcode", str(barcode_file(shared_dir)),
                 "--target", "2,2"])
     assert code == 3
 
 
-def test_window_space_target(tmp_path, capsys):
+def test_window_space_target(shared_dir, capsys):
     # rp2-r4 with top-dim 1 truncates the target to (1, 1)
-    code = run(["window", "--barcode", str(barcode_file(tmp_path)),
+    code = run(["window", "--barcode", str(barcode_file(shared_dir)),
                 "--space", "rp2-r4", "--top-dim", "1"])
     assert code == 0
     assert "window: [0.3, 0.9)" in capsys.readouterr().out
 
 
-def test_window_requires_target_or_space(tmp_path, capsys):
-    code = run(["window", "--barcode", str(barcode_file(tmp_path))])
+def test_window_space_target_of_a_large_grassmannian(shared_dir, capsys):
+    code = run(["window", "--barcode", str(barcode_file(shared_dir)),
+                "--space", "grassmann-1200-1", "--top-dim", "1"])
+    assert code == 0
+    assert capsys.readouterr().out == "target: 1 1\nwindow: [0.3, 0.9)\n"
+
+
+def test_window_requires_target_or_space(shared_dir, capsys):
+    code = run(["window", "--barcode", str(barcode_file(shared_dir))])
     assert code == 2
     assert "required" in capsys.readouterr().err
 
 
-def test_window_rejects_empty_target(tmp_path, capsys):
-    out = tmp_path / "report.txt"
-    assert run(["window", "--barcode", str(barcode_file(tmp_path)),
+def test_window_rejects_empty_target(shared_dir, capsys):
+    out = shared_dir / "report.txt"
+    assert run(["window", "--barcode", str(barcode_file(shared_dir)),
                 "--target", ",", "--out", str(out)]) == 2
     assert "top_dim must be nonnegative" in capsys.readouterr().err
     assert not out.exists()
 
 
-def test_window_rejects_target_with_space(tmp_path, capsys):
-    assert run(["window", "--barcode", str(barcode_file(tmp_path)),
+def test_window_rejects_target_with_space(shared_dir, capsys):
+    assert run(["window", "--barcode", str(barcode_file(shared_dir)),
                 "--target", "1,1", "--space", "rp3"]) == 2
     assert "not allowed with" in capsys.readouterr().err
 
 
-def test_window_rejects_bar_born_at_infinity(tmp_path, capsys):
-    path = tmp_path / "barcode.csv"
+def test_window_rejects_bar_born_at_infinity(shared_dir, capsys):
+    path = shared_dir / "barcode.csv"
     path.write_text("degree,birth,death\n0,inf,inf\n")
     assert run(["window", "--barcode", str(path), "--target", "0"]) == 2
     assert "degree 0 interval (inf, inf) needs a finite birth" in capsys.readouterr().err
 
 
-def test_window_rejects_negative_degree(tmp_path, capsys):
-    path = tmp_path / "barcode.csv"
+def test_window_rejects_negative_degree(shared_dir, capsys):
+    path = shared_dir / "barcode.csv"
     path.write_text("degree,birth,death\n-1,0,1\n0,0,inf\n")
     assert run(["window", "--barcode", str(path), "--target", "1"]) == 2
     err = capsys.readouterr().err
@@ -542,17 +558,17 @@ def test_window_rejects_negative_degree(tmp_path, capsys):
     ("1,0.5,1_0", "'1,0.5,1_0' has a character not ASCII, or '_'"),
 ], ids=["short", "four-fields", "float-degree", "bad-birth", "bad-death",
         "arabic-indic-degree", "arabic-indic-birth", "underscore-degree", "underscore-death"])
-def test_window_locates_bad_barcode_row(tmp_path, capsys, row, message):
-    path, out = tmp_path / "barcode.csv", tmp_path / "report.txt"
+def test_window_locates_bad_barcode_row(shared_dir, capsys, row, message):
+    path, out = shared_dir / "barcode.csv", shared_dir / "report.txt"
     path.write_text(f"degree,birth,death\n0,0,inf\n\n{row}\n1,0.2,0.4\n")
     assert run(["window", "--barcode", str(path), "--target", "1,1", "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"grasstri: error: {path}:4: {message}\n"
     assert not out.exists()
 
 
-def test_window_report_file(tmp_path):
-    out = tmp_path / "report.txt"
-    code = run(["window", "--barcode", str(barcode_file(tmp_path)),
+def test_window_report_file(shared_dir):
+    out = shared_dir / "report.txt"
+    code = run(["window", "--barcode", str(barcode_file(shared_dir)),
                 "--target", "1 1", "--out", str(out)])
     assert code == 0
     assert out.read_text() == ("target: 1 1\ntop_dim: 1\ncritical_values: 3\n"
@@ -639,9 +655,9 @@ def test_pipeline_flags_are_the_experiment_fields():
 
 @pytest.mark.parametrize("joined", [False, True], ids=["separate", "joined"])
 @pytest.mark.parametrize("action", EXPERIMENT_FLAGS, ids=lambda a: a.option_strings[0])
-def test_pipeline_config_rejects_every_other_flag(tmp_path, monkeypatch, capsys, action, joined):
-    monkeypatch.chdir(tmp_path)  # a stray --outdir would land here
-    config = valid_config(tmp_path)
+def test_pipeline_config_rejects_every_other_flag(shared_dir, monkeypatch, capsys, action, joined):
+    monkeypatch.chdir(shared_dir)  # a stray --outdir would land here
+    config = valid_config(shared_dir)
     option = action.option_strings[0]
     # the default where there is one (so --seed 0), else a value the flag accepts
     value = str(action.default if action.default is not None
@@ -649,23 +665,23 @@ def test_pipeline_config_rejects_every_other_flag(tmp_path, monkeypatch, capsys,
     flag = [f"{option}={value}"] if joined else [option, value]
     assert run(["pipeline", "--config", str(config), *flag]) == 2
     assert f"--config and {option} are mutually exclusive" in capsys.readouterr().err
-    assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
+    assert [p.name for p in shared_dir.iterdir()] == ["exp.cfg"]
 
 
-def test_pipeline_config_names_first_other_flag(tmp_path, capsys):
-    config = valid_config(tmp_path)
+def test_pipeline_config_names_first_other_flag(shared_dir, capsys):
+    config = valid_config(shared_dir)
     assert run(["pipeline", "--config", str(config), "--seed", "5", "--points=99",
-                "--outdir", str(tmp_path / "X")]) == 2
+                "--outdir", str(shared_dir / "X")]) == 2
     assert "--config and --seed are mutually exclusive" in capsys.readouterr().err
-    assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
+    assert [p.name for p in shared_dir.iterdir()] == ["exp.cfg"]
 
 
-def test_pipeline_config_value_parsed_by_its_flag(tmp_path, capsys):
-    config = valid_config(tmp_path)
+def test_pipeline_config_value_parsed_by_its_flag(shared_dir, capsys):
+    config = valid_config(shared_dir)
     config.write_text(config.read_text() + "kind = bogus\n")
     assert run(["pipeline", "--config", str(config)]) == 2
     assert "argument --complex: invalid choice: 'bogus'" in capsys.readouterr().err
-    assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
+    assert [p.name for p in shared_dir.iterdir()] == ["exp.cfg"]
 
 
 @pytest.mark.parametrize("line, message", [
@@ -680,24 +696,24 @@ def test_pipeline_config_value_parsed_by_its_flag(tmp_path, capsys):
     ("proportions = 1,1_0,1,1,1",
      "proportions: argument --proportions: invalid fractions value: '1,1_0,1,1,1'"),
 ])
-def test_pipeline_config_bad_value_names_file_line_and_key(tmp_path, capsys, line, message):
-    config = valid_config(tmp_path)
+def test_pipeline_config_bad_value_names_file_line_and_key(shared_dir, capsys, line, message):
+    config = valid_config(shared_dir)
     key = line.split("=")[0].strip()
     # a key may be given only once, so a valid line of the same key becomes a comment
     text = config.read_text().replace(f"\n{key} =", f"\n# {key} =")
     config.write_text(text + "# comment\n" + line + "\n")
     assert run(["pipeline", "--config", str(config)]) == 2
     assert f"grasstri: error: {config}:5: {message}" in capsys.readouterr().err
-    assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
+    assert [p.name for p in shared_dir.iterdir()] == ["exp.cfg"]
 
 
-def test_pipeline_config_repeated_key_exits_2(tmp_path, capsys):
-    config = valid_config(tmp_path)
+def test_pipeline_config_repeated_key_exits_2(shared_dir, capsys):
+    config = valid_config(shared_dir)
     config.write_text(config.read_text() + "seed = 1\n# comment\nseed = 2\n")
     assert run(["pipeline", "--config", str(config)]) == 2
     assert capsys.readouterr().err == \
         f"grasstri: error: {config}:6: seed: already given at line 4\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
+    assert [p.name for p in shared_dir.iterdir()] == ["exp.cfg"]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -709,23 +725,23 @@ def test_pipeline_config_repeated_key_exits_2(tmp_path, capsys):
       "--outdir", "{tmp}/out"], "proportions need at least one fraction"),
     (["pipeline", "--config", "{tmp}/exp.cfg"], "proportions need at least one fraction"),
 ], ids=["sample", "sample-grassmann", "pipeline", "config"])
-def test_empty_proportions_exit_2_and_write_nothing(tmp_path, capsys, argv, message):
-    (tmp_path / "exp.cfg").write_text(
-        f"space = grassmann-4-2\nsample_size = 12\nproportions =\noutput_dir = {tmp_path}/out\n")
-    assert run([a.format(tmp=tmp_path) for a in argv]) == 2
+def test_empty_proportions_exit_2_and_write_nothing(shared_dir, capsys, argv, message):
+    (shared_dir / "exp.cfg").write_text(
+        f"space = grassmann-4-2\nsample_size = 12\nproportions =\noutput_dir = {shared_dir}/out\n")
+    assert run([a.format(tmp=shared_dir) for a in argv]) == 2
     assert message in capsys.readouterr().err
-    assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
+    assert [p.name for p in shared_dir.iterdir()] == ["exp.cfg"]
 
 
-def test_pipeline_config_missing_sample_size(tmp_path, capsys):
-    config = tmp_path / "exp.cfg"
+def test_pipeline_config_missing_sample_size(shared_dir, capsys):
+    config = shared_dir / "exp.cfg"
     config.write_text("space = rp3\n")
     assert run(["pipeline", "--config", str(config)]) == 2
     assert "missing config key 'sample_size'" in capsys.readouterr().err
 
 
-def test_pipeline_config_and_space_conflict(tmp_path, capsys):
-    config = tmp_path / "exp.cfg"
+def test_pipeline_config_and_space_conflict(shared_dir, capsys):
+    config = shared_dir / "exp.cfg"
     config.write_text("space = rp3\n")
     code = run(["pipeline", "--config", str(config), "--space", "rp3"])
     assert code == 2
@@ -737,22 +753,22 @@ def test_pipeline_requires_space_or_config(capsys):
     assert "required" in capsys.readouterr().err
 
 
-def test_pipeline_config_unknown_key(tmp_path, capsys):
-    config = tmp_path / "exp.cfg"
+def test_pipeline_config_unknown_key(shared_dir, capsys):
+    config = shared_dir / "exp.cfg"
     config.write_text("space = rp3\nsample_size = 10\nvolume = 11\n")
     assert run(["pipeline", "--config", str(config)]) == 2
     assert "unknown config keys" in capsys.readouterr().err
 
 
-def test_pipeline_config_missing_space(tmp_path, capsys):
-    config = tmp_path / "exp.cfg"
+def test_pipeline_config_missing_space(shared_dir, capsys):
+    config = shared_dir / "exp.cfg"
     config.write_text("sample_size = 10\n")
     assert run(["pipeline", "--config", str(config)]) == 2
     assert "space" in capsys.readouterr().err
 
 
-def test_pipeline_config_malformed_line(tmp_path, capsys):
-    config = tmp_path / "exp.cfg"
+def test_pipeline_config_malformed_line(shared_dir, capsys):
+    config = shared_dir / "exp.cfg"
     config.write_text("space rp3\n")
     assert run(["pipeline", "--config", str(config)]) == 2
 
@@ -836,23 +852,23 @@ LINE_20 = "".join(f"{i} 0\n" for i in range(20))  # 20 distinct points
         "negative-fraction", "no-such-cell", "config-and-flag", "no-space",
         "points-arabic-indic-digit", "r-max-underscore", "target-arabic-indic-digit",
         "proportions-underscore"])
-def test_library_error_message_exits_2(tmp_path, monkeypatch, capsys, argv, inputs, stderr):
-    monkeypatch.chdir(tmp_path)
+def test_library_error_message_exits_2(shared_dir, monkeypatch, capsys, argv, inputs, stderr):
+    monkeypatch.chdir(shared_dir)
     for name, text in inputs.items():
-        (tmp_path / name).write_text(text)
+        (shared_dir / name).write_text(text)
     assert run(argv) == 2
     assert capsys.readouterr().err == stderr
-    assert sorted(p.name for p in tmp_path.rglob("*") if p.is_file()) == sorted(inputs)
+    assert sorted(p.name for p in shared_dir.rglob("*") if p.is_file()) == sorted(inputs)
 
 
 @pytest.mark.parametrize("proportions, dim", [("0.5,nan,0.5", 1), ("nan", 0)])
 @pytest.mark.parametrize("command", ["sample", "pipeline"])
-def test_nan_fraction_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys, command,
+def test_nan_fraction_exits_2_and_writes_nothing(shared_dir, monkeypatch, capsys, command,
                                                  proportions, dim):
-    monkeypatch.chdir(tmp_path)
+    monkeypatch.chdir(shared_dir)
     argv = {"sample": ["sample", "--count", "5", "--seed", "0", "--out", "c.txt"],
             "pipeline": ["pipeline", "--points", "12", "--outdir", "out"]}[command]
     assert run([*argv, "--space", "grassmann-4-2", "--proportions", proportions]) == 2
     assert capsys.readouterr().err == \
         f"grasstri: error: fraction for dimension {dim} is not a number\n"
-    assert not any(tmp_path.iterdir())
+    assert not any(shared_dir.iterdir())

@@ -291,6 +291,11 @@ def test_validate_refuses_a_dimension_past_the_vertex_columns():
         f.validate()
 
 
+def test_constructor_refuses_a_negative_vertex_count():
+    with pytest.raises(ValueError, match=r"^vertex_count -5 is negative$"):
+        Filtration(np.zeros(0), np.zeros(0, np.int32), np.zeros((0, 1), np.int32), -5)
+
+
 def gate_entries(kind):
     """Entries of one array kind: int64, float64 (some not integers) or Python ints
     in an object array (some past int64)."""
@@ -566,7 +571,7 @@ def test_witness_edge_values_second_nearest_one_ulp_apart():
     # unshifted distances: edge (0, 1) is 2**-52, and stays out at r_max = 0
     cloud = np.array([[0.0], [-(0.5 + 2**-53)], [1.75 + 2**-52], [1.75], [1.8]])
     idx = np.arange(1, 5)
-    landmarks = LandmarkSet(idx, complexes._distance_rows(cloud, idx))
+    landmarks = LandmarkSet(idx, linalg.pairwise_distances(cloud[idx], cloud))
     expected = reference_witness_edge_values(landmarks)
     assert expected[0, 1] == 2**-52
     for budget in (linalg.BLOCK_BYTES, 8 * len(idx)):
@@ -717,11 +722,11 @@ def test_witness_filtration_nesting():
         assert large[simplex] == value
 
 
-def test_filtration_round_trip(tmp_path):
+def test_filtration_round_trip(shared_dir):
     rng = np.random.default_rng(12)
     cloud = rng.standard_normal((10, 3))
     f = complexes.vietoris_rips(cloud, 2.0, 2)
-    path = tmp_path / "filtration.txt"
+    path = shared_dir / "filtration.txt"
     complexes.write_filtration(path, f)
     back = complexes.read_filtration(path)
     assert back == f
@@ -730,17 +735,17 @@ def test_filtration_round_trip(tmp_path):
     assert f != 1
 
 
-def test_filtration_file_format(tmp_path):
+def test_filtration_file_format(shared_dir):
     f = from_simplices(
         [Simplex((0,), 0.0), Simplex((1,), 0.0), Simplex((0, 1), 0.25)],
         vertex_count=2)
-    path = tmp_path / "f.txt"
+    path = shared_dir / "f.txt"
     complexes.write_filtration(path, f)
     lines = path.read_text().splitlines()
     assert lines[0] == "1 2"
     assert lines[1] == "0 0"
     assert lines[3] == "0.25 0 1"
-    bad = tmp_path / "bad.txt"
+    bad = shared_dir / "bad.txt"
     bad.write_text("1\n")
     with pytest.raises(ValueError):
         complexes.read_filtration(bad)
@@ -786,7 +791,7 @@ def test_write_filtration_matches_reference(tmp_path_factory, kind, points, max_
     assert_writes_reference(f, tmp_path_factory.getbasetemp())  # not a directory an example
 
 
-def test_write_filtration_edge_cases(tmp_path):
+def test_write_filtration_edge_cases(shared_dir):
     top = 2**31 - 1
     f = from_simplices(
         [Simplex((v,), 0.0) for v in (0, 7, top - 1, top)]
@@ -794,17 +799,17 @@ def test_write_filtration_edge_cases(tmp_path):
            Simplex((0, 7, top), 1 / 3), Simplex((top - 1, top), 1.0),
            Simplex((0, top - 1), 1e300)],
         vertex_count=2**31)
-    path = assert_writes_reference(f, tmp_path)
+    path = assert_writes_reference(f, shared_dir)
     assert complexes.read_filtration(path) == f
     assert path.read_text().splitlines()[5:] == [
         "4.9406564584124654e-324 0 7", "1e-300 0 2147483647",
         "0.10000000000000001 7 2147483647", "0.33333333333333331 0 7 2147483647",
         "1 2147483646 2147483647", "1.0000000000000001e+300 0 2147483646"]
 
-    empty = assert_writes_reference(from_simplices([], vertex_count=3), tmp_path)
+    empty = assert_writes_reference(from_simplices([], vertex_count=3), shared_dir)
     assert empty.read_text() == "0 3\n"
     vertices = from_simplices([Simplex((v,), 0.0) for v in range(7)], vertex_count=9)
-    path = assert_writes_reference(vertices, tmp_path)
+    path = assert_writes_reference(vertices, shared_dir)
     assert path.read_text() == "0 9\n" + "".join(f"0 {v}\n" for v in range(7))
 
     # -0.0 and 0.0 compare equal, so they share a block and interleave in
@@ -812,19 +817,19 @@ def test_write_filtration_edge_cases(tmp_path):
     signed = from_simplices(
         [Simplex((0,), -0.0), Simplex((1,), 0.0), Simplex((2,), -0.0), Simplex((0, 1), -0.0),
          Simplex((0, 2), 0.0), Simplex((1, 2), 0.5)], vertex_count=3)
-    path = assert_writes_reference(signed, tmp_path)
+    path = assert_writes_reference(signed, shared_dir)
     assert path.read_text().splitlines()[1:] == ["-0 0", "0 1", "-0 2", "-0 0 1", "0 0 2",
                                                  "0.5 1 2"]
     assert complexes.read_filtration(path).values.tobytes() == signed.values.tobytes()
     # one distinct value in a block, and blocks of one and of three rows
     for rows in (1, 3, linalg.BLOCK_BYTES // 128):
         for f in (signed, vertices):
-            assert_writes_reference(f, tmp_path, rows)
+            assert_writes_reference(f, shared_dir, rows)
 
 
 @pytest.mark.parametrize("rows", [1, 3])
 @pytest.mark.parametrize("past", [0, 1], ids=["at-size", "past-size"])
-def test_write_filtration_at_the_label_rule_edge(tmp_path, rows, past):
+def test_write_filtration_at_the_label_rule_edge(shared_dir, rows, past):
     # a block of `rows` rows of width 2 has 2 * rows entries: labels up to that
     # many index the label texts directly, and one past it they are ranked
     top = 2 * rows + past
@@ -835,14 +840,14 @@ def test_write_filtration_at_the_label_rule_edge(tmp_path, rows, past):
     slots, labels = complexes._label_slots(block)
     assert (slots is block) == (not past)
     assert labels.tolist() == (list(range(top + 1)) if not past else [0, top])
-    assert_writes_reference(f, tmp_path, rows)
+    assert_writes_reference(f, shared_dir, rows)
 
 
-def test_write_filtration_memory_is_bounded(tmp_path, monkeypatch):
+def test_write_filtration_memory_is_bounded(shared_dir, monkeypatch):
     f = complexes.vietoris_rips(np.random.default_rng(3).standard_normal((40, 3)), 2.2, 4)
     assert 15_000 < len(f) < 30_000
     monkeypatch.setattr(linalg, "BLOCK_BYTES", 128 * 64)  # 64-row blocks
-    path = tmp_path / "filtration.txt"
+    path = shared_dir / "filtration.txt"
     complexes.write_filtration(path, f)  # keeps one-time imports and caches out of the trace
     tracemalloc.start()
     try:
@@ -943,10 +948,10 @@ def test_read_filtration_matches_reference(tmp_path_factory, kind, points, max_d
     ("0\t197 \t1.5\r", "invalid literal for int() with base 10: '1.5'"),
 ], ids=["value", "label-letter", "label-plus", "label-underscore", "label-minus",
         "label-above-int32", "label-count", "label-above-count", "label-float"])
-def test_read_filtration_locates_bad_token_after_chunk_boundary(tmp_path, read_bytes, line,
+def test_read_filtration_locates_bad_token_after_chunk_boundary(shared_dir, read_bytes, line,
                                                                 message):
     vertices = from_simplices([Simplex((v,), 0.0) for v in range(300)], 300)
-    path = tmp_path / "f.txt"
+    path = shared_dir / "f.txt"
     complexes.write_filtration(path, vertices)
     lines = path.read_text().splitlines(keepends=True)
     lines[199] = line + "\n"  # file line 200, past the first chunk at 64 bytes or less
@@ -959,8 +964,8 @@ def test_read_filtration_locates_bad_token_after_chunk_boundary(tmp_path, read_b
     assert str(exc.value) == f"{path}:200: {message}"
 
 
-def test_read_filtration_reports_first_bad_token_of_a_chunk(tmp_path):
-    path = tmp_path / "f.txt"
+def test_read_filtration_reports_first_bad_token_of_a_chunk(shared_dir):
+    path = shared_dir / "f.txt"
     path.write_text("1 3\n0 0\n0 1\n0 2\n0.5 0 z\nq 1\n")
     with pytest.raises(ValueError, match=f"^{path}:5: invalid literal"):
         complexes.read_filtration(path)
@@ -969,8 +974,8 @@ def test_read_filtration_reports_first_bad_token_of_a_chunk(tmp_path):
         complexes.read_filtration(path)
 
 
-def test_read_filtration_whitespace_and_label_syntax(tmp_path):
-    path = tmp_path / "f.txt"
+def test_read_filtration_whitespace_and_label_syntax(shared_dir):
+    path = shared_dir / "f.txt"
     path.write_bytes(b"1  3\r\n\n \t0\v0\f\r\n0 0001\n\n0\t00000000002\n0.5 0 1")
     assert complexes.read_filtration(path) == from_simplices(
         [Simplex((0,), 0.0), Simplex((1,), 0.0), Simplex((2,), 0.0), Simplex((0, 1), 0.5)], 3)
@@ -982,10 +987,10 @@ def test_read_filtration_whitespace_and_label_syntax(tmp_path):
         complexes.read_filtration(path)
 
 
-def test_read_filtration_memory_is_bounded(tmp_path, monkeypatch):
+def test_read_filtration_memory_is_bounded(shared_dir, monkeypatch):
     f = complexes.vietoris_rips(np.random.default_rng(3).standard_normal((45, 3)), 2.4, 4)
     assert 40_000 < len(f) < 60_000
-    path = tmp_path / "filtration.txt"
+    path = shared_dir / "filtration.txt"
     complexes.write_filtration(path, f)
     monkeypatch.setattr(linalg, "BLOCK_BYTES", 2**20)  # 64 KiB chunks
     complexes.read_filtration(path)  # keeps one-time imports and caches out of the trace
@@ -1061,10 +1066,10 @@ def test_check_order_memory_is_bounded(monkeypatch):
     assert peak < linalg.BLOCK_BYTES < f.verts.size / 14
 
 
-def test_landmarks_round_trip(tmp_path):
+def test_landmarks_round_trip(shared_dir):
     rng = np.random.default_rng(13)
     cloud = rng.standard_normal((15, 2))
     lm = complexes.maxmin_landmarks(cloud, 5, rng)
-    path = tmp_path / "landmarks.txt"
+    path = shared_dir / "landmarks.txt"
     complexes.write_landmarks(path, lm)
     assert path.read_text() == "".join(f"{i}\n" for i in lm.indices)

@@ -127,9 +127,9 @@ def valid_barcode(rng) -> bytes:
     return f"degree,birth,death\n{rows}".encode()
 
 
-def test_window_agrees_with_barcode_oracle(tmp_path, capsys):
+def test_window_agrees_with_barcode_oracle(shared_dir, capsys):
     rng, outcomes, cases = np.random.default_rng(20), [], 400
-    path, out = tmp_path / "barcode.csv", tmp_path / "report.txt"
+    path, out = shared_dir / "barcode.csv", shared_dir / "report.txt"
     for _ in range(cases):
         data = mutated(rng, valid_barcode(rng), b",", 1)
         fresh(path).write_bytes(data)
@@ -154,17 +154,20 @@ def test_window_agrees_with_barcode_oracle(tmp_path, capsys):
 
 def filtration_oracle(data: bytes):
     """Rows (value, dimension, vertices), or None for a refused file, by the
-    README: a header of two integers ``dim_max vertex_count``; each nonblank
-    line an ASCII value float() reads, finite, then ASCII decimal labels below
-    vertex_count, strictly increasing; lines strictly increasing by (value,
-    dimension, vertices); dim_max the top dimension, and at least 1 when there
-    are lines (persist's degree is one below); every facet listed earlier, and
-    no simplex below the top listed twice."""
+    README: a header of two integers ``dim_max vertex_count``, neither
+    negative; each nonblank line an ASCII value float() reads, finite, then
+    ASCII decimal labels below vertex_count, strictly increasing; lines
+    strictly increasing by (value, dimension, vertices); dim_max the top
+    dimension, and at least 1 when there are lines (persist's degree is one
+    below); every facet listed earlier, and no simplex below the top listed
+    twice."""
     lines = data.split(b"\n")
     header = lines[0].split()
     if len(header) != 2 or not all(re.fullmatch(rb"[+-]?[0-9]+", t) for t in header):
         return None
     dim_max, count = map(int, header)
+    if min(dim_max, count) < 0:
+        return None
     rows = []
     for tokens in map(bytes.split, lines[1:]):
         if not tokens:
@@ -224,9 +227,9 @@ def valid_filtration(rng, path) -> bytes:
     return path.read_bytes()
 
 
-def test_persist_agrees_with_filtration_oracle(tmp_path, capsys):
+def test_persist_agrees_with_filtration_oracle(shared_dir, capsys):
     rng, outcomes, cases = np.random.default_rng(15), [], 300
-    path, out = tmp_path / "filtration.txt", tmp_path / "barcode.csv"
+    path, out = shared_dir / "filtration.txt", shared_dir / "barcode.csv"
     for _ in range(cases):
         data = valid_filtration(rng, path)
         lines = data.split(b"\n")
@@ -271,9 +274,9 @@ def cloud_oracle(data: bytes):
     return cloud if np.isfinite(cloud).all() else None
 
 
-def test_rips_agrees_with_cloud_oracle(tmp_path, capsys):
+def test_rips_agrees_with_cloud_oracle(shared_dir, capsys):
     rng, outcomes, cases = np.random.default_rng(3), [], 200
-    path, out = tmp_path / "cloud.txt", tmp_path / "filtration.txt"
+    path, out = shared_dir / "cloud.txt", shared_dir / "filtration.txt"
     for _ in range(cases):
         grassmann.write_cloud(fresh(path), rng.integers(-4, 5, (int(rng.integers(3, 7)), 2)) / 4)
         data = mutated(rng, path.read_bytes(), b" ", 0)
@@ -333,7 +336,7 @@ def config_oracle(data: bytes):
         return None
 
 
-def test_pipeline_config_agrees_with_config_oracle(tmp_path, monkeypatch, capsys):
+def test_pipeline_config_agrees_with_config_oracle(shared_dir, monkeypatch, capsys):
     """The pipeline stops where it would start work, so each case only parses."""
     configs = []
 
@@ -342,9 +345,9 @@ def test_pipeline_config_agrees_with_config_oracle(tmp_path, monkeypatch, capsys
         raise complexes.ResourceLimit("stopped before the experiment")
 
     monkeypatch.setattr(analysis, "run_pipeline", stop)
-    monkeypatch.chdir(tmp_path)
+    monkeypatch.chdir(shared_dir)
     rng, outcomes, cases = np.random.default_rng(11), [], 300
-    path = tmp_path / "exp.cfg"
+    path = shared_dir / "exp.cfg"
     valid = (b"space = grassmann-4-2\nsample_size = 12  # points\nr_max = 0.5\nmax_dim = 1\n"
              b"seed = 3\ntop_dim = 1\nmax_simplices = 5000\nproportions = 1, 2,1 1 1\n"
              b"output_dir = out\n")

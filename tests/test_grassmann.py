@@ -15,7 +15,7 @@ def q_binomial_coefficients(n, k):
     """Coefficient list of the Gaussian binomial [n choose k]_q.
 
     Built from the recurrence [n,k] = [n-1,k-1] + q^k [n-1,k], which is
-    independent of the partition-counting route used by the library.
+    independent of the product route used by the library.
     """
     table = {(0, 0): [1]}
     for m in range(1, n + 1):
@@ -108,6 +108,12 @@ def test_betti_mod2_duality_and_total():
             assert sum(b) == math.comb(n, k)
             assert b == grassmann.betti_mod2(GrassmannParams(n, n - k)) if k < n else True
             assert b == tuple(reversed(b))
+
+
+def test_betti_mod2_of_large_grassmannians():
+    # one coefficient at a time up to top_dim, with no recursion as deep as n - k
+    assert grassmann.betti_mod2(GrassmannParams(497, 1), 2) == (1, 1, 1)
+    assert grassmann.betti_mod2(GrassmannParams(3000, 1500), 5) == (1, 1, 2, 3, 5, 7)
 
 
 def test_betti_mod2_top_dim_argument():
@@ -334,16 +340,16 @@ def test_samplers_reject_nonpositive_count():
         grassmann.sample_so3(-1, rng)
 
 
-def test_cloud_round_trip(tmp_path):
+def test_cloud_round_trip(shared_dir):
     rng = np.random.default_rng(11)
     cloud = rng.standard_normal((13, 5))
-    path = tmp_path / "cloud.txt"
+    path = shared_dir / "cloud.txt"
     grassmann.write_cloud(path, cloud)
     back = grassmann.read_cloud(path)
     assert np.array_equal(back, cloud)
 
 
-def test_write_cloud_matches_savetxt(tmp_path, monkeypatch):
+def test_write_cloud_matches_savetxt(shared_dir, monkeypatch):
     rng = np.random.default_rng(12)
     sampled = grassmann.sample_uniform(GrassmannParams(5, 2), 40, rng).reshape(40, -1)
     partial = rng.standard_normal((9, 4))
@@ -356,7 +362,7 @@ def test_write_cloud_matches_savetxt(tmp_path, monkeypatch):
 
     def check():
         for i, cloud in enumerate(clouds):
-            ours, ref = tmp_path / f"{i}.txt", tmp_path / f"{i}.ref"
+            ours, ref = shared_dir / f"{i}.txt", shared_dir / f"{i}.ref"
             for path in (ours, ref):
                 path.unlink(missing_ok=True)  # ext4 flushes a file written over when it is closed
             grassmann.write_cloud(ours, cloud)
@@ -369,7 +375,7 @@ def test_write_cloud_matches_savetxt(tmp_path, monkeypatch):
         monkeypatch.setattr(linalg, "BLOCK_BYTES", budget)
         check()
     with pytest.raises(ValueError):  # savetxt takes 1-d and 2-d arrays only
-        grassmann.write_cloud(tmp_path / "stack.txt", np.zeros((2, 2, 2)))
+        grassmann.write_cloud(shared_dir / "stack.txt", np.zeros((2, 2, 2)))
 
 
 def write_cloud_peak(path, cloud, monkeypatch):
@@ -384,8 +390,8 @@ def write_cloud_peak(path, cloud, monkeypatch):
         tracemalloc.stop()
 
 
-def test_write_cloud_memory_is_bounded(tmp_path, monkeypatch):
-    path = tmp_path / "cloud.txt"
+def test_write_cloud_memory_is_bounded(shared_dir, monkeypatch):
+    path = shared_dir / "cloud.txt"
     peak = write_cloud_peak(path, np.random.default_rng(13).standard_normal((4000, 25)),
                             monkeypatch)
     # a block's temporaries take about 256 bytes a value (220-230 here), and
@@ -394,29 +400,29 @@ def test_write_cloud_memory_is_bounded(tmp_path, monkeypatch):
     assert peak < path.stat().st_size / 4
 
 
-def test_write_cloud_memory_is_bounded_below_1e4(tmp_path, monkeypatch):
+def test_write_cloud_memory_is_bounded_below_1e4(shared_dir, monkeypatch):
     # values below 1e-4 skip the array path and go through % alone
     cloud = np.random.default_rng(13).standard_normal((4000, 25)) * 1e-6
-    path, reference = tmp_path / "cloud.txt", tmp_path / "cloud.ref"
+    path, reference = shared_dir / "cloud.txt", shared_dir / "cloud.ref"
     assert write_cloud_peak(path, cloud, monkeypatch) < 1.1 * linalg.BLOCK_BYTES
     np.savetxt(reference, cloud, fmt="%.17g")
     assert path.read_bytes() == reference.read_bytes()
 
 
-def test_read_cloud_edge_cases(tmp_path):
-    path = tmp_path / "empty.txt"
+def test_read_cloud_edge_cases(shared_dir):
+    path = shared_dir / "empty.txt"
     path.write_text("")
     assert grassmann.read_cloud(path).shape == (0, 0)
-    ragged = tmp_path / "ragged.txt"
+    ragged = shared_dir / "ragged.txt"
     ragged.write_text("1 2 3\n4 5\n")
     with pytest.raises(ValueError):
         grassmann.read_cloud(ragged)
 
 
-def test_read_cloud_locates_bad_lines(tmp_path, monkeypatch):
-    path = tmp_path / "cloud.txt"
+def test_read_cloud_locates_bad_lines(shared_dir, monkeypatch):
+    path = shared_dir / "cloud.txt"
     path.write_bytes(b"\n 1\t2 \r\n\n3\v4\f\n5 6")
-    bad = tmp_path / "bad.txt"
+    bad = shared_dir / "bad.txt"
     for read_bytes in (1, 5, linalg.BLOCK_BYTES // 16):
         monkeypatch.setattr(linalg, "BLOCK_BYTES", 16 * read_bytes)  # read_bytes-byte chunks
         assert np.array_equal(grassmann.read_cloud(path), [[1, 2], [3, 4], [5, 6]])
@@ -429,7 +435,7 @@ def test_read_cloud_locates_bad_lines(tmp_path, monkeypatch):
             bad.write_text(text)
             with pytest.raises(ValueError, match=re.escape(f"{bad}:{message}")):
                 grassmann.read_cloud(bad)
-    path = tmp_path / "nan.txt"
+    path = shared_dir / "nan.txt"
     path.write_text("0 0\n1 nan\n")
     with pytest.raises(ValueError, match="non-finite coordinate in point 1"):
         grassmann.read_cloud(path)

@@ -800,9 +800,9 @@ def test_barcode_class_validation():
     assert betti_at(bc, 0.5) == (0, 2)
 
 
-def test_barcode_csv_round_trip(tmp_path):
+def test_barcode_csv_round_trip(shared_dir):
     bc = persistence.barcodes(tetrahedron_filtration(), 2)
-    path = tmp_path / "barcode.csv"
+    path = shared_dir / "barcode.csv"
     persistence.write_barcode(path, bc)
     lines = path.read_text().splitlines()
     assert lines[0] == "degree,birth,death"
@@ -812,17 +812,17 @@ def test_barcode_csv_round_trip(tmp_path):
     assert back == bc
 
 
-def test_read_barcode_rejects_bad_header(tmp_path):
-    path = tmp_path / "bad.csv"
+def test_read_barcode_rejects_bad_header(shared_dir):
+    path = shared_dir / "bad.csv"
     path.write_text("birth,death\n")
     with pytest.raises(ValueError):
         persistence.read_barcode(path)
 
 
-def test_barcode_svg_output(tmp_path):
+def test_barcode_svg_output(shared_dir):
     bc = persistence.barcodes(tetrahedron_filtration(), 2)
-    path_a = tmp_path / "a.svg"
-    path_b = tmp_path / "b.svg"
+    path_a = shared_dir / "a.svg"
+    path_b = shared_dir / "b.svg"
     persistence.write_barcode_svg(path_a, bc)
     persistence.write_barcode_svg(path_b, bc)
     text = path_a.read_text()
@@ -860,10 +860,10 @@ SVG_GOLDEN = """\
 """
 
 
-def test_barcode_svg_golden_bytes(tmp_path):
+def test_barcode_svg_golden_bytes(shared_dir):
     """Two degrees with no H1 between them, an essential bar, and a bar of zero
     width (drawn 1 px wide), given out of order."""
     bc = persistence.Barcode([2, 0, 2, 0], [0.25, 0.0, 0.5, 0.0], [0.25, INF, 1.0, 0.5])
-    path = tmp_path / "barcode.svg"
+    path = shared_dir / "barcode.svg"
     persistence.write_barcode_svg(path, bc)
     assert path.read_bytes() == SVG_GOLDEN.encode()
